@@ -209,7 +209,11 @@ def _resize_axis(data: np.ndarray, axis: int, out_size: int) -> np.ndarray:
     shape = [1] * data.ndim
     shape[axis] = out_size
     frac = frac.reshape(shape)
-    return lo * (1.0 - frac) + hi * frac
+    # lo and hi are fresh copies from np.take, so the blend runs in place.
+    lo *= 1.0 - frac
+    hi *= frac
+    lo += hi
+    return lo
 
 
 def resize_bilinear(grid: FeatureGrid, out_h: int, out_w: int) -> FeatureGrid:

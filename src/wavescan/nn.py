@@ -1,8 +1,11 @@
 """Small dense/conv plumbing shared by the mixer, decoder and pipeline.
 
 All 2-D convolutions use odd kernels with "same" replicate (edge)
-padding, matching the border-clamp convention of the sampling code, and
-are evaluated as im2col + BLAS matmul.
+padding, matching the border-clamp convention of the sampling code.
+Dense convolutions are evaluated as im2col + BLAS matmul over blocks of
+output rows, so the gathered taps never exceed a fixed byte budget;
+biases and per-tap products are applied in place on arrays allocated
+here, never on the caller's inputs or weights.
 """
 
 from __future__ import annotations
@@ -10,6 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError
+
+# Upper bound, in bytes, of the im2col tap buffer of one conv2d row block.
+_TAP_BLOCK_BYTES = 4 << 20
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -39,7 +45,9 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
            stride: int = 1) -> np.ndarray:
     """Dense convolution: x (C_in,H,W), w (C_out,C_in,kh,kw) -> (C_out,H',W').
 
-    Gathers kernel taps channel-major and runs one BLAS matmul.
+    Gathers kernel taps channel-major for one block of output rows at a
+    time, at most _TAP_BLOCK_BYTES of them, and multiplies each block
+    into its rows of the preallocated output with one BLAS matmul.
     """
     c_in, h, width = x.shape
     c_out, c_in_w, kh, kw = w.shape
@@ -48,14 +56,24 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
     xp = _pad_edge(x, kh, kw)
     oh = -(-h // stride)
     ow = -(-width // stride)
-    taps = np.empty((c_in, kh * kw, oh, ow))
-    for i in range(kh):
-        for j in range(kw):
-            taps[:, i * kw + j] = xp[:, i : i + h : stride, j : j + width : stride]
-    out = w.reshape(c_out, c_in * kh * kw) @ taps.reshape(c_in * kh * kw, oh * ow)
-    out = out.reshape(c_out, oh, ow)
+    depth = c_in * kh * kw
+    block = max(1, min(oh, _TAP_BLOCK_BYTES // max(1, depth * ow * 8)))
+    wmat = w.reshape(c_out, depth)
+    out = np.empty((c_out, oh, ow))
+    flat_out = out.reshape(c_out, oh * ow)
+    buf = np.empty(depth * block * ow)
+    for r0 in range(0, oh, block):
+        rows = min(block, oh - r0)
+        taps = buf[: depth * rows * ow].reshape(c_in, kh * kw, rows, ow)
+        top = r0 * stride
+        bottom = top + (rows - 1) * stride + 1
+        for i in range(kh):
+            for j in range(kw):
+                taps[:, i * kw + j] = xp[:, i + top : i + bottom : stride, j : j + width : stride]
+        np.matmul(wmat, taps.reshape(depth, rows * ow),
+                  out=flat_out[:, r0 * ow : (r0 + rows) * ow])
     if b is not None:
-        out = out + b[:, None, None]
+        out += b[:, None, None]
     return out
 
 
@@ -66,12 +84,14 @@ def depthwise_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) 
     c, h, width = x.shape
     kh, kw = w.shape[1], w.shape[2]
     xp = _pad_edge(x, kh, kw)
-    out = np.zeros_like(x)
-    for i in range(kh):
-        for j in range(kw):
-            out += w[:, i, j, None, None] * xp[:, i : i + h, j : j + width]
+    out = w[:, 0, 0, None, None] * xp[:, :h, :width]
+    tmp = np.empty_like(out)
+    for k in range(1, kh * kw):
+        i, j = divmod(k, kw)
+        np.multiply(w[:, i, j, None, None], xp[:, i : i + h, j : j + width], out=tmp)
+        out += tmp
     if b is not None:
-        out = out + b[:, None, None]
+        out += b[:, None, None]
     return out
 
 
@@ -81,7 +101,7 @@ def conv1x1(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.nda
         raise DimensionError(f"projection expects {w.shape[1]} channels, grid has {x.shape[0]}")
     out = np.tensordot(w, x, axes=([1], [0]))
     if b is not None:
-        out = out + b[:, None, None]
+        out += b[:, None, None]
     return out
 
 

@@ -278,8 +278,11 @@ def brm(fused: FeatureGrid, w: WeightStore) -> FeatureGrid:
     edge = depthwise_conv2d(fused.data, w.get("brm.edge_dw_w", (ce, 3, 3)),
                             w.get("brm.edge_dw_b", (ce,)))
     both = np.concatenate([ctx, edge], axis=0)
+    del ctx, edge
     proj = conv1x1(both, w.get("brm.proj_w", (ce, 2 * ce)), w.get("brm.proj_b", (ce,)))
-    return FeatureGrid(fused.data + proj)
+    del both
+    proj += fused.data
+    return FeatureGrid(proj)
 
 
 def forward(image: FeatureGrid, cfg: PipelineConfig | None = None,

@@ -63,6 +63,7 @@ class ScanOrder:
 
     forward[r * W + c] is the 1-D position at which cell (r, c) is visited;
     inverse[k] is the row-major linear index of the k-th visited cell.
+    Orders are cached and shared, so both arrays are read-only.
     """
 
     kind: ScanKind
@@ -97,6 +98,8 @@ def _hilbert_square(k: int) -> tuple[np.ndarray, np.ndarray]:
         y = y + s * ry
         t //= 4
         s *= 2
+    x.flags.writeable = False
+    y.flags.writeable = False
     return x, y
 
 
@@ -144,6 +147,8 @@ def build_scan_order(kind: ScanKind, height: int, width: int) -> ScanOrder:
         raise ValueError(kind)
     forward = np.empty_like(inverse)
     forward[inverse] = cells
+    forward.flags.writeable = False
+    inverse.flags.writeable = False
     return ScanOrder(kind=kind, height=height, width=width, forward=forward, inverse=inverse)
 
 

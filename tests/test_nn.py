@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from wavescan import nn
 from wavescan.errors import DimensionError
+from wavescan.grid import FeatureGrid, resize_bilinear
 from wavescan.nn import (
     avg_pool_2x2,
     conv1x1,
@@ -59,6 +61,26 @@ class TestConv:
         with pytest.raises(DimensionError):
             conv2d(np.zeros((1, 4, 4)), np.zeros((1, 1, 2, 2)))
 
+    @pytest.mark.parametrize("shape,stride", [
+        ((64, 41, 43), 1),  # two row blocks, the last one short
+        ((64, 81, 87), 2),  # three row blocks, the last one a single row
+        ((3, 1, 5), 1),
+        ((5, 9, 7), 2),
+    ])
+    def test_row_blocks_match_naive_oracle(self, shape, stride):
+        c_in, h, width = shape
+        oh, ow = -(-h // stride), -(-width // stride)
+        if c_in == 64:
+            assert c_in * 9 * oh * ow * 8 > nn._TAP_BLOCK_BYTES
+            assert oh % (nn._TAP_BLOCK_BYTES // (c_in * 9 * ow * 8)) != 0
+        rng = np.random.default_rng(h)
+        x = rng.normal(size=shape)
+        w = rng.normal(size=(3, c_in, 3, 3))
+        b = rng.normal(size=3)
+        got = conv2d(x, w, b, stride=stride)
+        assert got.shape == (3, oh, ow)
+        assert np.abs(got - naive_conv(x, w, b, stride=stride)).max() <= 1e-10
+
 
 class TestDepthwise:
     def test_matches_naive(self):
@@ -108,3 +130,35 @@ class TestSmallOps:
     def test_softplus_matches_reference(self):
         x = np.linspace(-20, 20, 41)
         assert np.allclose(softplus(x), np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0))
+
+
+class TestInputsUnchanged:
+    """Every op computes in place only on arrays it allocated itself."""
+
+    @staticmethod
+    def assert_unchanged(fn, *arrays):
+        before = [a.copy() for a in arrays]
+        fn()
+        for a, want in zip(arrays, before):
+            assert np.array_equal(a, want)
+
+    def test_conv2d(self):
+        rng = np.random.default_rng(5)
+        x, w, b = rng.normal(size=(64, 41, 43)), rng.normal(size=(3, 64, 3, 3)), rng.normal(size=3)
+        self.assert_unchanged(lambda: conv2d(x, w, b), x, w, b)
+        self.assert_unchanged(lambda: conv2d(x, w, b, stride=2), x, w, b)
+
+    def test_depthwise_conv2d(self):
+        rng = np.random.default_rng(6)
+        x, w, b = rng.normal(size=(4, 9, 11)), rng.normal(size=(4, 3, 3)), rng.normal(size=4)
+        self.assert_unchanged(lambda: depthwise_conv2d(x, w, b), x, w, b)
+
+    def test_conv1x1(self):
+        rng = np.random.default_rng(7)
+        x, w, b = rng.normal(size=(4, 9, 11)), rng.normal(size=(2, 4)), rng.normal(size=2)
+        self.assert_unchanged(lambda: conv1x1(x, w, b), x, w, b)
+
+    @pytest.mark.parametrize("out_h,out_w", [(18, 22), (9, 22), (18, 11), (9, 11), (1, 5)])
+    def test_resize_bilinear(self, out_h, out_w):
+        grid = FeatureGrid(np.random.default_rng(8).normal(size=(2, 9, 11)))
+        self.assert_unchanged(lambda: resize_bilinear(grid, out_h, out_w), grid.data)

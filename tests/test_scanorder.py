@@ -5,6 +5,7 @@ from wavescan.errors import DimensionError, InsufficientStructureError
 from wavescan.grid import FeatureGrid
 from wavescan.scanorder import (
     ScanKind,
+    _hilbert_square,
     along_structure_gaps,
     build_scan_order,
     deserialize,
@@ -105,6 +106,30 @@ class TestConstruction:
         a = build_scan_order(ScanKind.HILBERT, 16, 16)
         b = build_scan_order(ScanKind.HILBERT, 16, 16)
         assert a is b
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_cached_orders_are_read_only(self, kind):
+        order = build_scan_order(kind, 6, 10)
+        forward, inverse = order.forward.copy(), order.inverse.copy()
+        with pytest.raises(ValueError):
+            order.forward[0] = order.forward[1]
+        with pytest.raises(ValueError):
+            order.inverse[::-1].sort()
+        with pytest.raises(ValueError):
+            order.forward += 1
+        again = build_scan_order(kind, 6, 10)
+        assert again is order
+        assert np.array_equal(again.forward, forward)
+        assert np.array_equal(again.inverse, inverse)
+
+    def test_cached_hilbert_curve_is_read_only(self):
+        x, y = _hilbert_square(3)
+        want = x.copy()
+        with pytest.raises(ValueError):
+            x[0] = 7
+        with pytest.raises(ValueError):
+            y[:] = 0
+        assert np.array_equal(_hilbert_square(3)[0], want)
 
     def test_parse_kind_aliases(self):
         assert parse_kind("h") is ScanKind.HORIZONTAL
