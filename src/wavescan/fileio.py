@@ -12,13 +12,14 @@ PGM files are binary P5, maxval 255; gray values map to [0, 1] floats.
 
 from __future__ import annotations
 
+import re
 import struct
 from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, InputError
 from .grid import FeatureGrid
 
 MAGIC = b"FGT1"
@@ -106,8 +107,21 @@ def save_pgm(path, values: np.ndarray) -> None:
         fh.write(arr.tobytes())
 
 
+def _pgm_int(path, name: str, field: bytes) -> int:
+    if re.fullmatch(rb"-?[0-9]+", field):
+        try:
+            return int(field)
+        except ValueError:  # more digits than int() accepts
+            pass
+    raise InputError(f"PGM {name} {field[:16]!r} is not an integer in {path}")
+
+
 def load_pgm(path) -> np.ndarray:
-    """Read a binary P5 PGM into a 2-D float array in [0, 1]."""
+    """Read a binary P5 PGM into a 2-D float array in [0, 1].
+
+    A malformed header or short pixel data raises ``InputError`` naming
+    the file and the reason.
+    """
     data = Path(path).read_bytes()
     fields: list[bytes] = []
     pos = 0
@@ -118,15 +132,24 @@ def load_pgm(path) -> np.ndarray:
             while pos < len(data) and data[pos] != 0x0A:
                 pos += 1
             continue
+        if pos >= len(data):
+            raise InputError(f"PGM header has {len(fields)} of 4 fields in {path}")
         start = pos
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
         fields.append(data[start:pos])
     pos += 1  # single whitespace after maxval
     if fields[0] != b"P5":
-        raise ValueError(f"unsupported PGM type {fields[0]!r} in {path}")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+        raise InputError(f"unsupported PGM type {fields[0][:16]!r} in {path}")
+    w = _pgm_int(path, "width", fields[1])
+    h = _pgm_int(path, "height", fields[2])
+    maxval = _pgm_int(path, "maxval", fields[3])
+    if w <= 0 or h <= 0:
+        raise InputError(f"PGM size {w}x{h} is not positive in {path}")
     if maxval != 255:
-        raise ValueError(f"only maxval 255 supported, got {maxval} in {path}")
+        raise InputError(f"only maxval 255 supported, got {maxval} in {path}")
+    have = max(len(data) - pos, 0)
+    if have < w * h:
+        raise InputError(f"PGM pixel data has {have} of {w * h} bytes in {path}")
     pixels = np.frombuffer(data, dtype=np.uint8, count=h * w, offset=pos)
     return pixels.reshape(h, w).astype(np.float64) / 255.0

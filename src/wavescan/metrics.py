@@ -8,8 +8,16 @@ and of exactly one empty skeleton is 0.
 
 mIoU is the two-class mean (foreground and background IoU).  ODS sweeps
 the fixed threshold grid 0.01 .. 0.99 with dataset-aggregated confusion
-counts and no boundary-tolerance matching.  clDice uses Zhang-Suen
-thinning for its skeletons.
+counts and no boundary-tolerance matching.  Each pixel falls in one bin,
+the number of thresholds at or below its prediction; a NaN prediction
+counts as below every threshold.  One histogram of (bin, gt) per pair
+and reversed cumulative sums give the counts at every threshold.
+
+clDice uses Zhang-Suen thinning for its skeletons.  The deletion test of
+each sub-iteration is a 256-entry table over the 8-neighbour code, built
+once at import; each sub-iteration looks up only the remaining
+foreground pixels of a flat zero-padded image and deletes all chosen
+pixels at once, so the pass stays parallel.
 """
 
 from __future__ import annotations
@@ -87,25 +95,36 @@ class OdsResult:
     threshold: float
 
 
+def _ods_counts(preds, gts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dataset-aggregated tp, fp, fn of pred >= t at every ODS threshold t."""
+    k = len(ODS_THRESHOLDS)
+    counts = np.zeros(2 * (k + 1), dtype=np.int64)
+    for pred, gt in zip(preds, gts):
+        pred = _as_float_mask(pred)
+        gt = _as_bool_mask(gt)
+        if pred.shape != gt.shape:
+            raise DimensionError(f"shape mismatch: pred {pred.shape} vs gt {gt.shape}")
+        flat = pred.ravel()
+        # bin = number of thresholds t with pred >= t; NaN is below them all
+        bins = np.searchsorted(ODS_THRESHOLDS, flat, side="right")
+        bins[np.isnan(flat)] = 0
+        np.add(bins, k + 1, out=bins, where=gt.ravel())
+        counts += np.bincount(bins, minlength=2 * (k + 1))
+    # pixels in bin j or above; at threshold j the positives are those above bin j
+    neg_above, pos_above = np.cumsum(counts.reshape(2, k + 1)[:, ::-1], axis=1)[:, ::-1]
+    tp = pos_above[1:]
+    fp = neg_above[1:]
+    fn = pos_above[0] - tp
+    return tp, fp, fn
+
+
 def ods(preds, gts) -> OdsResult:
     """Best dataset-aggregated F1 over the fixed threshold grid."""
     preds = list(preds)
     gts = list(gts)
     if not preds or len(preds) != len(gts):
         raise InputError(f"need equal non-empty mask lists, got {len(preds)} and {len(gts)}")
-    tp = np.zeros(len(ODS_THRESHOLDS), dtype=np.int64)
-    fp = np.zeros_like(tp)
-    fn = np.zeros_like(tp)
-    for pred, gt in zip(preds, gts):
-        pred = _as_float_mask(pred)
-        gt = _as_bool_mask(gt)
-        if pred.shape != gt.shape:
-            raise DimensionError(f"shape mismatch: pred {pred.shape} vs gt {gt.shape}")
-        binned = pred.ravel()[None, :] >= ODS_THRESHOLDS[:, None]
-        gt_flat = gt.ravel()[None, :]
-        tp += (binned & gt_flat).sum(axis=1)
-        fp += (binned & ~gt_flat).sum(axis=1)
-        fn += (~binned & gt_flat).sum(axis=1)
+    tp, fp, fn = _ods_counts(preds, gts)
     with np.errstate(invalid="ignore", divide="ignore"):
         precision = np.where(tp + fp > 0, tp / np.maximum(tp + fp, 1), 0.0)
         recall = np.where(tp + fn > 0, tp / np.maximum(tp + fn, 1), 0.0)
@@ -115,35 +134,50 @@ def ods(preds, gts) -> OdsResult:
     return OdsResult(f1=float(f1[best]), threshold=float(ODS_THRESHOLDS[best]))
 
 
-def _zhang_suen_pass(img: np.ndarray, first: bool) -> np.ndarray:
-    padded = np.pad(img, 1).astype(np.uint8)
-    p2 = padded[:-2, 1:-1]
-    p3 = padded[:-2, 2:]
-    p4 = padded[1:-1, 2:]
-    p5 = padded[2:, 2:]
-    p6 = padded[2:, 1:-1]
-    p7 = padded[2:, :-2]
-    p8 = padded[1:-1, :-2]
-    p9 = padded[:-2, :-2]
-    ring = np.stack([p2, p3, p4, p5, p6, p7, p8, p9])
-    b = ring.sum(axis=0, dtype=np.int32)
+def _deletion_table(first: bool) -> np.ndarray:
+    """Zhang-Suen deletion test for every 8-neighbour code of a foreground pixel.
+
+    Bit k of the code is neighbour p(k+2), clockwise from north: p2 = N,
+    p3 = NE, p4 = E, ... p9 = NW.
+    """
+    ring = (np.arange(256)[None, :] >> np.arange(8)[:, None]) & 1
+    p2, _, p4, _, p6, _, p8, _ = ring
+    b = ring.sum(axis=0)
     a = ((ring == 0) & (np.roll(ring, -1, axis=0) == 1)).sum(axis=0)
-    cond = img & (b >= 2) & (b <= 6) & (a == 1)
+    cond = (b >= 2) & (b <= 6) & (a == 1)
     if first:
         cond &= (p2 * p4 * p6 == 0) & (p4 * p6 * p8 == 0)
     else:
         cond &= (p2 * p4 * p8 == 0) & (p2 * p6 * p8 == 0)
-    return img & ~cond
+    cond.flags.writeable = False
+    return cond
+
+
+_DELETE_TABLES = (_deletion_table(True), _deletion_table(False))
 
 
 def skeletonize(mask) -> np.ndarray:
     """Zhang-Suen iterative thinning to a 1-pixel-wide skeleton (boolean)."""
-    img = _as_bool_mask(mask).copy()
-    while True:
-        after = _zhang_suen_pass(_zhang_suen_pass(img, True), False)
-        if np.array_equal(after, img):
-            return after
-        img = after
+    img = _as_bool_mask(mask)
+    h, w = img.shape
+    stride = w + 2
+    padded = np.zeros((h + 2, w + 2), dtype=np.uint8)
+    padded[1:-1, 1:-1] = img
+    flat = padded.ravel()
+    # flat offsets of p2 .. p9 in a row-major padded image
+    ring = np.array([-stride, -stride + 1, 1, stride + 1, stride, stride - 1, -1, -stride - 1])
+    fg = np.flatnonzero(flat)
+    deleted = True
+    while deleted:
+        deleted = False
+        for table in _DELETE_TABLES:
+            codes = np.packbits(flat[ring[:, None] + fg], axis=0, bitorder="little")[0]
+            drop = table[codes]
+            if drop.any():
+                deleted = True
+                flat[fg[drop]] = 0
+                fg = fg[~drop]
+    return padded[1:-1, 1:-1].astype(bool)
 
 
 def dice(pred, gt) -> float:

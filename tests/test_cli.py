@@ -160,6 +160,27 @@ class TestSubcommands:
         cld_row = [r for r in rows if r[0] == "MEAN_CLDICE"][0]
         assert float(cld_row[6]) == 1.0
 
+    def test_eval_unwritable_out_is_one_error_line(self, tmp_path, capsys):
+        for sub in ("pred", "gt"):
+            (tmp_path / sub).mkdir()
+            fileio.save_pgm(tmp_path / sub / "0.pgm", np.eye(32))
+        out = tmp_path / "missing_dir" / "o.csv"
+        assert main(["eval", "--pred-dir", str(tmp_path / "pred"),
+                     "--gt-dir", str(tmp_path / "gt"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(out) in err
+
+    def test_eval_malformed_pgm_is_one_error_line(self, tmp_path, capsys):
+        for sub in ("pred", "gt"):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "0.pgm").write_bytes(b"P5\n4 4\n255\n")
+        assert main(["eval", "--pred-dir", str(tmp_path / "pred"),
+                     "--gt-dir", str(tmp_path / "gt"), "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "pixel data" in err and str(tmp_path / "pred" / "0.pgm") in err
+
     def test_eval_empty_dirs_fail(self, tmp_path, capsys):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()

@@ -1,4 +1,4 @@
-"""Peak-memory guards for the H x W layers, measured with tracemalloc.
+"""Peak-memory guards for the H x W layers and metrics, measured with tracemalloc.
 
 tracemalloc counts every numpy data buffer allocated while it traces, so
 these peaks are deterministic for a given numpy; they do not depend on
@@ -10,8 +10,10 @@ import tracemalloc
 import numpy as np
 
 from wavescan.grid import FeatureGrid
+from wavescan.metrics import ods, skeletonize
 from wavescan.nn import conv2d
 from wavescan.pipeline import PipelineConfig, default_weights, forward
+from wavescan.synth import SynthConfig, generate_sample
 
 MB = 1e6
 
@@ -49,3 +51,18 @@ def test_forward_peak_at_256():
     forward(image, cfg, weights)  # warm the scan-order caches
     peak = traced_peak_mb(lambda: forward(image, cfg, weights))
     assert peak <= 70.0, f"forward peak {peak:.1f} MB"
+
+
+def test_ods_peak_over_eight_pairs_at_256():
+    # A thresholds x pixels comparison would hold 99*256*256 booleans (6.5 MB) per pair.
+    rng = np.random.default_rng(2)
+    gts = [rng.uniform(size=(256, 256)) < 0.05 for _ in range(8)]
+    preds = [np.clip(0.7 * g + 0.15 + rng.normal(0.0, 0.2, g.shape), 0.0, 1.0) for g in gts]
+    peak = traced_peak_mb(lambda: ods(preds, gts))
+    assert peak < 4.0, f"ods peak {peak:.1f} MB"
+
+
+def test_skeletonize_peak_at_256():
+    mask = generate_sample(SynthConfig(height=256, width=256, seed=0)).gt
+    peak = traced_peak_mb(lambda: skeletonize(mask))
+    assert peak < 1.0, f"skeletonize peak {peak:.2f} MB"

@@ -1,9 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wavescan.errors import DimensionError, InputError
 from wavescan.metrics import (
     ODS_THRESHOLDS,
+    _DELETE_TABLES,
+    OdsResult,
+    _ods_counts,
     cldice,
     connected_components,
     dice,
@@ -32,6 +40,59 @@ def oracle_region(pred, gt, threshold):
     iou_fg = tp / (tp + fp + fn) if tp + fp + fn else 1.0
     iou_bg = tn / (tn + fp + fn) if tn + fp + fn else 1.0
     return (iou_fg + iou_bg) / 2, f1, precision, recall
+
+
+def _zhang_suen_pass(img: np.ndarray, first: bool) -> np.ndarray:
+    """One parallel Zhang-Suen sub-iteration over eight full-image neighbour planes."""
+    padded = np.pad(img, 1).astype(np.uint8)
+    p2 = padded[:-2, 1:-1]
+    p3 = padded[:-2, 2:]
+    p4 = padded[1:-1, 2:]
+    p5 = padded[2:, 2:]
+    p6 = padded[2:, 1:-1]
+    p7 = padded[2:, :-2]
+    p8 = padded[1:-1, :-2]
+    p9 = padded[:-2, :-2]
+    ring = np.stack([p2, p3, p4, p5, p6, p7, p8, p9])
+    b = ring.sum(axis=0, dtype=np.int32)
+    a = ((ring == 0) & (np.roll(ring, -1, axis=0) == 1)).sum(axis=0)
+    cond = img & (b >= 2) & (b <= 6) & (a == 1)
+    if first:
+        cond &= (p2 * p4 * p6 == 0) & (p4 * p6 * p8 == 0)
+    else:
+        cond &= (p2 * p4 * p8 == 0) & (p2 * p6 * p8 == 0)
+    return img & ~cond
+
+
+def oracle_skeletonize(mask) -> np.ndarray:
+    """Whole-image Zhang-Suen thinning, iterated until a full pass changes nothing."""
+    img = np.asarray(mask) != 0
+    while True:
+        after = _zhang_suen_pass(_zhang_suen_pass(img, True), False)
+        if np.array_equal(after, img):
+            return after
+        img = after
+
+
+def oracle_ods_counts(preds, gts):
+    """tp, fp, fn per threshold from the full thresholds x pixels comparison."""
+    tp = np.zeros(len(ODS_THRESHOLDS), dtype=np.int64)
+    fp = np.zeros_like(tp)
+    fn = np.zeros_like(tp)
+    for pred, gt in zip(preds, gts):
+        binned = np.asarray(pred, dtype=np.float64).ravel()[None, :] >= ODS_THRESHOLDS[:, None]
+        gt_flat = (np.asarray(gt) != 0).ravel()[None, :]
+        tp += (binned & gt_flat).sum(axis=1)
+        fp += (binned & ~gt_flat).sum(axis=1)
+        fn += (~binned & gt_flat).sum(axis=1)
+    return tp, fp, fn
+
+
+def assert_counts_equal(preds, gts):
+    got = _ods_counts(preds, gts)
+    want = oracle_ods_counts(preds, gts)
+    for name, g, w in zip(("tp", "fp", "fn"), got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w), name
 
 
 class TestRegionMetrics:
@@ -128,6 +189,51 @@ class TestOds:
         with pytest.raises(InputError):
             ods([], [])
 
+    def test_counts_match_oracle_at_threshold_edges(self):
+        t = ODS_THRESHOLDS
+        edges = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf),
+                                [np.nan, np.inf, -np.inf, -0.5, 0.0, 1.0, 1.5, -0.0]])
+        rng = np.random.default_rng(5)
+        preds = [edges.reshape(1, -1), edges[::-1].reshape(-1, 1), rng.permutation(edges)[None]]
+        gts = [rng.uniform(size=p.shape) < 0.5 for p in preds]
+        assert_counts_equal(preds, gts)
+        assert_counts_equal(preds, [~g for g in gts])
+
+    def test_counts_match_oracle_on_noisy_synth_pairs(self):
+        rng = np.random.default_rng(6)
+        preds, gts = [], []
+        for seed in range(4):
+            gt = generate_sample(SynthConfig(height=48, width=40, seed=seed,
+                                             orientation="bezier", width_max=4)).gt
+            pred = 0.7 * gt + 0.15 + rng.normal(0.0, 0.3, gt.shape)
+            pred[rng.uniform(size=gt.shape) < 0.02] = np.nan
+            preds.append(pred)
+            gts.append(gt)
+        assert_counts_equal(preds, gts)
+        assert ods(preds, gts) == ods([np.where(np.isnan(p), -1.0, p) for p in preds], gts)
+
+    def test_nan_counts_as_below_every_threshold(self):
+        gt = np.zeros((6, 6), dtype=bool)
+        gt[2, 1:5] = True
+        pred = np.where(gt, 1.0, np.nan)
+        assert ods([pred], [gt]) == OdsResult(f1=1.0, threshold=0.01)
+        tp, fp, fn = _ods_counts([pred], [gt])
+        assert not fp.any() and not fn.any() and (tp == 4).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_counts_match_oracle_property(self, data):
+        shape = data.draw(hnp.array_shapes(min_dims=2, max_dims=2, max_side=9))
+        values = st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from(list(ODS_THRESHOLDS)),
+            st.floats(min_value=-0.1, max_value=1.1),
+        )
+        n = data.draw(st.integers(1, 3))
+        preds = [data.draw(hnp.arrays(np.float64, shape, elements=values)) for _ in range(n)]
+        gts = [data.draw(hnp.arrays(np.bool_, shape)) for _ in range(n)]
+        assert_counts_equal(preds, gts)
+
 
 class TestSkeletonize:
     def test_one_pixel_line_unchanged(self):
@@ -163,6 +269,71 @@ class TestSkeletonize:
             before = connected_components(sample.gt)
             after = connected_components(skeletonize(sample.gt))
             assert before == after
+
+
+def _border_masks():
+    frame = np.zeros((12, 15), dtype=bool)
+    frame[:3] = frame[-2:] = True
+    frame[:, :2] = frame[:, -3:] = True
+    corner = np.zeros((10, 10), dtype=bool)
+    corner[:4, :4] = True
+    corner[-5:, -2:] = True
+    diagonal = np.eye(9, 14, dtype=bool) | np.eye(9, 14, 1, dtype=bool)
+    return [frame, corner, diagonal, np.ones((6, 9), dtype=bool) & ~np.eye(6, 9, 2, dtype=bool)]
+
+
+def _exactness_masks():
+    rng = np.random.default_rng(11)
+    masks = []
+    for seed in range(6):
+        sample = generate_sample(SynthConfig(height=64, width=56, curves=3, width_min=1,
+                                             width_max=6, orientation="bezier", seed=seed))
+        masks.append(sample.gt)
+        noisy = 0.7 * sample.gt + 0.15 + rng.normal(0.0, 0.2, sample.gt.shape)
+        masks.append(noisy >= 0.5)
+    for density in (0.1, 0.3, 0.5, 0.7, 0.9):
+        masks.append(rng.uniform(size=(37, 41)) < density)
+    masks += [np.ones((20, 23), dtype=bool), np.zeros((8, 9), dtype=bool),
+              np.ones((1, 17), dtype=bool), np.ones((17, 1), dtype=bool),
+              np.ones((2, 17), dtype=bool), np.ones((17, 2), dtype=bool)]
+    return masks + _border_masks()
+
+
+EXACTNESS_MASKS = _exactness_masks()
+
+
+class TestSkeletonizeExact:
+    @pytest.mark.parametrize("mask", EXACTNESS_MASKS)
+    def test_matches_whole_image_oracle(self, mask):
+        got = skeletonize(mask)
+        assert got.dtype == np.bool_ and got.shape == mask.shape
+        assert np.array_equal(got, oracle_skeletonize(mask))
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_tables_match_oracle_pass_on_every_patch(self, first):
+        table = _DELETE_TABLES[0 if first else 1]
+        # (row, col) of p2 .. p9 in a 3x3 patch, clockwise from north
+        ring = [(0, 1), (0, 2), (1, 2), (2, 2), (2, 1), (2, 0), (1, 0), (0, 0)]
+        for bits in itertools.product((False, True), repeat=9):
+            patch = np.array(bits).reshape(3, 3)
+            code = sum(int(patch[rc]) << k for k, rc in enumerate(ring))
+            deleted = patch[1, 1] and not _zhang_suen_pass(patch, first)[1, 1]
+            assert deleted == (patch[1, 1] and table[code]), (bits, first)
+
+    def test_tables_are_read_only(self):
+        for table in _DELETE_TABLES:
+            with pytest.raises(ValueError):
+                table[0] = True
+
+    def test_input_left_unchanged(self):
+        mask = np.ones((5, 7), dtype=np.uint8)
+        skeletonize(mask)
+        assert (mask == 1).all()
+
+    @settings(max_examples=80, deadline=None)
+    @given(hnp.arrays(np.bool_, hnp.array_shapes(min_dims=2, max_dims=2, max_side=16)))
+    def test_matches_oracle_property(self, mask):
+        assert np.array_equal(skeletonize(mask), oracle_skeletonize(mask))
 
 
 class TestClDice:

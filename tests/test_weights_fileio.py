@@ -2,9 +2,11 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavescan import fileio
-from wavescan.errors import DimensionError
+from wavescan.errors import DimensionError, InputError
 from wavescan.grid import FeatureGrid
 from wavescan.wavelet import dwt_haar
 from wavescan.weights import WeightStore, seeded_init
@@ -120,6 +122,22 @@ class TestTensorFormat:
             assert np.allclose(got, want.data, atol=1e-7)
 
 
+MALFORMED_PGMS = [
+    (b"", "0 of 4 fields"),
+    (b"P5\n5 7", "3 of 4 fields"),
+    (b"P5\n# only a comment\n", "1 of 4 fields"),
+    (b"P5\nfive 7\n255\n" + bytes(35), "width b'five' is not an integer"),
+    (b"P5\n5 7.0\n255\n" + bytes(35), "height b'7.0' is not an integer"),
+    (b"P5\n5 7\n0xff\n" + bytes(35), "maxval b'0xff' is not an integer"),
+    (b"P5\n-2 4\n255\n" + bytes(8), "size -2x4 is not positive"),
+    (b"P5\n0 4\n255\n", "size 0x4 is not positive"),
+    (b"P5\n5 0\n255\n", "size 5x0 is not positive"),
+    (b"P5\n5 7\n255\n", "pixel data has 0 of 35 bytes"),
+    (b"P5\n5 7\n255\n" + bytes(34), "pixel data has 34 of 35 bytes"),
+    (b"P5\n5 7\n255", "pixel data has 0 of 35 bytes"),
+]
+
+
 class TestPgm:
     def test_roundtrip(self, tmp_path):
         values = np.random.default_rng(3).uniform(size=(5, 7))
@@ -141,3 +159,52 @@ class TestPgm:
         path.write_bytes(b"P2\n2 2\n255\n0 0 0 0\n")
         with pytest.raises(ValueError):
             fileio.load_pgm(path)
+
+    @pytest.mark.parametrize("data, reason", MALFORMED_PGMS,
+                             ids=[reason for _, reason in MALFORMED_PGMS])
+    def test_malformed_header_names_file_and_reason(self, tmp_path, data, reason):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(data)
+        with pytest.raises(InputError) as exc:
+            fileio.load_pgm(path)
+        assert reason in str(exc.value)
+        assert str(path) in str(exc.value)
+
+
+VALID_PGM = b"P5\n5 7\n255\n" + bytes(range(0, 175, 5))
+VALID_PIXELS = np.arange(0, 175, 5, dtype=np.float64).reshape(7, 5) / 255.0
+
+
+def load_or_input_error(directory, data: bytes):
+    """load_pgm of ``data``, or None when it raises InputError."""
+    path = directory / "fuzz.pgm"
+    path.write_bytes(data)
+    try:
+        return fileio.load_pgm(path)
+    except InputError:
+        return None
+
+
+class TestPgmFuzz:
+    def test_valid_file_reads_back(self, tmp_path):
+        assert np.array_equal(load_or_input_error(tmp_path, VALID_PGM), VALID_PIXELS)
+
+    def test_every_proper_prefix_raises_input_error(self, tmp_path):
+        for end in range(len(VALID_PGM)):
+            assert load_or_input_error(tmp_path, VALID_PGM[:end]) is None, end
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, len(VALID_PGM) - 1), st.integers(0, 255)),
+                    min_size=1, max_size=4))
+    def test_mutated_bytes_give_array_or_input_error(self, tmp_path_factory, edits):
+        data = bytearray(VALID_PGM)
+        for pos, byte in edits:
+            data[pos] = byte
+        got = load_or_input_error(tmp_path_factory.mktemp("pgm"), bytes(data))
+        if got is None:
+            return
+        assert got.ndim == 2 and got.size > 0
+        assert got.dtype == np.float64 and ((got >= 0.0) & (got <= 1.0)).all()
+        if data[: len(VALID_PGM) - VALID_PIXELS.size] == VALID_PGM[: -VALID_PIXELS.size]:
+            want = np.frombuffer(bytes(data[-VALID_PIXELS.size:]), dtype=np.uint8)
+            assert np.array_equal(got, want.reshape(7, 5) / 255.0)
