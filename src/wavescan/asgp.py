@@ -6,9 +6,10 @@ Probes then evolve for a few steps, each step combining a bounded
 learned semantic offset, gradient ascent on the bilinear surface of M0,
 and a truncated pairwise repulsion that keeps them from collapsing onto
 the strongest ridge; coordinates are clamped to [-1, 1]^2 throughout.
-The refined probes are splatted back to pixel space as M1, and the
-blended gate sigmoid(w*M1 + (1-w)*M0) multiplies the high-frequency
-bands so only structure-consistent detail survives.
+The refined probes are splatted back to pixel space as M1 (separable
+Gaussians, one small matrix product), and the blended gate
+sigmoid(w*M1 + (1-w)*M0) multiplies the high-frequency bands so only
+structure-consistent detail survives.
 """
 
 from __future__ import annotations
@@ -120,7 +121,10 @@ def coarse_potential(probes: ProbeSet, x_ll: FeatureGrid, w: WeightStore,
 
     Each probe's attention over all H*W positions (scaled dot product,
     softmax) is multiplied by H*W so a uniform map has value 1; the
-    probe mean goes through a logistic.
+    probe mean goes through a logistic.  The logits are exponentiated in
+    place and the normalized mean is taken as one matrix-vector product
+    with per-probe weights H*W / (N * row sum), so no second probes x H*W
+    array is built.
     """
     d = probes.embed_dim
     channels, h, width = x_ll.shape
@@ -129,9 +133,10 @@ def coarse_potential(probes: ProbeSet, x_ll: FeatureGrid, w: WeightStore,
     keys = key_w @ x_ll.data.reshape(channels, -1) + key_b[:, None]  # (d, HW)
     logits = (probes.embeddings @ keys) / np.sqrt(d)  # (N, HW)
     logits -= logits.max(axis=1, keepdims=True)
-    expl = np.exp(logits)
-    attn = expl / expl.sum(axis=1, keepdims=True)
-    field = attn.mean(axis=0) * (h * width)
+    np.exp(logits, out=logits)
+    # mean_n(exp_n / rowsum_n) * HW as one weighted sum over the probes.
+    weights = (h * width) / (probes.count * logits.sum(axis=1))
+    field = weights @ logits
     return FeatureGrid(sigmoid(field).reshape(1, h, width))
 
 
@@ -191,18 +196,22 @@ def evolve_probes(m0: Mask, x_ll: FeatureGrid, probes: ProbeSet, cfg: AsgpConfig
 
 def refine_mask(probes: ProbeSet, shape: tuple[int, int],
                 cfg: AsgpConfig | None = None) -> Mask:
-    """Score-weighted Gaussian splats of the probes, through a logistic."""
+    """Score-weighted Gaussian splats of the probes, through a logistic.
+
+    The isotropic splat factors as exp(-dx^2/2s^2) * exp(-dy^2/2s^2), so
+    the field is one (H, N) @ (N, W) product of per-probe row and column
+    profiles; no probes x H x W stack is built.
+    """
     cfg = cfg or AsgpConfig()
     h, width = shape
     if h < 1 or width < 1:
         raise DimensionError(f"mask shape must be positive, got {shape}")
     xs = np.linspace(-1.0, 1.0, width) if width > 1 else np.zeros(1)
     ys = np.linspace(-1.0, 1.0, h) if h > 1 else np.zeros(1)
-    px, py = np.meshgrid(xs, ys)
-    dx = px[None, :, :] - probes.coords[:, 0, None, None]
-    dy = py[None, :, :] - probes.coords[:, 1, None, None]
-    splats = np.exp(-(dx ** 2 + dy ** 2) / (2.0 * cfg.splat_sigma ** 2))
-    field = (probes.scores[:, None, None] * splats).sum(axis=0)
+    scale = -1.0 / (2.0 * cfg.splat_sigma ** 2)
+    gx = np.exp(scale * (xs[None, :] - probes.coords[:, 0, None]) ** 2)  # (N, W)
+    gy = np.exp(scale * (ys[None, :] - probes.coords[:, 1, None]) ** 2)  # (N, H)
+    field = (gy.T * probes.scores) @ gx
     return FeatureGrid(sigmoid(field)[None, :, :])
 
 

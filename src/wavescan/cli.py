@@ -26,6 +26,7 @@ from .asgp import (
     refine_mask,
 )
 from .bench import run_benchmarks
+from .errors import ConfigError
 from .fablock import ScanAssignment, fa_scan
 from .grid import FeatureGrid
 from .metrics import cldice, ods, region_metrics
@@ -125,8 +126,15 @@ def cmd_probe_demo(args) -> int:
     return 0
 
 
+_CONFIG_KEYS = ("channels", "stem_kernel", "stem_stride", "state_dim", "seed", "policy",
+               "gate", "max_offset", "assign", "probes", "steps")
+
+
 def parse_config_text(lines, seed_override: int | None = None) -> PipelineConfig:
-    """Parse plain key=value lines into a pipeline configuration."""
+    """Parse plain key=value lines into a pipeline configuration.
+
+    An unknown key raises ConfigError naming it.
+    """
     fields: dict[str, str] = {}
     for line in lines:
         line = line.split("#", 1)[0].strip()
@@ -135,7 +143,11 @@ def parse_config_text(lines, seed_override: int | None = None) -> PipelineConfig
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"bad config line {line!r}, want key=value")
-        fields[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"unknown config key {key!r}, "
+                              f"want one of {', '.join(_CONFIG_KEYS)}")
+        fields[key] = value.strip()
     kwargs: dict = {}
     if "channels" in fields:
         kwargs["channels"] = tuple(int(c) for c in fields["channels"].split(","))

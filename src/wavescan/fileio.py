@@ -8,10 +8,16 @@ entry uint32-LE byte length + UTF-8 name) followed by that many FGT1
 tensors in table order.
 
 PGM files are binary P5, maxval 255; gray values map to [0, 1] floats.
+
+The readers raise ``InputError`` for any malformed or truncated input,
+naming the file (when the stream has a name) and the byte offset.  Header
+counts and sizes are checked against the bytes left in the file before
+anything is allocated for them.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import struct
 from pathlib import Path
@@ -23,6 +29,8 @@ from .errors import DimensionError, InputError
 from .grid import FeatureGrid
 
 MAGIC = b"FGT1"
+# numpy supports at most this many dimensions.
+_MAX_RANK = 64
 
 
 def write_tensor(fh: BinaryIO, arr: np.ndarray) -> None:
@@ -33,16 +41,42 @@ def write_tensor(fh: BinaryIO, arr: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
+def _where(fh: BinaryIO) -> str:
+    name = getattr(fh, "name", None)
+    return f" in {name}" if isinstance(name, str) else ""
+
+
+def _read_exact(fh: BinaryIO, count: int, what: str) -> bytes:
+    """Read exactly count bytes, checking first that the stream still holds them."""
+    offset = fh.tell()
+    left = fh.seek(0, 2) - offset
+    fh.seek(offset)
+    if count > left:
+        raise InputError(f"{what} needs {count} bytes at byte {offset} but "
+                         f"{left} remain{_where(fh)}")
+    return fh.read(count)
+
+
+def _read_u32(fh: BinaryIO, what: str) -> int:
+    return struct.unpack("<I", _read_exact(fh, 4, what))[0]
+
+
 def read_tensor(fh: BinaryIO) -> np.ndarray:
-    magic = fh.read(4)
+    """Read one FGT1 tensor from the stream's position, as float64."""
+    offset = fh.tell()
+    magic = _read_exact(fh, 4, "tensor magic")
     if magic != MAGIC:
-        raise ValueError(f"bad tensor magic {magic!r}, expected {MAGIC!r}")
-    (rank,) = struct.unpack("<I", fh.read(4))
-    dims = struct.unpack(f"<{rank}I", fh.read(4 * rank))
-    count = int(np.prod(dims)) if rank else 1
-    raw = fh.read(4 * count)
-    if len(raw) != 4 * count:
-        raise ValueError("truncated tensor payload")
+        raise InputError(f"bad tensor magic {magic!r} at byte {offset}, expected "
+                         f"{MAGIC!r}{_where(fh)}")
+    rank = _read_u32(fh, "tensor rank")
+    if rank > _MAX_RANK:
+        raise InputError(f"tensor rank {rank} at byte {offset + 4} exceeds "
+                         f"{_MAX_RANK}{_where(fh)}")
+    dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, f"{rank} tensor dims"))
+    if math.prod(d or 1 for d in dims) * 8 > np.iinfo(np.intp).max:
+        raise InputError(f"tensor dims {dims} at byte {offset + 8} are too large{_where(fh)}")
+    count = math.prod(dims)
+    raw = _read_exact(fh, 4 * count, f"tensor payload of dims {dims}")
     return np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float64)
 
 
@@ -86,11 +120,18 @@ def write_store(path, blocks: dict[str, np.ndarray]) -> None:
 
 def read_store(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
-        (count,) = struct.unpack("<I", fh.read(4))
-        names = []
+        count = _read_u32(fh, "name count")
+        names: dict[str, None] = {}  # ordered, with O(1) duplicate checks
         for _ in range(count):
-            (nlen,) = struct.unpack("<I", fh.read(4))
-            names.append(fh.read(nlen).decode("utf-8"))
+            offset = fh.tell()
+            raw = _read_exact(fh, _read_u32(fh, "name length"), "name")
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise InputError(f"name at byte {offset} is not UTF-8{_where(fh)}") from None
+            if name in names:
+                raise InputError(f"duplicate name {name!r} at byte {offset}{_where(fh)}")
+            names[name] = None
         return {name: read_tensor(fh) for name in names}
 
 

@@ -139,13 +139,22 @@ def sample_px(data: np.ndarray, cols: np.ndarray, rows: np.ndarray) -> np.ndarra
     else:
         r0 = r1 = np.zeros(np.shape(rows), dtype=np.intp)
         fy = np.zeros(np.shape(rows))
-    v00 = data[:, r0, c0]
-    v01 = data[:, r0, c1]
-    v10 = data[:, r1, c0]
-    v11 = data[:, r1, c1]
-    top = v00 * (1.0 - fx) + v01 * fx
-    bot = v10 * (1.0 - fx) + v11 * fx
-    return top * (1.0 - fy) + bot * fy
+    # The four gathers are fresh copies, so the blend runs in place on them.
+    top = data[:, r0, c0]
+    right = data[:, r0, c1]
+    bot = data[:, r1, c0]
+    bot_right = data[:, r1, c1]
+    wx = 1.0 - fx
+    top *= wx
+    right *= fx
+    top += right
+    bot *= wx
+    bot_right *= fx
+    bot += bot_right
+    top *= 1.0 - fy
+    bot *= fy
+    top += bot
+    return top
 
 
 def bilinear_sample(grid: FeatureGrid, coords) -> np.ndarray:
@@ -196,6 +205,11 @@ def bilinear_gradient(grid: FeatureGrid, coords) -> np.ndarray:
 
 
 def _resize_axis(data: np.ndarray, axis: int, out_size: int) -> np.ndarray:
+    """Corner-aligned linear resize of a (C, H, W) array along axis 1 or 2.
+
+    Blends one channel at a time into a preallocated output, so the only
+    temporary is one channel's upper-neighbour gather.
+    """
     size = data.shape[axis]
     if out_size == size:
         return data
@@ -204,16 +218,21 @@ def _resize_axis(data: np.ndarray, axis: int, out_size: int) -> np.ndarray:
     pos = np.linspace(0.0, size - 1.0, out_size)
     i0 = np.minimum(np.floor(pos).astype(np.intp), size - 2)
     frac = pos - i0
-    lo = np.take(data, i0, axis=axis)
-    hi = np.take(data, i0 + 1, axis=axis)
-    shape = [1] * data.ndim
-    shape[axis] = out_size
+    shape = [1] * (data.ndim - 1)
+    shape[axis - 1] = out_size
     frac = frac.reshape(shape)
-    # lo and hi are fresh copies from np.take, so the blend runs in place.
-    lo *= 1.0 - frac
-    hi *= frac
-    lo += hi
-    return lo
+    wlo = 1.0 - frac
+    out_shape = list(data.shape)
+    out_shape[axis] = out_size
+    out = np.empty(out_shape)
+    hi = np.empty(out_shape[1:])
+    for lo, src in zip(out, data):
+        np.take(src, i0, axis=axis - 1, out=lo, mode="clip")
+        np.take(src, i0 + 1, axis=axis - 1, out=hi, mode="clip")
+        lo *= wlo
+        hi *= frac
+        lo += hi
+    return out
 
 
 def resize_bilinear(grid: FeatureGrid, out_h: int, out_w: int) -> FeatureGrid:

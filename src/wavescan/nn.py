@@ -2,10 +2,13 @@
 
 All 2-D convolutions use odd kernels with "same" replicate (edge)
 padding, matching the border-clamp convention of the sampling code.
-Dense convolutions are evaluated as im2col + BLAS matmul over blocks of
-output rows, so the gathered taps never exceed a fixed byte budget;
-biases and per-tap products are applied in place on arrays allocated
-here, never on the caller's inputs or weights.
+Both convolutions work on blocks of output rows, so no temporary grows
+with H: each block edge-pads only the input rows it reads, dense
+convolutions gather that block's im2col taps (at most _TAP_BLOCK_BYTES)
+for one BLAS matmul, and depthwise convolutions add their per-tap
+products through one row-block scratch of the same budget.  Biases and
+products are applied in place on arrays allocated here, never on the
+caller's inputs or weights.
 """
 
 from __future__ import annotations
@@ -35,25 +38,48 @@ def softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
-def _pad_edge(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+def _check_odd(kh: int, kw: int) -> None:
     if kh % 2 == 0 or kw % 2 == 0:
         raise DimensionError(f"kernel dims must be odd, got {kh}x{kw}")
-    return np.pad(x, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)), mode="edge")
+
+
+def _pad_rows(x: np.ndarray, kh: int, kw: int, top: int, out: np.ndarray) -> np.ndarray:
+    """Fill out (C, n, W + kw - 1) with rows [top, top + n) of padded x.
+
+    x is edge-padded by kh // 2 rows and kw // 2 columns on each side;
+    row indices are those of the fully padded array, whose row 0 is the
+    first replicated border row.  Only these n rows are ever built.
+    """
+    ph, pw = kh // 2, kw // 2
+    h, width = x.shape[1], x.shape[2]
+    count = out.shape[1]
+    lo = max(0, top - ph)
+    hi = min(h, top + count - ph)
+    first = lo - (top - ph)
+    last = first + hi - lo
+    body = out[:, :, pw : pw + width]
+    body[:, first:last] = x[:, lo:hi]
+    body[:, :first] = x[:, :1]
+    body[:, last:] = x[:, h - 1 :]
+    out[:, :, :pw] = out[:, :, pw : pw + 1]
+    out[:, :, pw + width :] = out[:, :, pw + width - 1 : pw + width]
+    return out
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
            stride: int = 1) -> np.ndarray:
     """Dense convolution: x (C_in,H,W), w (C_out,C_in,kh,kw) -> (C_out,H',W').
 
-    Gathers kernel taps channel-major for one block of output rows at a
-    time, at most _TAP_BLOCK_BYTES of them, and multiplies each block
-    into its rows of the preallocated output with one BLAS matmul.
+    For one block of output rows at a time, edge-pads the input rows the
+    block reads into a reused buffer, gathers their kernel taps
+    channel-major (at most _TAP_BLOCK_BYTES) and multiplies them into the
+    block's rows of the preallocated output with one BLAS matmul.
     """
     c_in, h, width = x.shape
     c_out, c_in_w, kh, kw = w.shape
     if c_in_w != c_in:
         raise DimensionError(f"kernel expects {c_in_w} input channels, grid has {c_in}")
-    xp = _pad_edge(x, kh, kw)
+    _check_odd(kh, kw)
     oh = -(-h // stride)
     ow = -(-width // stride)
     depth = c_in * kh * kw
@@ -62,14 +88,15 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
     out = np.empty((c_out, oh, ow))
     flat_out = out.reshape(c_out, oh * ow)
     buf = np.empty(depth * block * ow)
+    pad_buf = np.empty((c_in, (block - 1) * stride + kh, width + kw - 1))
     for r0 in range(0, oh, block):
         rows = min(block, oh - r0)
         taps = buf[: depth * rows * ow].reshape(c_in, kh * kw, rows, ow)
-        top = r0 * stride
-        bottom = top + (rows - 1) * stride + 1
+        span = (rows - 1) * stride + 1
+        xp = _pad_rows(x, kh, kw, r0 * stride, pad_buf[:, : span + kh - 1])
         for i in range(kh):
             for j in range(kw):
-                taps[:, i * kw + j] = xp[:, i + top : i + bottom : stride, j : j + width : stride]
+                taps[:, i * kw + j] = xp[:, i : i + span : stride, j : j + width : stride]
         np.matmul(wmat, taps.reshape(depth, rows * ow),
                   out=flat_out[:, r0 * ow : (r0 + rows) * ow])
     if b is not None:
@@ -78,18 +105,32 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
 
 
 def depthwise_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Per-channel convolution: x (C,H,W), w (C,kh,kw) -> (C,H,W)."""
+    """Per-channel convolution: x (C,H,W), w (C,kh,kw) -> (C,H,W).
+
+    Works on blocks of output rows: each block edge-pads only its input
+    rows into a reused buffer, writes the first tap's product into its
+    rows of the output and adds every other tap's product through one
+    scratch block of at most _TAP_BLOCK_BYTES.
+    """
     if w.shape[0] != x.shape[0]:
         raise DimensionError(f"depthwise kernel has {w.shape[0]} channels, grid has {x.shape[0]}")
     c, h, width = x.shape
     kh, kw = w.shape[1], w.shape[2]
-    xp = _pad_edge(x, kh, kw)
-    out = w[:, 0, 0, None, None] * xp[:, :h, :width]
-    tmp = np.empty_like(out)
-    for k in range(1, kh * kw):
-        i, j = divmod(k, kw)
-        np.multiply(w[:, i, j, None, None], xp[:, i : i + h, j : j + width], out=tmp)
-        out += tmp
+    _check_odd(kh, kw)
+    block = max(1, min(h, _TAP_BLOCK_BYTES // max(1, c * width * 8)))
+    out = np.empty((c, h, width))
+    scratch = np.empty((c, block, width))
+    pad_buf = np.empty((c, block + kh - 1, width + kw - 1))
+    for r0 in range(0, h, block):
+        rows = min(block, h - r0)
+        xp = _pad_rows(x, kh, kw, r0, pad_buf[:, : rows + kh - 1])
+        acc = out[:, r0 : r0 + rows]
+        tmp = scratch[:, :rows]
+        np.multiply(w[:, 0, 0, None, None], xp[:, :rows, :width], out=acc)
+        for k in range(1, kh * kw):
+            i, j = divmod(k, kw)
+            np.multiply(w[:, i, j, None, None], xp[:, i : i + rows, j : j + width], out=tmp)
+            acc += tmp
     if b is not None:
         out += b[:, None, None]
     return out

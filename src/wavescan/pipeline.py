@@ -254,33 +254,42 @@ def gfa(features, w: WeightStore) -> FeatureGrid:
     for level, feat in enumerate(features, start=1):
         pw = w.get(f"gfa.phi{level}_w", (ce, feat.channels))
         pb = w.get(f"gfa.phi{level}_b", (ce,))
-        proj = FeatureGrid(conv1x1(feat.data, pw, pb))
-        if (proj.height, proj.width) != (out_h, out_w):
-            proj = resize_bilinear(proj, out_h, out_w)
+        proj = conv1x1(feat.data, pw, pb)
+        if proj.shape[1:] != (out_h, out_w):
+            proj = resize_bilinear(FeatureGrid(proj), out_h, out_w).data
         hidden = max(1, ce // 4)
         g1 = w.get(f"gfa.gate{level}_w1", (hidden, ce))
         gb1 = w.get(f"gfa.gate{level}_b1", (hidden,))
         g2 = w.get(f"gfa.gate{level}_w2", (ce, hidden))
         gb2 = w.get(f"gfa.gate{level}_b2", (ce,))
-        gate = sigmoid(g2 @ relu(g1 @ global_avg_pool(proj.data) + gb1) + gb2)
-        total += gate[:, None, None] * proj.data
+        gate = sigmoid(g2 @ relu(g1 @ global_avg_pool(proj) + gb1) + gb2)
+        proj *= gate[:, None, None]  # proj is this loop's own array
+        total += proj
+    del proj
     fw = w.get("gfa.fuse_w", (ce, ce, 3, 3))
     fb = w.get("gfa.fuse_b", (ce,))
     return FeatureGrid(conv2d(total, fw, fb))
 
 
 def brm(fused: FeatureGrid, w: WeightStore) -> FeatureGrid:
-    """Dual-branch residual boundary refiner (context + edge branches)."""
+    """Dual-branch residual boundary refiner (context + edge branches).
+
+    The output projection of the concatenated branches is evaluated as
+    the sum of each branch's projection by its half of brm.proj_w, so
+    the two branches are never concatenated.
+    """
     ce = fused.channels
+    proj_w = w.get("brm.proj_w", (ce, 2 * ce))
     ctx = depthwise_conv2d(fused.data, w.get("brm.ctx_dw_w", (ce, 3, 3)),
                            w.get("brm.ctx_dw_b", (ce,)))
-    ctx = conv1x1(relu(ctx), w.get("brm.ctx_pw_w", (ce, ce)), w.get("brm.ctx_pw_b", (ce,)))
+    np.maximum(ctx, 0.0, out=ctx)  # relu, in place on this function's array
+    ctx = conv1x1(ctx, w.get("brm.ctx_pw_w", (ce, ce)), w.get("brm.ctx_pw_b", (ce,)))
+    proj = conv1x1(ctx, proj_w[:, :ce], w.get("brm.proj_b", (ce,)))
+    del ctx
     edge = depthwise_conv2d(fused.data, w.get("brm.edge_dw_w", (ce, 3, 3)),
                             w.get("brm.edge_dw_b", (ce,)))
-    both = np.concatenate([ctx, edge], axis=0)
-    del ctx, edge
-    proj = conv1x1(both, w.get("brm.proj_w", (ce, 2 * ce)), w.get("brm.proj_b", (ce,)))
-    del both
+    proj += conv1x1(edge, proj_w[:, ce:])
+    del edge
     proj += fused.data
     return FeatureGrid(proj)
 
@@ -318,6 +327,7 @@ def forward(image: FeatureGrid, cfg: PipelineConfig | None = None,
         if tap.channels != cfg.channels[idx]:
             raise DimensionError("stage widths must follow the configured plan")
     fused = gfa(taps, w)
+    del taps, tap, x  # the stage outputs are not needed past the fusion
     refined = brm(fused, w)
     logits = conv1x1(refined.data, w.get("head.w", (1, refined.channels)), w.get("head.b", (1,)))
     mask = FeatureGrid(sigmoid(logits))

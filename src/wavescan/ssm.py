@@ -14,6 +14,9 @@ delta_t, B_t and C_t are linear functions of the input token
 Two evaluation paths share the same coefficients: a sequential
 recurrence (the reference; optionally a compiled kernel) and an
 associative prefix-combine scan vectorized over the sequence axis.
+The (L, C, N) decay and drive tensors are each built in one buffer and
+finished in place, and the prefix scan overwrites both instead of
+copying them, returning the states in the drive buffer.
 Set WAVESCAN_PURE=1 to force the interpreted recurrence.
 """
 
@@ -254,9 +257,13 @@ def _coefficients(params: SsmParams, u: np.ndarray):
         b_t = np.broadcast_to(params.b, (length, params.state_dim))
         c_t = np.broadcast_to(params.c, (length, params.state_dim))
     a = -np.exp(params.a_log)  # (C, N); exp(-inf) = 0 -> exact integrator
-    decay = np.exp(delta[:, :, None] * a[None, :, :])
-    drive = (delta * u)[:, :, None] * b_t[:, None, :]
-    return np.ascontiguousarray(decay), np.ascontiguousarray(drive), c_t
+    n = params.state_dim
+    decay = np.repeat(delta, n, axis=1).reshape(length, params.channels, n)
+    decay *= a
+    np.exp(decay, out=decay)
+    drive = np.repeat(delta * u, n, axis=1).reshape(length, params.channels, n)
+    drive *= b_t[:, None, :]
+    return decay, drive, c_t
 
 
 def _readout(params: SsmParams, hs: np.ndarray, c_t: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -291,18 +298,22 @@ def _prefix_affine(decay: np.ndarray, drive: np.ndarray) -> np.ndarray:
     blocks scanned in lockstep (vectorized across blocks), block carries
     are combined, and carried state is folded back with the in-block
     prefix products.  Any length works; identity elements pad the tail.
+
+    Works in place: both inputs are overwritten (with the in-block
+    prefix products and the states), and the returned states may be a
+    view of ``drive``.  Pass buffers the caller no longer needs.
     """
     length = decay.shape[0]
     if length == 1:
-        return drive.copy()
+        return drive
     bs = int(np.ceil(np.sqrt(length)))
     nb = -(-length // bs)
     pad = nb * bs - length
     if pad:
         decay = np.concatenate([decay, np.ones((pad,) + decay.shape[1:])])
         drive = np.concatenate([drive, np.zeros((pad,) + drive.shape[1:])])
-    a = decay.reshape(nb, bs, *decay.shape[1:]).copy()
-    b = drive.reshape(nb, bs, *drive.shape[1:]).copy()
+    a = decay.reshape(nb, bs, *decay.shape[1:])
+    b = drive.reshape(nb, bs, *drive.shape[1:])
     for t in range(1, bs):
         b[:, t] += a[:, t] * b[:, t - 1]
         a[:, t] *= a[:, t - 1]
@@ -311,13 +322,14 @@ def _prefix_affine(decay: np.ndarray, drive: np.ndarray) -> np.ndarray:
     for k in range(1, nb):
         carry = a[k - 1, -1] * carry + b[k - 1, -1]
         carries[k] = carry
-    out = b + a * carries[:, None]
-    return out.reshape(nb * bs, *decay.shape[1:])[:length]
+    a *= carries[:, None]
+    b += a
+    return b.reshape(nb * bs, *decay.shape[1:])[:length]
 
 
 def ssm_scan_parallel(params: SsmParams, u) -> np.ndarray:
     """Prefix-combine evaluation; matches the sequential path to ~1e-12."""
     u = _check_tokens(params, u)
     decay, drive, c_t = _coefficients(params, u)
-    hs = _prefix_affine(decay, drive)
+    hs = _prefix_affine(decay, drive)  # overwrites decay and drive
     return _readout(params, hs, c_t, u)

@@ -314,3 +314,68 @@ class TestGate:
         with pytest.raises(DimensionError):
             asgp_gate(FeatureGrid.zeros(1, 5, 5), FeatureGrid.zeros(1, 4, 4),
                       [FeatureGrid.zeros(1, 4, 4)])
+
+
+def splat_stack_mask(probes, shape, sigma):
+    """The previous refine_mask: a probes x H x W stack of Gaussian splats, summed."""
+    h, width = shape
+    xs = np.linspace(-1.0, 1.0, width) if width > 1 else np.zeros(1)
+    ys = np.linspace(-1.0, 1.0, h) if h > 1 else np.zeros(1)
+    px, py = np.meshgrid(xs, ys)
+    dx = px[None, :, :] - probes.coords[:, 0, None, None]
+    dy = py[None, :, :] - probes.coords[:, 1, None, None]
+    splats = np.exp(-(dx ** 2 + dy ** 2) / (2.0 * sigma ** 2))
+    field = (probes.scores[:, None, None] * splats).sum(axis=0)
+    return sigmoid(field)[None, :, :]
+
+
+def softmax_mean_potential(probes, x_ll, store):
+    """The previous coarse_potential: softmax per probe, then the probe mean."""
+    channels, h, width = x_ll.shape
+    keys = store["asgp.key_w"] @ x_ll.data.reshape(channels, -1) + store["asgp.key_b"][:, None]
+    logits = (probes.embeddings @ keys) / np.sqrt(probes.embed_dim)
+    logits -= logits.max(axis=1, keepdims=True)
+    expl = np.exp(logits)
+    attn = expl / expl.sum(axis=1, keepdims=True)
+    field = attn.mean(axis=0) * (h * width)
+    return sigmoid(field).reshape(1, h, width)
+
+
+def max_rel_err(got, want):
+    return np.max(np.abs(got - want) / np.abs(want))
+
+
+class TestReassociatedOracles:
+    @pytest.mark.parametrize("n,shape,sigma", [
+        (1, (17, 17), 0.1),
+        (64, (33, 47), 0.1),
+        (7, (1, 9), 0.3),
+        (7, (9, 1), 0.05),
+        (5, (1, 1), 0.1),
+        (64, (128, 128), 0.1),
+    ])
+    def test_separable_splat_matches_stack(self, n, shape, sigma):
+        rng = np.random.default_rng(n + shape[0])
+        probes = ProbeSet(coords=rng.uniform(-1, 1, (n, 2)), embeddings=np.zeros((n, 2)),
+                          scores=rng.uniform(0.0, 1.0, n))
+        got = refine_mask(probes, shape, AsgpConfig(splat_sigma=sigma)).data
+        want = splat_stack_mask(probes, shape, sigma)
+        assert got.shape == want.shape == (1,) + shape
+        assert max_rel_err(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("n,shape,channels,d", [
+        (1, (4, 4), 2, 2),
+        (5, (8, 9), 3, 4),
+        (64, (16, 16), 16, 16),
+        (3, (1, 7), 2, 3),
+        (3, (7, 1), 2, 3),
+    ])
+    def test_weighted_mean_matches_softmax_mean(self, n, shape, channels, d):
+        rng = np.random.default_rng(n * 10 + channels)
+        x = FeatureGrid(3.0 * rng.normal(size=(channels,) + shape))
+        store = seeded_init(asgp_weight_spec(channels, d, n), n)
+        probes = ProbeSet(coords=rng.uniform(-1, 1, (n, 2)),
+                          embeddings=2.0 * rng.normal(size=(n, d)), scores=np.full(n, 0.5))
+        got = coarse_potential(probes, x, store).data
+        want = softmax_mean_potential(probes, x, store)
+        assert max_rel_err(got, want) <= 1e-12

@@ -5,6 +5,7 @@ import pytest
 
 from wavescan import fileio
 from wavescan.cli import main, parse_config_text
+from wavescan.errors import ConfigError
 from wavescan.pipeline import PipelineConfig, default_weights
 from wavescan.scanorder import ScanKind
 from wavescan.synth import SynthConfig, generate_sample
@@ -47,6 +48,12 @@ class TestConfigParsing:
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError):
             parse_config_text(["no equals sign"])
+
+    @pytest.mark.parametrize("line", ["probs = 7", "Gate_Mode = unit", "stride = 2"])
+    def test_unknown_key_rejected_by_name(self, line):
+        key = line.partition("=")[0].strip().lower()
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            parse_config_text(["seed = 1", line])
 
 
 class TestSubcommands:
@@ -103,6 +110,19 @@ class TestSubcommands:
                      "--config", str(cfg_path)]) == 0
         mask = fileio.load_pgm(out_path)
         assert mask.shape == (32, 32)
+
+    def test_forward_unknown_config_key_is_one_error_line(self, tmp_path, capsys):
+        img_path = tmp_path / "in.pgm"
+        fileio.save_pgm(img_path, np.zeros((32, 32)))
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text("seed = 4\nprobs = 7\n")
+        out_path = tmp_path / "mask.pgm"
+        assert main(["forward", "--image", str(img_path), "--out", str(out_path),
+                     "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown config key 'probs'")
+        assert err.count("\n") == 1
+        assert not out_path.exists()
 
     def test_forward_with_weight_bundle(self, tmp_path):
         cfg = PipelineConfig(seed=7)

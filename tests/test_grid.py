@@ -5,9 +5,11 @@ from wavescan.errors import DimensionError
 from wavescan.grid import (
     FeatureGrid,
     NormCoord,
+    _resize_axis,
     bilinear_gradient,
     bilinear_sample,
     resize_bilinear,
+    sample_px,
 )
 
 
@@ -177,3 +179,76 @@ class TestResize:
             for j, x in enumerate(xs):
                 want = brute_force_sample(g.data, x, y)
                 assert np.allclose(out.data[:, i, j], want, atol=1e-9)
+
+
+def oracle_sample_px(data, cols, rows):
+    """The previous sample_px: four gathers blended into new arrays."""
+    _, h, w = data.shape
+    if w > 1:
+        cols = np.clip(cols, 0.0, float(w - 1))
+        c0 = np.minimum(np.floor(cols).astype(np.intp), w - 2)
+        fx = cols - c0
+        c1 = c0 + 1
+    else:
+        c0 = c1 = np.zeros(np.shape(cols), dtype=np.intp)
+        fx = np.zeros(np.shape(cols))
+    if h > 1:
+        rows = np.clip(rows, 0.0, float(h - 1))
+        r0 = np.minimum(np.floor(rows).astype(np.intp), h - 2)
+        fy = rows - r0
+        r1 = r0 + 1
+    else:
+        r0 = r1 = np.zeros(np.shape(rows), dtype=np.intp)
+        fy = np.zeros(np.shape(rows))
+    top = data[:, r0, c0] * (1.0 - fx) + data[:, r0, c1] * fx
+    bot = data[:, r1, c0] * (1.0 - fx) + data[:, r1, c1] * fx
+    return top * (1.0 - fy) + bot * fy
+
+
+def oracle_resize_axis(data, axis, out_size):
+    """The previous _resize_axis: two full-size gathers, blended."""
+    size = data.shape[axis]
+    if out_size == size:
+        return data
+    if size == 1:
+        return np.repeat(data, out_size, axis=axis)
+    pos = np.linspace(0.0, size - 1.0, out_size)
+    i0 = np.minimum(np.floor(pos).astype(np.intp), size - 2)
+    frac = pos - i0
+    lo = np.take(data, i0, axis=axis)
+    hi = np.take(data, i0 + 1, axis=axis)
+    shape = [1] * data.ndim
+    shape[axis] = out_size
+    frac = frac.reshape(shape)
+    return lo * (1.0 - frac) + hi * frac
+
+
+class TestInPlaceRewrites:
+    @pytest.mark.parametrize("shape", [(3, 9, 11), (2, 1, 7), (2, 6, 1), (1, 1, 1), (4, 16, 16)])
+    def test_sample_px_bit_identical(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        data = rng.normal(size=shape)
+        _, h, w = shape
+        # Positions inside, on and beyond the borders, on integers and between them.
+        cols = rng.uniform(-2.0, w + 1.0, size=(5, 13))
+        rows = rng.uniform(-2.0, h + 1.0, size=(5, 13))
+        cols[0] = np.round(cols[0])
+        rows[1] = np.round(rows[1])
+        got = sample_px(data, cols, rows)
+        assert got.shape == (shape[0], 5, 13)
+        assert np.array_equal(got, oracle_sample_px(data, cols, rows))
+
+    @pytest.mark.parametrize("shape", [(3, 9, 11), (2, 1, 7), (2, 6, 1), (1, 2, 2)])
+    @pytest.mark.parametrize("axis", [1, 2])
+    @pytest.mark.parametrize("out_size", [1, 2, 5, 9, 11, 23])
+    def test_resize_axis_bit_identical(self, shape, axis, out_size):
+        data = np.random.default_rng(out_size).normal(size=shape)
+        got = _resize_axis(data, axis, out_size)
+        want = oracle_resize_axis(data, axis, out_size)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_resize_axis_on_a_strided_view(self):
+        data = np.random.default_rng(3).normal(size=(3, 10, 12))[:, ::2, 1:]
+        for axis in (1, 2):
+            assert np.array_equal(_resize_axis(data, axis, 17), oracle_resize_axis(data, axis, 17))

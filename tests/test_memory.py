@@ -9,10 +9,12 @@ import tracemalloc
 
 import numpy as np
 
+from wavescan.asgp import ProbeSet, asgp_weight_spec, coarse_potential, refine_mask
 from wavescan.grid import FeatureGrid
 from wavescan.metrics import ods, skeletonize
 from wavescan.nn import conv2d
 from wavescan.pipeline import PipelineConfig, default_weights, forward
+from wavescan.weights import seeded_init
 from wavescan.synth import SynthConfig, generate_sample
 
 MB = 1e6
@@ -40,17 +42,48 @@ def test_conv2d_peak_is_bounded_by_row_blocks():
     x = rng.normal(size=(16, 256, 256))
     w = rng.normal(size=(16, 16, 3, 3))
     b = rng.normal(size=16)
+    # Output 8.4 MB plus at most 4 MB of taps and one padded row block;
+    # a padded copy of the whole input would add 8.5 MB more.
     peak = traced_peak_mb(lambda: conv2d(x, w, b))
-    assert peak < 40.0, f"conv2d peak {peak:.1f} MB"
+    assert peak < 16.0, f"conv2d peak {peak:.1f} MB"
+
+
+def warm_forward_peak_mb(size: int) -> float:
+    cfg = PipelineConfig()
+    weights = default_weights(cfg)
+    image = FeatureGrid(np.random.default_rng(1).uniform(size=(1, size, size)))
+    forward(image, cfg, weights)  # warm the scan-order caches
+    return traced_peak_mb(lambda: forward(image, cfg, weights))
 
 
 def test_forward_peak_at_256():
-    cfg = PipelineConfig()
-    weights = default_weights(cfg)
-    image = FeatureGrid(np.random.default_rng(1).uniform(size=(1, 256, 256)))
-    forward(image, cfg, weights)  # warm the scan-order caches
-    peak = traced_peak_mb(lambda: forward(image, cfg, weights))
-    assert peak <= 70.0, f"forward peak {peak:.1f} MB"
+    peak = warm_forward_peak_mb(256)
+    assert peak <= 45.0, f"forward peak {peak:.1f} MB"
+
+
+def test_forward_peak_at_512():
+    peak = warm_forward_peak_mb(512)
+    assert peak <= 180.0, f"forward peak {peak:.1f} MB"
+
+
+def test_refine_mask_peak_without_splat_stack():
+    # A probes x H x W stack of splats would hold 64*128*128*8 B = 8.4 MB per array.
+    rng = np.random.default_rng(3)
+    probes = ProbeSet(coords=rng.uniform(-1, 1, (64, 2)), embeddings=np.zeros((64, 16)),
+                      scores=rng.uniform(size=64))
+    peak = traced_peak_mb(lambda: refine_mask(probes, (128, 128)))
+    assert peak < 2.0, f"refine_mask peak {peak:.2f} MB"
+
+
+def test_coarse_potential_peak_at_128():
+    # The logits are 64 x 128*128 floats (8.4 MB); a second array of that size must not appear.
+    rng = np.random.default_rng(4)
+    x = FeatureGrid(rng.normal(size=(16, 128, 128)))
+    store = seeded_init(asgp_weight_spec(16, 16, 64), 4)
+    probes = ProbeSet(coords=rng.uniform(-1, 1, (64, 2)), embeddings=store["asgp.probe_embed"],
+                      scores=np.full(64, 0.5))
+    peak = traced_peak_mb(lambda: coarse_potential(probes, x, store))
+    assert peak < 14.0, f"coarse_potential peak {peak:.1f} MB"
 
 
 def test_ods_peak_over_eight_pairs_at_256():

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from wavescan import nn
+from wavescan.asgp import ProbeSet, asgp_weight_spec, coarse_potential, refine_mask
 from wavescan.errors import DimensionError
-from wavescan.grid import FeatureGrid, resize_bilinear
+from wavescan.grid import FeatureGrid, resize_bilinear, sample_px
 from wavescan.nn import (
     avg_pool_2x2,
     conv1x1,
@@ -13,6 +14,9 @@ from wavescan.nn import (
     sigmoid,
     softplus,
 )
+from wavescan.pipeline import PipelineConfig, brm, gfa, pipeline_weight_spec
+from wavescan.ssm import SsmParams, _coefficients, ssm_scan_parallel
+from wavescan.weights import seeded_init
 
 
 def naive_conv(x, w, b, stride=1):
@@ -28,6 +32,65 @@ def naive_conv(x, w, b, stride=1):
                 patch = xp[:, r * stride : r * stride + kh, c * stride : c * stride + kw]
                 out[o, r, c] = (w[o] * patch).sum() + (b[o] if b is not None else 0.0)
     return out
+
+
+def full_pad_conv2d(x, w, b=None, stride=1):
+    """The previous conv2d: one edge-padded copy of the whole input, same row blocks."""
+    c_in, h, width = x.shape
+    c_out, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)), mode="edge")
+    oh = -(-h // stride)
+    ow = -(-width // stride)
+    depth = c_in * kh * kw
+    block = max(1, min(oh, nn._TAP_BLOCK_BYTES // max(1, depth * ow * 8)))
+    wmat = w.reshape(c_out, depth)
+    out = np.empty((c_out, oh, ow))
+    flat_out = out.reshape(c_out, oh * ow)
+    for r0 in range(0, oh, block):
+        rows = min(block, oh - r0)
+        taps = np.empty((c_in, kh * kw, rows, ow))
+        top = r0 * stride
+        bottom = top + (rows - 1) * stride + 1
+        for i in range(kh):
+            for j in range(kw):
+                taps[:, i * kw + j] = xp[:, i + top : i + bottom : stride, j : j + width : stride]
+        np.matmul(wmat, taps.reshape(depth, rows * ow),
+                  out=flat_out[:, r0 * ow : (r0 + rows) * ow])
+    if b is not None:
+        out += b[:, None, None]
+    return out
+
+
+def full_pad_depthwise(x, w, b=None):
+    """The previous depthwise_conv2d: a padded copy and a scratch as large as the input."""
+    c, h, width = x.shape
+    kh, kw = w.shape[1], w.shape[2]
+    xp = np.pad(x, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)), mode="edge")
+    out = w[:, 0, 0, None, None] * xp[:, :h, :width]
+    for k in range(1, kh * kw):
+        i, j = divmod(k, kw)
+        out += w[:, i, j, None, None] * xp[:, i : i + h, j : j + width]
+    if b is not None:
+        out += b[:, None, None]
+    return out
+
+
+# (channels, H, W, kernel, stride): odd sizes, 1-wide axes, 5x5 and 1x3 kernels.
+BLOCK_CASES = [
+    (3, 7, 9, 3, 1),
+    (2, 8, 10, 3, 2),
+    (4, 13, 11, 3, 2),
+    (3, 1, 5, 3, 1),
+    (3, 5, 1, 3, 1),
+    (2, 1, 1, 3, 2),
+    (2, 9, 7, 5, 1),
+    (3, 10, 9, 5, 2),
+    (2, 6, 8, (1, 3), 1),
+]
+
+
+def _kernel_dims(k):
+    return k if isinstance(k, tuple) else (k, k)
 
 
 class TestConv:
@@ -82,6 +145,30 @@ class TestConv:
         assert np.abs(got - naive_conv(x, w, b, stride=stride)).max() <= 1e-10
 
 
+    @pytest.mark.parametrize("budget", [None, 1, 700, 3000])
+    @pytest.mark.parametrize("c_in,h,width,k,stride", BLOCK_CASES)
+    def test_bit_identical_to_full_pad(self, monkeypatch, budget, c_in, h, width, k, stride):
+        # A small byte budget forces one or a few rows per block, with a short last block.
+        if budget is not None:
+            monkeypatch.setattr(nn, "_TAP_BLOCK_BYTES", budget)
+        kh, kw = _kernel_dims(k)
+        rng = np.random.default_rng(c_in * 100 + h * 10 + width)
+        x = rng.normal(size=(c_in, h, width))
+        w = rng.normal(size=(4, c_in, kh, kw))
+        b = rng.normal(size=4)
+        got = conv2d(x, w, b, stride=stride)
+        assert np.array_equal(got, full_pad_conv2d(x, w, b, stride=stride))
+        assert np.abs(got - naive_conv(x, w, b, stride=stride)).max() <= 1e-10
+
+    @pytest.mark.parametrize("shape,stride", [((64, 41, 43), 1), ((64, 81, 87), 2)])
+    def test_bit_identical_to_full_pad_at_default_budget(self, shape, stride):
+        rng = np.random.default_rng(shape[1])
+        x = rng.normal(size=shape)
+        w = rng.normal(size=(3, shape[0], 3, 3))
+        assert np.array_equal(conv2d(x, w, None, stride=stride),
+                              full_pad_conv2d(x, w, None, stride=stride))
+
+
 class TestDepthwise:
     def test_matches_naive(self):
         rng = np.random.default_rng(3)
@@ -97,6 +184,30 @@ class TestDepthwise:
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError):
             depthwise_conv2d(np.zeros((2, 4, 4)), np.zeros((3, 3, 3)))
+
+    def test_even_kernel_rejected(self):
+        with pytest.raises(DimensionError):
+            depthwise_conv2d(np.zeros((1, 4, 4)), np.zeros((1, 2, 3)))
+
+    @pytest.mark.parametrize("budget", [None, 1, 300, 2000])
+    @pytest.mark.parametrize("c,h,width,k,_stride", BLOCK_CASES)
+    def test_bit_identical_to_full_pad(self, monkeypatch, budget, c, h, width, k, _stride):
+        if budget is not None:
+            monkeypatch.setattr(nn, "_TAP_BLOCK_BYTES", budget)
+        kh, kw = _kernel_dims(k)
+        rng = np.random.default_rng(c * 100 + h * 10 + width)
+        x = rng.normal(size=(c, h, width))
+        w = rng.normal(size=(c, kh, kw))
+        b = rng.normal(size=c)
+        assert np.array_equal(depthwise_conv2d(x, w, b), full_pad_depthwise(x, w, b))
+        assert np.array_equal(depthwise_conv2d(x, w), full_pad_depthwise(x, w))
+
+    def test_bit_identical_over_default_row_blocks(self):
+        # 64 x 300 float64 rows give 27-row blocks: 27 + 27 + 6 rows.
+        x = np.random.default_rng(9).normal(size=(64, 60, 300))
+        w = np.random.default_rng(10).normal(size=(64, 3, 3))
+        assert x.nbytes > nn._TAP_BLOCK_BYTES
+        assert np.array_equal(depthwise_conv2d(x, w), full_pad_depthwise(x, w))
 
 
 class TestSmallOps:
@@ -133,7 +244,7 @@ class TestSmallOps:
 
 
 class TestInputsUnchanged:
-    """Every op computes in place only on arrays it allocated itself."""
+    """Every op that writes in place does so only on arrays it allocated itself."""
 
     @staticmethod
     def assert_unchanged(fn, *arrays):
@@ -162,3 +273,46 @@ class TestInputsUnchanged:
     def test_resize_bilinear(self, out_h, out_w):
         grid = FeatureGrid(np.random.default_rng(8).normal(size=(2, 9, 11)))
         self.assert_unchanged(lambda: resize_bilinear(grid, out_h, out_w), grid.data)
+
+    def test_depthwise_conv2d_over_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(nn, "_TAP_BLOCK_BYTES", 200)
+        rng = np.random.default_rng(9)
+        x, w, b = rng.normal(size=(2, 9, 11)), rng.normal(size=(2, 3, 3)), rng.normal(size=2)
+        self.assert_unchanged(lambda: depthwise_conv2d(x, w, b), x, w, b)
+        self.assert_unchanged(lambda: conv2d(x, w[:, None].repeat(2, 1), b), x, w, b)
+
+    def test_sample_px(self):
+        rng = np.random.default_rng(10)
+        data = rng.normal(size=(3, 7, 9))
+        cols, rows = rng.uniform(-1, 10, (4, 5)), rng.uniform(-1, 8, (4, 5))
+        self.assert_unchanged(lambda: sample_px(data, cols, rows), data, cols, rows)
+
+    def test_ssm_coefficients_and_parallel_scan(self):
+        p = SsmParams.random(3, 4, seed=12)
+        u = np.random.default_rng(12).normal(size=(37, 3))
+        params = [p.a_log, p.d_skip, p.delta_w, p.delta_b, p.b_w, p.c_w]
+        self.assert_unchanged(lambda: _coefficients(p, u), u, *params)
+        self.assert_unchanged(lambda: ssm_scan_parallel(p, u), u, *params)
+        s = SsmParams.random(3, 4, seed=13, selective=False)
+        self.assert_unchanged(lambda: ssm_scan_parallel(s, u), u, s.delta, s.b, s.c)
+
+    def test_asgp_masks(self):
+        rng = np.random.default_rng(14)
+        probes = ProbeSet(coords=rng.uniform(-1, 1, (5, 2)), embeddings=rng.normal(size=(5, 4)),
+                          scores=rng.uniform(size=5))
+        x = FeatureGrid(rng.normal(size=(3, 6, 7)))
+        store = seeded_init(asgp_weight_spec(3, 4, 5), 14)
+        arrays = [probes.coords, probes.embeddings, probes.scores, x.data,
+                  *(arr for _, arr in store.items())]
+        self.assert_unchanged(lambda: refine_mask(probes, (6, 7)), *arrays)
+        self.assert_unchanged(lambda: coarse_potential(probes, x, store), *arrays)
+
+    def test_decoder(self):
+        cfg = PipelineConfig(channels=(8, 16, 32, 64))
+        store = seeded_init(pipeline_weight_spec(cfg), 15)
+        rng = np.random.default_rng(15)
+        levels = [FeatureGrid(rng.normal(size=(c, 16 >> i, 16 >> i)))
+                  for i, c in enumerate(cfg.channels)]
+        weights = [arr for name, arr in store.items() if name.startswith(("gfa.", "brm."))]
+        self.assert_unchanged(lambda: gfa(levels, store), *(lvl.data for lvl in levels), *weights)
+        self.assert_unchanged(lambda: brm(levels[0], store), levels[0].data, *weights)

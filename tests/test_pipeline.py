@@ -212,6 +212,61 @@ class TestDecoder:
         assert np.abs(got.data - want).max() <= 1e-5
 
 
+def concat_brm(fused, store):
+    """The previous brm: both branches concatenated, then one projection."""
+    from wavescan.nn import conv1x1, depthwise_conv2d, relu
+
+    ctx = conv1x1(relu(depthwise_conv2d(fused, store["brm.ctx_dw_w"], store["brm.ctx_dw_b"])),
+                  store["brm.ctx_pw_w"], store["brm.ctx_pw_b"])
+    edge = depthwise_conv2d(fused, store["brm.edge_dw_w"], store["brm.edge_dw_b"])
+    proj = conv1x1(np.concatenate([ctx, edge], axis=0), store["brm.proj_w"], store["brm.proj_b"])
+    proj += fused
+    return proj
+
+
+def oracle_gfa(features, store):
+    """The previous gfa: each gated projection added to the total as a new product."""
+    from wavescan.grid import resize_bilinear
+    from wavescan.nn import conv1x1, conv2d, global_avg_pool, relu, sigmoid
+
+    ce = store["gfa.phi1_w"].shape[0]
+    out_h, out_w = features[0].height, features[0].width
+    total = np.zeros((ce, out_h, out_w))
+    for level, feat in enumerate(features, start=1):
+        proj = FeatureGrid(conv1x1(feat.data, store[f"gfa.phi{level}_w"],
+                                   store[f"gfa.phi{level}_b"]))
+        if (proj.height, proj.width) != (out_h, out_w):
+            proj = resize_bilinear(proj, out_h, out_w)
+        hidden = relu(store[f"gfa.gate{level}_w1"] @ global_avg_pool(proj.data)
+                      + store[f"gfa.gate{level}_b1"])
+        gate = sigmoid(store[f"gfa.gate{level}_w2"] @ hidden + store[f"gfa.gate{level}_b2"])
+        total += gate[:, None, None] * proj.data
+    return conv2d(total, store["gfa.fuse_w"], store["gfa.fuse_b"])
+
+
+class TestDecoderOracles:
+    @pytest.mark.parametrize("shape", [(8, 6, 6), (8, 9, 13), (8, 1, 7), (8, 5, 1)])
+    def test_split_projection_brm_matches_concat(self, shape):
+        cfg = PipelineConfig(channels=(8, 16, 32, 64))
+        spec = [(n, s) for n, s in pipeline_weight_spec(cfg) if n.startswith("brm.")]
+        store = seeded_init(spec, shape[1])
+        fused = FeatureGrid(np.random.default_rng(shape[2]).normal(size=shape))
+        got = brm(fused, store).data
+        want = concat_brm(fused.data, store)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("base", [(16, 16), (18, 14), (8, 8)])
+    def test_gfa_bit_identical_to_oracle(self, base):
+        cfg = PipelineConfig(channels=(8, 16, 32, 64))
+        spec = [(n, s) for n, s in pipeline_weight_spec(cfg) if n.startswith("gfa.")]
+        store = seeded_init(spec, 11)
+        rng = np.random.default_rng(base[0])
+        h, w = base
+        levels = [FeatureGrid(rng.normal(size=(c, max(1, h >> i), max(1, w >> i))))
+                  for i, c in enumerate(cfg.channels)]
+        assert np.array_equal(gfa(levels, store).data, oracle_gfa(levels, store))
+
+
 class TestForward:
     def test_deterministic_bit_identical(self):
         cfg = PipelineConfig(seed=3)

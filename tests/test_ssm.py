@@ -5,6 +5,8 @@ from wavescan.errors import DimensionError
 from wavescan.ssm import (
     HAVE_COMPILED_KERNEL,
     SsmParams,
+    _coefficients,
+    _prefix_affine,
     recurrence_backends,
     ssm_scan_parallel,
     ssm_scan_sequential,
@@ -146,3 +148,89 @@ class TestValidationAndStore:
         names = set(p.to_store().names())
         assert {"ssm.a_log", "ssm.d", "ssm.proj_delta_w", "ssm.proj_delta_b",
                 "ssm.proj_b", "ssm.proj_c"} == names
+
+
+def copying_prefix_affine(decay, drive):
+    """The previous _prefix_affine: scans copies of its inputs and builds a new output."""
+    length = decay.shape[0]
+    if length == 1:
+        return drive.copy()
+    bs = int(np.ceil(np.sqrt(length)))
+    nb = -(-length // bs)
+    pad = nb * bs - length
+    if pad:
+        decay = np.concatenate([decay, np.ones((pad,) + decay.shape[1:])])
+        drive = np.concatenate([drive, np.zeros((pad,) + drive.shape[1:])])
+    a = decay.reshape(nb, bs, *decay.shape[1:]).copy()
+    b = drive.reshape(nb, bs, *drive.shape[1:]).copy()
+    for t in range(1, bs):
+        b[:, t] += a[:, t] * b[:, t - 1]
+        a[:, t] *= a[:, t - 1]
+    carries = np.zeros((nb,) + b.shape[2:])
+    carry = carries[0]
+    for k in range(1, nb):
+        carry = a[k - 1, -1] * carry + b[k - 1, -1]
+        carries[k] = carry
+    out = b + a * carries[:, None]
+    return out.reshape(nb * bs, *decay.shape[1:])[:length]
+
+
+def oracle_coefficients(params, u):
+    """The previous _coefficients: broadcast products into new arrays."""
+    length = u.shape[0]
+    if params.selective:
+        delta = np.logaddexp(0.0, u @ params.delta_w.T + params.delta_b)
+        b_t = u @ params.b_w.T
+        c_t = u @ params.c_w.T
+    else:
+        delta = np.broadcast_to(params.delta, (length, params.channels))
+        b_t = np.broadcast_to(params.b, (length, params.state_dim))
+        c_t = np.broadcast_to(params.c, (length, params.state_dim))
+    a = -np.exp(params.a_log)
+    decay = np.exp(delta[:, :, None] * a[None, :, :])
+    drive = (delta * u)[:, :, None] * b_t[:, None, :]
+    return decay, drive, c_t
+
+
+class TestInPlaceScan:
+    @pytest.mark.parametrize("selective", [True, False])
+    @pytest.mark.parametrize("length", [1, 2, 3, 9, 10, 17, 257])
+    def test_coefficients_bit_identical(self, selective, length):
+        p = SsmParams.random(3, 4, seed=length, selective=selective)
+        u = np.random.default_rng(length).normal(size=(length, 3))
+        for got, want in zip(_coefficients(p, u), oracle_coefficients(p, u)):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_integrator_coefficients_bit_identical(self):
+        p = SsmParams.static(2, transition=1.0, state_dim=3)
+        u = np.random.default_rng(0).normal(size=(11, 2))
+        for got, want in zip(_coefficients(p, u), oracle_coefficients(p, u)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 4, 9, 10, 16, 17, 100, 257])
+    def test_prefix_affine_bit_identical_to_copying_scan(self, length):
+        rng = np.random.default_rng(length)
+        decay = rng.uniform(0.0, 1.0, size=(length, 3, 2))
+        drive = rng.normal(size=(length, 3, 2))
+        want = copying_prefix_affine(decay.copy(), drive.copy())
+        got = _prefix_affine(decay, drive)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_prefix_affine_overwrites_its_inputs(self):
+        # The docstring's contract: the buffers are scratch; states come back in drive.
+        rng = np.random.default_rng(4)
+        decay = rng.uniform(0.0, 1.0, size=(16, 2, 2))
+        drive = rng.normal(size=(16, 2, 2))
+        states = _prefix_affine(decay, drive)
+        assert np.shares_memory(states, drive)
+
+    @pytest.mark.parametrize("selective", [True, False])
+    def test_parallel_scan_bit_identical_to_copying_scan(self, selective):
+        p = SsmParams.random(4, 3, seed=7, selective=selective)
+        u = np.random.default_rng(7).normal(size=(123, 4))
+        decay, drive, c_t = oracle_coefficients(p, u)
+        hs = copying_prefix_affine(decay, drive)
+        want = np.einsum("lcn,ln->lc", hs, c_t) + p.d_skip * u
+        assert np.array_equal(ssm_scan_parallel(p, u), want)

@@ -106,3 +106,15 @@ class TestDirectionality:
         assert float((st.lh.data ** 2).sum()) == pytest.approx(float((s.hl.data ** 2).sum()))
         assert float((st.hl.data ** 2).sum()) == pytest.approx(float((s.lh.data ** 2).sum()))
         assert float((st.hh.data ** 2).sum()) == pytest.approx(float((s.hh.data ** 2).sum()))
+
+
+class TestQuadrantSigns:
+    def test_each_quadrant_has_its_own_signs(self):
+        # One unit coefficient per band: every quadrant sees +-1/2 with the Hadamard signs.
+        signs = {"ll": (1, 1, 1, 1), "lh": (1, 1, -1, -1), "hl": (1, -1, 1, -1),
+                 "hh": (1, -1, -1, 1)}
+        for name, want in signs.items():
+            bands = {b: FeatureGrid.zeros(1, 1, 1) for b in signs}
+            bands[name] = FeatureGrid.full(1, 1, 1, 1.0)
+            out = idwt_haar(SubbandSet(**bands)).data[0]
+            assert tuple(out.ravel() * 2.0) == want, name

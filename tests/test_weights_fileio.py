@@ -208,3 +208,160 @@ class TestPgmFuzz:
         if data[: len(VALID_PGM) - VALID_PIXELS.size] == VALID_PGM[: -VALID_PIXELS.size]:
             want = np.frombuffer(bytes(data[-VALID_PIXELS.size:]), dtype=np.uint8)
             assert np.array_equal(got, want.reshape(7, 5) / 255.0)
+
+
+def fgt1_bytes(arr) -> bytes:
+    buf = io.BytesIO()
+    fileio.write_tensor(buf, arr)
+    return buf.getvalue()
+
+
+VALID_ARRAY = np.arange(6, dtype=np.float32).reshape(2, 3) / 4.0
+VALID_FGT1 = fgt1_bytes(VALID_ARRAY)
+FGT1_HEADER = len(VALID_FGT1) - VALID_ARRAY.size * 4
+
+
+def read_tensor_or_input_error(data: bytes):
+    """read_tensor of ``data``, or None when it raises InputError."""
+    try:
+        return fileio.read_tensor(io.BytesIO(data))
+    except InputError:
+        return None
+
+
+class TestTensorReader:
+    def test_truncated_header_names_file_and_offset(self, tmp_path):
+        path = tmp_path / "t.fgt"
+        path.write_bytes(VALID_FGT1[:10])
+        with open(path, "rb") as fh, pytest.raises(InputError) as exc:
+            fileio.read_tensor(fh)
+        assert str(path) in str(exc.value)
+        assert "at byte 8" in str(exc.value)
+
+    @pytest.mark.parametrize("dims,offset", [((2 ** 31, 2 ** 31), 8), ((2 ** 31, 2 ** 20), 16)])
+    def test_huge_dims_rejected_before_allocating(self, dims, offset):
+        # 2^31 x 2^31 float64 exceeds any address space; 2^31 x 2^20 exceeds the file.
+        data = fileio.MAGIC + (2).to_bytes(4, "little")
+        data += b"".join(d.to_bytes(4, "little") for d in dims)
+        with pytest.raises(InputError) as exc:
+            fileio.read_tensor(io.BytesIO(data + bytes(64)))
+        assert f"at byte {offset}" in str(exc.value)
+
+    @pytest.mark.parametrize("dims", [(2 ** 31, 2 ** 31, 0), (2 ** 32 - 1,) * 3 + (0,)])
+    def test_empty_tensor_with_huge_dims_rejected(self, dims):
+        data = fileio.MAGIC + len(dims).to_bytes(4, "little")
+        data += b"".join(d.to_bytes(4, "little") for d in dims)
+        with pytest.raises(InputError):
+            fileio.read_tensor(io.BytesIO(data))
+
+    def test_huge_rank_rejected(self):
+        data = fileio.MAGIC + (2 ** 32 - 1).to_bytes(4, "little") + bytes(16)
+        with pytest.raises(InputError):
+            fileio.read_tensor(io.BytesIO(data))
+
+    def test_rank_zero_reads_a_scalar(self):
+        assert fileio.read_tensor(io.BytesIO(fgt1_bytes(np.float32(1.5)))) == 1.5
+
+    def test_every_proper_prefix_raises_input_error(self):
+        assert np.array_equal(read_tensor_or_input_error(VALID_FGT1), VALID_ARRAY)
+        for end in range(len(VALID_FGT1)):
+            assert read_tensor_or_input_error(VALID_FGT1[:end]) is None, end
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, len(VALID_FGT1) - 1), st.integers(0, 255)),
+                    min_size=1, max_size=4))
+    def test_mutated_bytes_give_array_or_input_error(self, edits):
+        data = bytearray(VALID_FGT1)
+        for pos, byte in edits:
+            data[pos] = byte
+        got = read_tensor_or_input_error(bytes(data))
+        if got is None:
+            return
+        assert got.dtype == np.float64
+        if data[:FGT1_HEADER] == VALID_FGT1[:FGT1_HEADER]:
+            want = np.frombuffer(bytes(data[FGT1_HEADER:]), dtype="<f4").reshape(2, 3)
+            assert np.array_equal(got, want, equal_nan=True)
+
+
+VALID_BLOCKS = {"a.w": VALID_ARRAY, "bé": np.array([1.0, -2.0, 0.5, 8.0], dtype=np.float32)}
+
+
+def fgw_bytes(tmp_path) -> bytes:
+    path = tmp_path / "valid.fgw"
+    fileio.write_store(path, VALID_BLOCKS)
+    return path.read_bytes()
+
+
+def read_store_or_input_error(directory, data: bytes):
+    path = directory / "fuzz.fgw"
+    path.write_bytes(data)
+    try:
+        return fileio.read_store(path)
+    except InputError:
+        return None
+
+
+class TestStoreReader:
+    def test_truncated_name_table_names_file_and_offset(self, tmp_path):
+        path = tmp_path / "w.fgw"
+        path.write_bytes(fgw_bytes(tmp_path)[:6])
+        with pytest.raises(InputError) as exc:
+            fileio.read_store(path)
+        assert str(path) in str(exc.value)
+        assert "at byte 4" in str(exc.value)
+
+    def test_name_longer_than_file_rejected(self, tmp_path):
+        path = tmp_path / "w.fgw"
+        path.write_bytes((1).to_bytes(4, "little") + (2 ** 32 - 1).to_bytes(4, "little"))
+        with pytest.raises(InputError, match="at byte 8"):
+            fileio.read_store(path)
+
+    def test_non_utf8_name_rejected(self, tmp_path):
+        path = tmp_path / "w.fgw"
+        path.write_bytes((1).to_bytes(4, "little") + (1).to_bytes(4, "little") + b"\xff")
+        with pytest.raises(InputError, match="not UTF-8"):
+            fileio.read_store(path)
+
+    def test_duplicate_name_rejected(self, tmp_path):
+        entry = (1).to_bytes(4, "little") + b"a"
+        path = tmp_path / "w.fgw"
+        path.write_bytes((2).to_bytes(4, "little") + entry + entry
+                         + fgt1_bytes(np.zeros(1)) * 2)
+        with pytest.raises(InputError, match="duplicate name 'a'"):
+            fileio.read_store(path)
+
+    def test_every_proper_prefix_raises_input_error(self, tmp_path):
+        data = fgw_bytes(tmp_path)
+        got = read_store_or_input_error(tmp_path, data)
+        assert list(got) == list(VALID_BLOCKS)
+        for name, arr in VALID_BLOCKS.items():
+            assert np.array_equal(got[name], arr)
+        for end in range(len(data)):
+            assert read_store_or_input_error(tmp_path, data[:end]) is None, end
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 255)),
+                    min_size=1, max_size=4))
+    def test_mutated_bytes_give_arrays_or_input_error(self, tmp_path_factory, edits):
+        directory = tmp_path_factory.mktemp("fgw")
+        valid = fgw_bytes(directory)
+        data = bytearray(valid)
+        for pos, byte in edits:
+            data[pos % len(data)] = byte
+        got = read_store_or_input_error(directory, bytes(data))
+        if got is None:
+            return
+        assert all(isinstance(v, np.ndarray) and v.dtype == np.float64 for v in got.values())
+        # Payloads are the last bytes of each tensor; with every other byte intact
+        # the blocks must be exactly the mutated payloads.
+        payload_ends, end = [], len(valid)
+        for arr in reversed(list(VALID_BLOCKS.values())):
+            payload_ends.append((end - arr.size * 4, end, arr.shape))
+            end -= len(fgt1_bytes(arr))
+        payloads = sorted(payload_ends)
+        structure = [i for i in range(len(valid))
+                     if not any(lo <= i < hi for lo, hi, _ in payloads)]
+        if all(data[i] == valid[i] for i in structure):
+            for name, (lo, hi, shape) in zip(VALID_BLOCKS, payloads):
+                want = np.frombuffer(bytes(data[lo:hi]), dtype="<f4").reshape(shape)
+                assert np.array_equal(got[name], want, equal_nan=True)
