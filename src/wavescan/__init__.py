@@ -6,7 +6,13 @@ injection, a forward-only segmentation pipeline, and topology-aware
 evaluation metrics -- all deterministic and seeded.
 """
 
-from .errors import ConfigError, DimensionError, InputError, InsufficientStructureError
+from .errors import (
+    ConfigError,
+    DimensionError,
+    InputError,
+    InsufficientStructureError,
+    MissingBlockError,
+)
 from .grid import (
     FeatureGrid,
     Mask,

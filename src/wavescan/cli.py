@@ -29,7 +29,7 @@ from .bench import run_benchmarks
 from .errors import ConfigError
 from .fablock import ScanAssignment, fa_scan
 from .grid import FeatureGrid
-from .metrics import cldice, ods, region_metrics
+from .metrics import _OdsCounts, cldice, region_metrics
 from .nn import sigmoid
 from .pipeline import PipelineConfig, default_weights, forward
 from .scanorder import ScanKind, build_scan_order, locality_cost, serialize
@@ -211,17 +211,18 @@ def cmd_eval(args) -> int:
     if not pairs:
         print(f"no matching .pgm pairs under {pred_dir} and {gt_dir}", file=sys.stderr)
         return 1
-    preds, gts, rows = [], [], []
+    # One pass: each pair is read, scored and added to the ODS counts, then dropped.
+    tally, rows = _OdsCounts(), []
     for name, ppath, gpath in pairs:
         pred = fileio.load_pgm(ppath)
         gt = fileio.load_pgm(gpath) >= (128.0 / 255.0)
-        preds.append(pred)
-        gts.append(gt)
-        m = region_metrics(pred, gt, args.threshold)
-        cd = cldice(pred >= args.threshold, gt)
+        hit = pred >= args.threshold
+        m = region_metrics(hit, gt, args.threshold)
+        cd = cldice(hit, gt)
+        tally.add(pred, gt)
         rows.append([name, _fmt(args.threshold), _fmt(m.miou), _fmt(m.f1),
                      _fmt(m.precision), _fmt(m.recall), _fmt(cd)])
-    best = ods(preds, gts)
+    best = tally.best()
     mean_cldice = float(np.mean([float(r[6]) for r in rows]))
     rows.append(["ODS", _fmt(best.threshold), "", _fmt(best.f1), "", "", ""])
     rows.append(["MEAN_CLDICE", "", "", "", "", "", _fmt(mean_cldice)])

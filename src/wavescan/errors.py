@@ -15,3 +15,9 @@ class InsufficientStructureError(ValueError):
 
 class InputError(ValueError):
     """Invalid or empty input collection."""
+
+
+class MissingBlockError(InputError, KeyError):
+    """A named block is absent from a store; also a KeyError for mapping-style callers."""
+
+    __str__ = InputError.__str__  # KeyError's would quote the message

@@ -10,14 +10,23 @@ mIoU is the two-class mean (foreground and background IoU).  ODS sweeps
 the fixed threshold grid 0.01 .. 0.99 with dataset-aggregated confusion
 counts and no boundary-tolerance matching.  Each pixel falls in one bin,
 the number of thresholds at or below its prediction; a NaN prediction
-counts as below every threshold.  One histogram of (bin, gt) per pair
-and reversed cumulative sums give the counts at every threshold.
+counts as below every threshold.  The bin is found by arithmetic:
+floor(100 p), clamped to [0, 99] with NaN sent to 0, is at most one off,
+so one comparison against the exact threshold on each side corrects it.
+One histogram of (bin, gt) per pair, added to a running count as each
+pair arrives, and reversed cumulative sums give the counts at every
+threshold.
 
 clDice uses Zhang-Suen thinning for its skeletons.  The deletion test of
 each sub-iteration is a 256-entry table over the 8-neighbour code, built
-once at import; each sub-iteration looks up only the remaining
-foreground pixels of a flat zero-padded image and deletes all chosen
-pixels at once, so the pass stays parallel.
+once at import.  A pixel's code is computed once and again only after a
+neighbour is deleted.  Each table keeps the set of foreground pixels
+whose neighbourhood changed since that table last looked them up (all
+of them at the start); a sub-iteration looks up only that set, deletes
+all chosen pixels at once, so the pass stays parallel, and adds their
+remaining neighbours to the sets of both tables.  A pixel left out has
+the code it had when the same table last kept it, so the result equals
+full Zhang-Suen passes.
 """
 
 from __future__ import annotations
@@ -41,12 +50,22 @@ def _as_float_mask(mask) -> np.ndarray:
 
 
 def _as_bool_mask(mask) -> np.ndarray:
+    """The mask as booleans; a boolean input is returned as is, not copied."""
     arr = np.asarray(mask)
     if arr.ndim == 3 and arr.shape[0] == 1:
         arr = arr[0]
     if arr.ndim != 2:
         raise DimensionError(f"mask must be 2-D, got shape {arr.shape}")
-    return arr != 0
+    return arr if arr.dtype == np.bool_ else arr != 0
+
+
+def _as_pair(pred, gt) -> tuple[np.ndarray, np.ndarray]:
+    """A float prediction and a boolean ground truth of the same 2-D shape."""
+    pred = _as_float_mask(pred)
+    gt = _as_bool_mask(gt)
+    if pred.shape != gt.shape:
+        raise DimensionError(f"shape mismatch: pred {pred.shape} vs gt {gt.shape}")
+    return pred, gt
 
 
 @dataclass(frozen=True)
@@ -59,9 +78,9 @@ class RegionMetrics:
 
 def _confusion(pred_bin: np.ndarray, gt: np.ndarray) -> tuple[int, int, int, int]:
     tp = int(np.count_nonzero(pred_bin & gt))
-    fp = int(np.count_nonzero(pred_bin & ~gt))
-    fn = int(np.count_nonzero(~pred_bin & gt))
-    tn = int(np.count_nonzero(~pred_bin & ~gt))
+    fp = int(np.count_nonzero(pred_bin)) - tp
+    fn = int(np.count_nonzero(gt)) - tp
+    tn = gt.size - tp - fp - fn
     return tp, fp, fn, tn
 
 
@@ -73,14 +92,18 @@ def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
 
 
 def region_metrics(pred, gt, threshold: float = 0.5) -> RegionMetrics:
-    """Confusion-count metrics of pred >= threshold against a boolean mask."""
-    pred = _as_float_mask(pred)
+    """Confusion-count metrics of pred >= threshold against a boolean mask.
+
+    A boolean pred is taken as already thresholded: as 0.0 and 1.0 it
+    gives the same binary mask at every threshold in (0, 1).
+    """
+    pred = _as_bool_mask(pred) if np.asarray(pred).dtype == np.bool_ else _as_float_mask(pred)
     gt = _as_bool_mask(gt)
     if pred.shape != gt.shape:
         raise DimensionError(f"shape mismatch: pred {pred.shape} vs gt {gt.shape}")
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    tp, fp, fn, tn = _confusion(pred >= threshold, gt)
+    tp, fp, fn, tn = _confusion(pred if pred.dtype == np.bool_ else pred >= threshold, gt)
     precision, recall, f1 = _prf(tp, fp, fn)
     iou_fg = tp / (tp + fp + fn) if tp + fp + fn else 1.0
     iou_bg = tn / (tn + fp + fn) if tn + fp + fn else 1.0
@@ -95,27 +118,70 @@ class OdsResult:
     threshold: float
 
 
+class _OdsCounts:
+    """Running histogram of (bin, gt) over the pairs added so far.
+
+    Bin b holds the predictions p with t_b <= p < t_(b+1), taking t_0 =
+    -inf; a NaN prediction falls in bin 0.
+    """
+
+    n_bins = len(ODS_THRESHOLDS) + 1
+    # Exact bin edges for the one-step correction of floor(100 p).  The top
+    # bin's upper edge is NaN, which no comparison reaches, so +inf stays
+    # in the top bin.
+    lower = np.concatenate([[-np.inf], ODS_THRESHOLDS])
+    upper = np.concatenate([ODS_THRESHOLDS, [np.nan]])
+    lower.flags.writeable = upper.flags.writeable = False
+
+    def __init__(self):
+        self.counts = np.zeros(2 * self.n_bins, dtype=np.int64)
+
+    def add(self, pred, gt) -> None:
+        pred, gt = _as_pair(pred, gt)
+        flat = pred.ravel()
+        with np.errstate(over="ignore"):  # beyond 1.8e306 the guess is inf, still clamped
+            guess = flat * 100.0
+        np.fmax(guess, 0.0, out=guess)  # also sends NaN to 0
+        np.fmin(guess, self.n_bins - 1, out=guess)
+        bins = guess.astype(np.intp)  # truncation floors a non-negative guess
+        del guess
+        bins += flat >= self.upper.take(bins)
+        bins -= flat < self.lower.take(bins)
+        np.add(bins, self.n_bins, out=bins, where=gt.ravel())
+        self.counts += np.bincount(bins, minlength=2 * self.n_bins)
+
+    def totals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Dataset-aggregated tp, fp, fn of pred >= t at every ODS threshold t."""
+        # pixels in bin j or above; at threshold j the positives are those above bin j
+        neg_above, pos_above = np.cumsum(
+            self.counts.reshape(2, self.n_bins)[:, ::-1], axis=1)[:, ::-1]
+        tp = pos_above[1:]
+        fp = neg_above[1:]
+        fn = pos_above[0] - tp
+        return tp, fp, fn
+
+    def best(self) -> OdsResult:
+        """Best dataset-aggregated F1 over the threshold grid."""
+        tp, fp, fn = self.totals()
+        with np.errstate(invalid="ignore", divide="ignore"):
+            precision = np.where(tp + fp > 0, tp / np.maximum(tp + fp, 1), 0.0)
+            recall = np.where(tp + fn > 0, tp / np.maximum(tp + fn, 1), 0.0)
+            denom = precision + recall
+            f1 = np.where(denom > 0, 2 * precision * recall / np.maximum(denom, 1e-300), 0.0)
+        best = int(np.argmax(f1))
+        return OdsResult(f1=float(f1[best]), threshold=float(ODS_THRESHOLDS[best]))
+
+
+def _ods_tally(preds, gts) -> _OdsCounts:
+    tally = _OdsCounts()
+    for pred, gt in zip(preds, gts):
+        tally.add(pred, gt)
+    return tally
+
+
 def _ods_counts(preds, gts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dataset-aggregated tp, fp, fn of pred >= t at every ODS threshold t."""
-    k = len(ODS_THRESHOLDS)
-    counts = np.zeros(2 * (k + 1), dtype=np.int64)
-    for pred, gt in zip(preds, gts):
-        pred = _as_float_mask(pred)
-        gt = _as_bool_mask(gt)
-        if pred.shape != gt.shape:
-            raise DimensionError(f"shape mismatch: pred {pred.shape} vs gt {gt.shape}")
-        flat = pred.ravel()
-        # bin = number of thresholds t with pred >= t; NaN is below them all
-        bins = np.searchsorted(ODS_THRESHOLDS, flat, side="right")
-        bins[np.isnan(flat)] = 0
-        np.add(bins, k + 1, out=bins, where=gt.ravel())
-        counts += np.bincount(bins, minlength=2 * (k + 1))
-    # pixels in bin j or above; at threshold j the positives are those above bin j
-    neg_above, pos_above = np.cumsum(counts.reshape(2, k + 1)[:, ::-1], axis=1)[:, ::-1]
-    tp = pos_above[1:]
-    fp = neg_above[1:]
-    fn = pos_above[0] - tp
-    return tp, fp, fn
+    return _ods_tally(preds, gts).totals()
 
 
 def ods(preds, gts) -> OdsResult:
@@ -124,14 +190,7 @@ def ods(preds, gts) -> OdsResult:
     gts = list(gts)
     if not preds or len(preds) != len(gts):
         raise InputError(f"need equal non-empty mask lists, got {len(preds)} and {len(gts)}")
-    tp, fp, fn = _ods_counts(preds, gts)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        precision = np.where(tp + fp > 0, tp / np.maximum(tp + fp, 1), 0.0)
-        recall = np.where(tp + fn > 0, tp / np.maximum(tp + fn, 1), 0.0)
-        denom = precision + recall
-        f1 = np.where(denom > 0, 2 * precision * recall / np.maximum(denom, 1e-300), 0.0)
-    best = int(np.argmax(f1))
-    return OdsResult(f1=float(f1[best]), threshold=float(ODS_THRESHOLDS[best]))
+    return _ods_tally(preds, gts).best()
 
 
 def _deletion_table(first: bool) -> np.ndarray:
@@ -156,28 +215,44 @@ def _deletion_table(first: bool) -> np.ndarray:
 _DELETE_TABLES = (_deletion_table(True), _deletion_table(False))
 
 
+def _first_of_each(idx: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """``idx`` with repeats dropped, using ``slot`` (one entry per index) as scratch."""
+    pos = np.arange(idx.size, dtype=slot.dtype)
+    slot[idx] = pos
+    # whichever repeat wrote last owns the slot; exactly one repeat matches it
+    return idx[slot[idx] == pos]
+
+
 def skeletonize(mask) -> np.ndarray:
     """Zhang-Suen iterative thinning to a 1-pixel-wide skeleton (boolean)."""
     img = _as_bool_mask(mask)
     h, w = img.shape
     stride = w + 2
-    padded = np.zeros((h + 2, w + 2), dtype=np.uint8)
+    padded = np.zeros((h + 2, w + 2), dtype=bool)
     padded[1:-1, 1:-1] = img
     flat = padded.ravel()
     # flat offsets of p2 .. p9 in a row-major padded image
     ring = np.array([-stride, -stride + 1, 1, stride + 1, stride, stride - 1, -1, -stride - 1])
     fg = np.flatnonzero(flat)
-    deleted = True
-    while deleted:
-        deleted = False
-        for table in _DELETE_TABLES:
-            codes = np.packbits(flat[ring[:, None] + fg], axis=0, bitorder="little")[0]
-            drop = table[codes]
-            if drop.any():
-                deleted = True
-                flat[fg[drop]] = 0
-                fg = fg[~drop]
-    return padded[1:-1, 1:-1].astype(bool)
+    codes = np.zeros(flat.size, dtype=np.uint8)
+    codes[fg] = np.packbits(flat[ring[:, None] + fg], axis=0, bitorder="little")[0]
+    slot = np.empty(flat.size, dtype=np.intp)
+    # todo[k]: foreground pixels whose code changed since table k last kept them
+    todo = [fg, fg]
+    k = 0
+    while todo[0].size or todo[1].size:
+        looked, todo[k] = todo[k], fg[:0]
+        gone = looked[_DELETE_TABLES[k][codes[looked]]]
+        if gone.size:
+            flat[gone] = False
+            near = (gone[:, None] + ring).ravel()
+            near = _first_of_each(near[flat[near]], slot)
+            codes[near] = np.packbits(flat[ring[:, None] + near], axis=0, bitorder="little")[0]
+            other = todo[1 - k]
+            todo[1 - k] = _first_of_each(np.concatenate([other[flat[other]], near]), slot)
+            todo[k] = near
+        k = 1 - k
+    return padded[1:-1, 1:-1].copy()
 
 
 def dice(pred, gt) -> float:

@@ -243,21 +243,27 @@ def gfa(features, w: WeightStore) -> FeatureGrid:
 
     Every level is projected to the shared decoder width, upsampled to
     the first level's size, scaled by its gate vector, summed, and mixed
-    by one 3x3 convolution.
+    by one 3x3 convolution.  ``features`` is read one level at a time and
+    no level is kept past its projection, so an iterator that hands over
+    its levels lets each one be freed as soon as it is used.
     """
-    features = list(features)
-    if len(features) != STAGES:
-        raise ConfigError(f"fusion expects {STAGES} levels, got {len(features)}")
     ce = w["gfa.phi1_w"].shape[0]
-    out_h, out_w = features[0].height, features[0].width
-    total = np.zeros((ce, out_h, out_w))
-    for level, feat in enumerate(features, start=1):
+    hidden = max(1, ce // 4)
+    total = None
+    level = 0
+    for feat in features:
+        level += 1
+        if level > STAGES:
+            raise ConfigError(f"fusion expects {STAGES} levels, got more")
+        if total is None:
+            out_h, out_w = feat.height, feat.width
+            total = np.zeros((ce, out_h, out_w))
         pw = w.get(f"gfa.phi{level}_w", (ce, feat.channels))
         pb = w.get(f"gfa.phi{level}_b", (ce,))
         proj = conv1x1(feat.data, pw, pb)
+        del feat
         if proj.shape[1:] != (out_h, out_w):
             proj = resize_bilinear(FeatureGrid(proj), out_h, out_w).data
-        hidden = max(1, ce // 4)
         g1 = w.get(f"gfa.gate{level}_w1", (hidden, ce))
         gb1 = w.get(f"gfa.gate{level}_b1", (hidden,))
         g2 = w.get(f"gfa.gate{level}_w2", (ce, hidden))
@@ -265,7 +271,9 @@ def gfa(features, w: WeightStore) -> FeatureGrid:
         gate = sigmoid(g2 @ relu(g1 @ global_avg_pool(proj) + gb1) + gb2)
         proj *= gate[:, None, None]  # proj is this loop's own array
         total += proj
-    del proj
+        del proj
+    if level != STAGES:
+        raise ConfigError(f"fusion expects {STAGES} levels, got {level}")
     fw = w.get("gfa.fuse_w", (ce, ce, 3, 3))
     fb = w.get("gfa.fuse_b", (ce,))
     return FeatureGrid(conv2d(total, fw, fb))
@@ -326,8 +334,9 @@ def forward(image: FeatureGrid, cfg: PipelineConfig | None = None,
             raise DimensionError("stage resolutions must halve between stages")
         if tap.channels != cfg.channels[idx]:
             raise DimensionError("stage widths must follow the configured plan")
-    fused = gfa(taps, w)
-    del taps, tap, x  # the stage outputs are not needed past the fusion
+    del tap, x
+    # hand the stage outputs over one by one, so gfa frees each once it is summed
+    fused = gfa((taps.pop(0) for _ in range(STAGES)), w)
     refined = brm(fused, w)
     logits = conv1x1(refined.data, w.get("head.w", (1, refined.channels)), w.get("head.b", (1,)))
     mask = FeatureGrid(sigmoid(logits))

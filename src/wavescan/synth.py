@@ -62,13 +62,15 @@ def _value_noise(h: int, w: int, rng: np.random.Generator, cell: int = 8) -> np.
     x0 = xs.astype(int)
     fy = (ys - y0)[:, None]
     fx = (xs - x0)[None, :]
-    v00 = lattice[np.ix_(y0, x0)]
-    v01 = lattice[np.ix_(y0, x0 + 1)]
-    v10 = lattice[np.ix_(y0 + 1, x0)]
-    v11 = lattice[np.ix_(y0 + 1, x0 + 1)]
-    top = v00 + fx * (v01 - v00)
-    bot = v10 + fx * (v11 - v10)
-    return top + fy * (bot - top)
+    # Interpolate every lattice row along x once, then pick rows and blend
+    # along y; each pixel sees the same operations as the 2x2 corner formula.
+    along_x = lattice[:, x0] + fx * (lattice[:, x0 + 1] - lattice[:, x0])
+    top = along_x[y0]
+    out = along_x[y0 + 1]
+    out -= top
+    out *= fy
+    out += top
+    return out
 
 
 def _line_cells(cfg: SynthConfig, rng: np.random.Generator, orientation: str) -> np.ndarray:
@@ -95,7 +97,10 @@ def _line_cells(cfg: SynthConfig, rng: np.random.Generator, orientation: str) ->
     curve = (1 - t) ** 2 * p0 + 2 * (1 - t) * t * p1 + t ** 2 * p2
     cells = np.rint(curve).astype(int)
     keep = (cells[:, 0] >= 0) & (cells[:, 0] < h) & (cells[:, 1] >= 0) & (cells[:, 1] < w)
-    return np.unique(cells[keep], axis=0)
+    rows, cols = cells[keep].T
+    # the flat key r * w + c sorts like (r, c), because 0 <= c < w
+    rows, cols = np.divmod(np.unique(rows * w + cols), w)
+    return np.stack([rows, cols], axis=1)
 
 
 def _dilate(skeleton: np.ndarray, width: int) -> np.ndarray:

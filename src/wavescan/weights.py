@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import fileio
-from .errors import DimensionError
+from .errors import DimensionError, InputError, MissingBlockError
 
 
 class WeightStore:
@@ -31,7 +31,7 @@ class WeightStore:
 
     def __getitem__(self, name: str) -> np.ndarray:
         if name not in self._blocks:
-            raise KeyError(f"weight block {name!r} not found")
+            raise MissingBlockError(f"weight block {name!r} not found")
         return self._blocks[name]
 
     def __contains__(self, name: str) -> bool:
@@ -63,7 +63,19 @@ class WeightStore:
 
     @classmethod
     def load(cls, path) -> "WeightStore":
-        return cls(fileio.read_store(path))
+        """Read a .fgw bundle, rejecting by name any block with NaN or an infinity.
+
+        An ``ssm.a_log`` block may hold -inf, the integrator limit SsmParams accepts.
+        """
+        blocks = fileio.read_store(path)
+        for name, arr in blocks.items():
+            bad = ~np.isfinite(arr)
+            if ("." + name).endswith(".ssm.a_log"):
+                bad &= ~np.isneginf(arr)
+            if bad.any():
+                raise InputError(f"weight block {name!r} in {path} holds "
+                                 f"{np.count_nonzero(bad)} non-finite value(s)")
+        return cls(blocks)
 
 
 def seeded_init(spec: Iterable[tuple[str, Sequence[int]]], seed: int) -> WeightStore:

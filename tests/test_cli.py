@@ -1,20 +1,80 @@
 import csv
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from test_metrics import oracle_ods_counts, oracle_region, oracle_skeletonize
 from wavescan import fileio
 from wavescan.cli import main, parse_config_text
 from wavescan.errors import ConfigError
+from wavescan.metrics import ODS_THRESHOLDS
 from wavescan.pipeline import PipelineConfig, default_weights
 from wavescan.scanorder import ScanKind
 from wavescan.synth import SynthConfig, generate_sample
+from wavescan.weights import WeightStore
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def read_csv(path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     return rows[0], rows[1:]
+
+
+def run_cli(*argv):
+    """``python -m wavescan argv`` in a fresh interpreter; returns (exit code, stderr)."""
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-m", "wavescan", *argv], capture_output=True,
+                          text=True, env=env, timeout=300)
+    return proc.returncode, proc.stderr
+
+
+def oracle_cldice(pred: np.ndarray, gt: np.ndarray) -> float:
+    skel_p, skel_g = oracle_skeletonize(pred), oracle_skeletonize(gt)
+    n_p, n_g = int(skel_p.sum()), int(skel_g.sum())
+    if n_p == 0 or n_g == 0:
+        return float(n_p == n_g)
+    tprec = int((skel_p & gt).sum()) / n_p
+    tsens = int((skel_g & pred).sum()) / n_g
+    return 2.0 * tprec * tsens / (tprec + tsens) if tprec + tsens else 0.0
+
+
+def oracle_eval_csv(pred_dir: Path, gt_dir: Path, threshold: float) -> bytes:
+    """The CSV ``wavescan eval`` should write, recounted with the enumeration oracles."""
+    def fmt(value):
+        return f"{float(value):.6g}"
+
+    rows, preds, gts = [], [], []
+    for path in sorted(pred_dir.glob("*.pgm")):
+        pred = fileio.load_pgm(path)
+        gt = fileio.load_pgm(gt_dir / path.name) >= 128.0 / 255.0
+        preds.append(pred)
+        gts.append(gt)
+        miou, f1, precision, recall = oracle_region(pred, gt, threshold)
+        rows.append([path.name, fmt(threshold), fmt(miou), fmt(f1), fmt(precision),
+                     fmt(recall), fmt(oracle_cldice(pred >= threshold, gt))])
+    best_f1, best_t = -1.0, None
+    for t, tp, fp, fn in zip(ODS_THRESHOLDS, *oracle_ods_counts(preds, gts)):
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        if f1 > best_f1:
+            best_f1, best_t = f1, t
+    mean_cldice = np.mean([float(r[6]) for r in rows])
+    rows.append(["ODS", fmt(best_t), "", fmt(best_f1), "", "", ""])
+    rows.append(["MEAN_CLDICE", "", "", "", "", "", fmt(mean_cldice)])
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["image_id", "threshold", "miou", "f1", "precision", "recall", "cldice"])
+    writer.writerows(rows)
+    return text.getvalue().encode()
 
 
 class TestConfigParsing:
@@ -141,6 +201,26 @@ class TestSubcommands:
                      "--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    @pytest.mark.parametrize("fault, block", [("nan", "s1.align.b1"), ("missing", "stem.w")])
+    def test_forward_bad_weight_bundle_is_one_error_line(self, tmp_path, fault, block):
+        blocks = {name: arr.copy() for name, arr in default_weights(PipelineConfig()).items()}
+        if fault == "nan":
+            blocks[block].flat[0] = np.nan
+        else:
+            del blocks[block]
+        wpath = tmp_path / "w.fgw"
+        WeightStore(blocks).save(wpath)
+        img_path = tmp_path / "in.pgm"
+        fileio.save_pgm(img_path, np.random.default_rng(0).uniform(size=(64, 64)))
+        out = tmp_path / "mask.pgm"
+        code, err = run_cli("forward", "--image", str(img_path), "--weights", str(wpath),
+                            "--out", str(out))
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(block) in err
+        assert not out.exists()
+
     def test_forward_assign_flag_changes_output(self, tmp_path):
         sample = generate_sample(SynthConfig(height=32, width=32, seed=5,
                                              orientation="horizontal"))
@@ -179,6 +259,33 @@ class TestSubcommands:
         assert float(ods_row[3]) == 1.0
         cld_row = [r for r in rows if r[0] == "MEAN_CLDICE"][0]
         assert float(cld_row[6]) == 1.0
+
+    @pytest.mark.parametrize("threshold", [0.5, 0.6])
+    def test_eval_csv_matches_enumeration_oracles(self, tmp_path, threshold):
+        # Thick, noisy predictions as in the benchmark's eval pairs, and one
+        # pair whose prediction is its mask.  PGM levels 51, 102, 153 and 204
+        # read back as exactly 0.2, 0.4, 0.6 and 0.8, on the ODS thresholds.
+        pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
+        pred_dir.mkdir()
+        gt_dir.mkdir()
+        rng = np.random.default_rng(17)
+        for i in range(5):
+            gt = generate_sample(SynthConfig(height=48, width=40, curves=2, width_max=3,
+                                             orientation="bezier", seed=30 + i)).gt
+            pred = gt.astype(float)
+            if i < 4:
+                thick = np.pad(gt, 1)
+                thick = thick[1:-1, 1:-1] | thick[:-2, 1:-1] | thick[2:, 1:-1] \
+                    | thick[1:-1, :-2] | thick[1:-1, 2:]
+                pred = np.clip(0.7 * thick + 0.15 + rng.normal(0.0, 0.2, gt.shape), 0.0, 1.0)
+            fileio.save_pgm(pred_dir / f"pair{i}.pgm", pred)
+            fileio.save_pgm(gt_dir / f"pair{i}.pgm", gt.astype(float))
+        out = tmp_path / "eval.csv"
+        assert main(["eval", "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir),
+                     "--out", str(out), "--threshold", str(threshold)]) == 0
+        want = oracle_eval_csv(pred_dir, gt_dir, threshold)
+        assert out.read_bytes() == want
+        assert want.splitlines()[5] == b"pair4.pgm,%g,1,1,1,1,1" % threshold
 
     def test_eval_unwritable_out_is_one_error_line(self, tmp_path, capsys):
         for sub in ("pred", "gt"):

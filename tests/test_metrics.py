@@ -192,7 +192,8 @@ class TestOds:
     def test_counts_match_oracle_at_threshold_edges(self):
         t = ODS_THRESHOLDS
         edges = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf),
-                                [np.nan, np.inf, -np.inf, -0.5, 0.0, 1.0, 1.5, -0.0]])
+                                [np.nan, np.inf, -np.inf, -0.5, 0.0, 1.0, 1.5, -0.0,
+                                 5e-324, 1e306, np.finfo(float).max, -np.finfo(float).max]])
         rng = np.random.default_rng(5)
         preds = [edges.reshape(1, -1), edges[::-1].reshape(-1, 1), rng.permutation(edges)[None]]
         gts = [rng.uniform(size=p.shape) < 0.5 for p in preds]
@@ -329,6 +330,35 @@ class TestSkeletonizeExact:
         mask = np.ones((5, 7), dtype=np.uint8)
         skeletonize(mask)
         assert (mask == 1).all()
+
+    def test_pixel_freed_by_the_other_sub_iteration(self):
+        # The first-table lookup keeps (2, 1).  It becomes deletable for that
+        # table only after the second sub-iteration deletes (1, 1), (2, 0) and
+        # (3, 0), so a deletion must queue its neighbours for the other table.
+        mask = np.array([[1, 0, 1, 0],
+                         [1, 1, 1, 0],
+                         [1, 1, 1, 1],
+                         [1, 1, 1, 0],
+                         [1, 0, 1, 1]], dtype=bool)
+        want = oracle_skeletonize(mask)
+        assert not want.any()
+        assert np.array_equal(skeletonize(mask), want)
+
+    @pytest.mark.parametrize("thickness", [5, 9, 16])
+    @pytest.mark.parametrize("orientation", ["horizontal", "vertical", "diagonal"])
+    def test_long_thick_bars_need_many_passes(self, thickness, orientation):
+        # Each pass peels about one pixel off either side, so these take 2 to
+        # 9 passes, and the later ones look up only the pixels next to the
+        # last deletions.
+        size = 96
+        rows, cols = np.mgrid[:size, :size]
+        if orientation == "horizontal":
+            mask = (rows >= 40) & (rows < 40 + thickness) & (cols >= 4) & (cols < size - 4)
+        elif orientation == "vertical":
+            mask = (cols >= 40) & (cols < 40 + thickness) & (rows >= 4) & (rows < size - 4)
+        else:
+            mask = (np.abs(rows - cols) * 2 < thickness) & (rows > 3) & (rows < size - 4)
+        assert np.array_equal(skeletonize(mask), oracle_skeletonize(mask))
 
     @settings(max_examples=80, deadline=None)
     @given(hnp.arrays(np.bool_, hnp.array_shapes(min_dims=2, max_dims=2, max_side=16)))

@@ -4,7 +4,34 @@ import pytest
 from wavescan.errors import ConfigError
 from wavescan.grid import FeatureGrid
 from wavescan.scanorder import ScanKind, along_structure_gaps, build_scan_order
-from wavescan.synth import SynthConfig, generate_sample
+from wavescan.synth import SynthConfig, _line_cells, _value_noise, generate_sample
+
+
+def reference_bezier_cells(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:
+    """The Bezier centreline cells, deduplicated as whole (row, col) rows."""
+    h, w = cfg.height, cfg.width
+    p0 = rng.uniform([0.1 * h, 0.0], [0.9 * h, 0.15 * w])
+    p2 = rng.uniform([0.1 * h, 0.85 * w], [0.9 * h, float(w - 1)])
+    p1 = (p0 + p2) / 2.0 + rng.uniform(-0.25, 0.25, 2) * np.array([h, w])
+    t = np.linspace(0.0, 1.0, 4 * max(h, w))[:, None]
+    cells = np.rint((1 - t) ** 2 * p0 + 2 * (1 - t) * t * p1 + t ** 2 * p2).astype(int)
+    keep = (cells[:, 0] >= 0) & (cells[:, 0] < h) & (cells[:, 1] >= 0) & (cells[:, 1] < w)
+    return np.unique(cells[keep], axis=0)
+
+
+def reference_value_noise(h: int, w: int, rng: np.random.Generator, cell: int = 8) -> np.ndarray:
+    """Bilinear value noise from the four gathered corner planes."""
+    lattice = rng.uniform(0.0, 1.0, (h // cell + 2, w // cell + 2))
+    ys, xs = np.arange(h) / cell, np.arange(w) / cell
+    y0, x0 = ys.astype(int), xs.astype(int)
+    fy, fx = (ys - y0)[:, None], (xs - x0)[None, :]
+    v00 = lattice[np.ix_(y0, x0)]
+    v01 = lattice[np.ix_(y0, x0 + 1)]
+    v10 = lattice[np.ix_(y0 + 1, x0)]
+    v11 = lattice[np.ix_(y0 + 1, x0 + 1)]
+    top = v00 + fx * (v01 - v00)
+    bot = v10 + fx * (v11 - v10)
+    return top + fy * (bot - top)
 
 
 class TestConfig:
@@ -68,6 +95,21 @@ class TestGeneration:
                                                  seed=seed))
             assert sample.gt.shape == (32, 32)
             assert sample.gt.any()
+
+    @pytest.mark.parametrize("height, width", [(32, 32), (37, 64), (64, 21), (255, 256)])
+    def test_bezier_cells_match_row_deduplication(self, height, width):
+        cfg = SynthConfig(height=height, width=width, orientation="bezier")
+        for seed in range(25):
+            got = _line_cells(cfg, np.random.default_rng(seed), "bezier")
+            want = reference_bezier_cells(cfg, np.random.default_rng(seed))
+            assert got.shape == want.shape and np.array_equal(got, want), seed
+
+    @pytest.mark.parametrize("height, width", [(32, 32), (37, 64), (64, 21), (255, 256)])
+    def test_value_noise_matches_corner_formula(self, height, width):
+        for seed in range(5):
+            got = _value_noise(height, width, np.random.default_rng(seed))
+            want = reference_value_noise(height, width, np.random.default_rng(seed))
+            assert np.array_equal(got, want), seed
 
     def test_structures_darker_than_background(self):
         sample = generate_sample(SynthConfig(contrast=0.6, texture=0.2, seed=9,

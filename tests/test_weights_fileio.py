@@ -53,8 +53,29 @@ class TestWeightStore:
             store.get("a", (3, 2))
 
     def test_missing_block(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError) as exc:
             WeightStore()["nope"]
+        assert isinstance(exc.value, InputError)
+        assert str(exc.value) == "weight block 'nope' not found"
+
+    @pytest.mark.parametrize("name, value", [("a.w", np.nan), ("a.w", -np.inf),
+                                             ("s2.ssm.a_log", np.inf), ("s2.ssm.a_log", np.nan)])
+    def test_load_rejects_non_finite_block_by_name(self, tmp_path, name, value):
+        blocks = {"a.w": np.ones((2, 3)), "s2.ssm.a_log": np.zeros((2, 4))}
+        blocks[name][1, 2] = value
+        path = tmp_path / "w.fgw"
+        WeightStore(blocks).save(path)
+        with pytest.raises(InputError, match=f"block '{name}'"):
+            WeightStore.load(path)
+
+    def test_load_keeps_integrator_limit_in_a_log(self, tmp_path):
+        a_log = np.zeros((2, 4))
+        a_log[0] = -np.inf
+        path = tmp_path / "w.fgw"
+        WeightStore({"s1.ssm.a_log": a_log, "ssm.a_log": a_log}).save(path)
+        loaded = WeightStore.load(path)
+        assert np.array_equal(loaded["s1.ssm.a_log"], a_log)
+        assert np.array_equal(loaded["ssm.a_log"], a_log)
 
     def test_save_load_roundtrip_bit_exact(self, tmp_path):
         store = seeded_init([("a.w", (3, 5)), ("b.w", (7,)), ("c", (2, 2, 3, 3))], 11)
