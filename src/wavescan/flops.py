@@ -142,12 +142,14 @@ def flop_estimate(cfg: PipelineConfig | None = None,
         gfa_total += ce * out_h * out_w  # gate multiply
     gfa_total += conv_macs(out_h, out_w, ce, ce, 3)
     report["gfa"] = gfa_total
+    # brm carries the folded head: one depthwise, the head and context
+    # projections to one channel, and the edge branch as a ce->1 3x3 conv.
     report["brm"] = (
-        depthwise_macs(out_h, out_w, ce, 3) * 2
-        + conv_macs(out_h, out_w, ce, ce, 1)
-        + conv_macs(out_h, out_w, 2 * ce, ce, 1)
+        depthwise_macs(out_h, out_w, ce, 3)
+        + 2 * conv_macs(out_h, out_w, ce, 1, 1)
+        + conv_macs(out_h, out_w, ce, 1, 3)
     )
-    report["head"] = conv_macs(out_h, out_w, ce, 1, 1)
+    report["head"] = out_h * out_w  # the logistic
     if (out_h, out_w) != (h, w):
         report["upsample"] = resize_macs(1, h, w)
     report["total"] = sum(report.values())

@@ -3,12 +3,21 @@
 All 2-D convolutions use odd kernels with "same" replicate (edge)
 padding, matching the border-clamp convention of the sampling code.
 Both convolutions work on blocks of output rows, so no temporary grows
-with H: each block edge-pads only the input rows it reads, dense
-convolutions gather that block's im2col taps (at most _TAP_BLOCK_BYTES)
-for one BLAS matmul, and depthwise convolutions add their per-tap
-products through one row-block scratch of the same budget.  Biases and
-products are applied in place on arrays allocated here, never on the
-caller's inputs or weights.
+with H: each block edge-pads only the input rows it reads.
+
+A dense convolution takes one of two GEMM orientations, chosen from the
+shapes alone.  A stride-1 convolution with fewer output than input
+channels runs tap-major: one matmul of the tap-stacked kernel
+(kh*kw*C_out x C_in) with the block's padded input rows gives every
+tap's C_out-channel plane, and the shifted planes are added into the
+output, so the traffic scales with C_out.  Every other shape gathers
+the block's im2col taps (C_in*kh*kw rows) for one matmul with the
+C_out x C_in*kh*kw kernel.  Both orientations size their row blocks
+so that the output rows of their largest per-block buffer fit
+_TAP_BLOCK_BYTES.  Depthwise convolutions add their per-tap products
+through one row-block scratch of at most _DEPTHWISE_BLOCK_BYTES.
+Biases and products are applied in place on arrays allocated here,
+never on the caller's inputs or weights.
 """
 
 from __future__ import annotations
@@ -17,8 +26,14 @@ import numpy as np
 
 from .errors import DimensionError
 
-# Upper bound, in bytes, of the im2col tap buffer of one conv2d row block.
+# Row-block budget, in bytes, of conv2d: the im2col taps of one block, or the
+# larger of the tap-major padded input and tap-plane product per block of
+# output rows.
 _TAP_BLOCK_BYTES = 4 << 20
+# Upper bound, in bytes, of depthwise_conv2d's row-block scratch; about 1 MB
+# keeps it near L2, where a larger block runs slower and a smaller one pays
+# more per-block overhead.
+_DEPTHWISE_BLOCK_BYTES = 1 << 20
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -35,7 +50,14 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, x)
+    """log(1 + e^x) as log1p(e^-|x|) + max(x, 0): never overflows, NaN stays NaN."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.abs(x, out=np.empty_like(x))
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(x, 0.0)
+    return out
 
 
 def _check_odd(kh: int, kw: int) -> None:
@@ -70,16 +92,33 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
            stride: int = 1) -> np.ndarray:
     """Dense convolution: x (C_in,H,W), w (C_out,C_in,kh,kw) -> (C_out,H',W').
 
-    For one block of output rows at a time, edge-pads the input rows the
-    block reads into a reused buffer, gathers their kernel taps
-    channel-major (at most _TAP_BLOCK_BYTES) and multiplies them into the
-    block's rows of the preallocated output with one BLAS matmul.
+    Works on blocks of output rows; each block edge-pads the input rows
+    it reads into a reused buffer.  With stride 1 and C_out < C_in the
+    block runs tap-major: one matmul of the (kh*kw*C_out, C_in) tap-stacked
+    kernel with the padded rows, whose kh*kw shifted C_out-channel planes
+    are then summed into the output.  Every other shape gathers the
+    block's taps channel-major (im2col) and multiplies them into the
+    output with one matmul.  Both size their row blocks by
+    _TAP_BLOCK_BYTES.
     """
     c_in, h, width = x.shape
     c_out, c_in_w, kh, kw = w.shape
     if c_in_w != c_in:
         raise DimensionError(f"kernel expects {c_in_w} input channels, grid has {c_in}")
     _check_odd(kh, kw)
+    if stride == 1 and c_out < c_in:
+        out = _conv2d_tap_major(x, w)
+    else:
+        out = _conv2d_im2col(x, w, stride)
+    if b is not None:
+        out += b[:, None, None]
+    return out
+
+
+def _conv2d_im2col(x: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
+    """Bias-free conv2d that gathers each row block's taps for one matmul."""
+    c_in, h, width = x.shape
+    c_out, _, kh, kw = w.shape
     oh = -(-h // stride)
     ow = -(-width // stride)
     depth = c_in * kh * kw
@@ -99,8 +138,37 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
                 taps[:, i * kw + j] = xp[:, i : i + span : stride, j : j + width : stride]
         np.matmul(wmat, taps.reshape(depth, rows * ow),
                   out=flat_out[:, r0 * ow : (r0 + rows) * ow])
-    if b is not None:
-        out += b[:, None, None]
+    return out
+
+
+def _conv2d_tap_major(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Bias-free stride-1 conv2d as one tap-stacked matmul per row block.
+
+    The product holds, for every padded input pixel of the block, the
+    C_out-channel contribution of each tap; output pixel (r, c) sums tap
+    (i, j)'s plane at (r + i, c + j), in tap order.
+    """
+    c_in, h, width = x.shape
+    c_out, _, kh, kw = w.shape
+    wp = width + kw - 1
+    stack = kh * kw * c_out
+    block = max(1, min(h, _TAP_BLOCK_BYTES // (max(stack, c_in) * wp * 8)))
+    wtap = w.transpose(2, 3, 0, 1).reshape(stack, c_in)
+    out = np.empty((c_out, h, width))
+    pad_buf = np.empty(c_in * (block + kh - 1) * wp)
+    prod_buf = np.empty(stack * (block + kh - 1) * wp)
+    for r0 in range(0, h, block):
+        rows = min(block, h - r0)
+        span = rows + kh - 1
+        xp = _pad_rows(x, kh, kw, r0, pad_buf[: c_in * span * wp].reshape(c_in, span, wp))
+        prod = prod_buf[: stack * span * wp].reshape(stack, span * wp)
+        np.matmul(wtap, xp.reshape(c_in, span * wp), out=prod)
+        planes = prod.reshape(kh, kw, c_out, span, wp)
+        acc = out[:, r0 : r0 + rows]
+        np.copyto(acc, planes[0, 0, :, :rows, :width])
+        for k in range(1, kh * kw):
+            i, j = divmod(k, kw)
+            acc += planes[i, j, :, i : i + rows, j : j + width]
     return out
 
 
@@ -110,14 +178,14 @@ def depthwise_conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) 
     Works on blocks of output rows: each block edge-pads only its input
     rows into a reused buffer, writes the first tap's product into its
     rows of the output and adds every other tap's product through one
-    scratch block of at most _TAP_BLOCK_BYTES.
+    scratch block of at most _DEPTHWISE_BLOCK_BYTES.
     """
     if w.shape[0] != x.shape[0]:
         raise DimensionError(f"depthwise kernel has {w.shape[0]} channels, grid has {x.shape[0]}")
     c, h, width = x.shape
     kh, kw = w.shape[1], w.shape[2]
     _check_odd(kh, kw)
-    block = max(1, min(h, _TAP_BLOCK_BYTES // max(1, c * width * 8)))
+    block = max(1, min(h, _DEPTHWISE_BLOCK_BYTES // max(1, c * width * 8)))
     out = np.empty((c, h, width))
     scratch = np.empty((c, block, width))
     pad_buf = np.empty((c, block + kh - 1, width + kw - 1))

@@ -6,7 +6,8 @@ from the detail bands, run the orientation-matched scan plus gated
 bottleneck on the carrier, gate the detail bands with the probe masks,
 and merge back.  Resolution halves between stages through stride-2
 convolutions; per-stage outputs feed a parallel gated aggregation
-decoder and a dual-branch boundary refiner.
+decoder and a dual-branch boundary refiner, into which the one-channel
+logit head is folded.
 
 Weights are seeded-random (see pipeline_weight_spec / default_weights)
 or loaded from a .fgw bundle; there is no training here.
@@ -280,26 +281,37 @@ def gfa(features, w: WeightStore) -> FeatureGrid:
 
 
 def brm(fused: FeatureGrid, w: WeightStore) -> FeatureGrid:
-    """Dual-branch residual boundary refiner (context + edge branches).
+    """Dual-branch residual boundary refiner folded into the head: (1,H,W) logits.
 
-    The output projection of the concatenated branches is evaluated as
-    the sum of each branch's projection by its half of brm.proj_w, so
-    the two branches are never concatenated.
+    The refiner adds to its input the projection (brm.proj_w, brm.proj_b)
+    of a context branch, relu(depthwise) then pointwise, and an edge
+    branch, depthwise.  Every layer after the context relu is linear, so
+    the head (head.w, head.b) is folded through them: with h = head.w,
+    P_ctx and P_edge the halves of brm.proj_w and W_pw = brm.ctx_pw_w,
+    the logits are
+
+        h F + head.b + (h P_ctx W_pw) relu(ctx_dw(F))
+        + conv(F, (h P_edge) * brm.edge_dw_w) + c,
+
+    with c = h (P_ctx ctx_pw_b + proj_b) + (h P_edge) edge_dw_b.  This
+    runs one full-resolution depthwise and no ce-channel projection.
     """
     ce = fused.channels
+    head_w = w.get("head.w", (1, ce))
     proj_w = w.get("brm.proj_w", (ce, 2 * ce))
+    u = head_w @ proj_w[:, :ce] @ w.get("brm.ctx_pw_w", (ce, ce))
+    v = head_w @ proj_w[:, ce:]
+    c = (head_w @ (proj_w[:, :ce] @ w.get("brm.ctx_pw_b", (ce,)) + w.get("brm.proj_b", (ce,)))
+         + v @ w.get("brm.edge_dw_b", (ce,)))
+    logits = conv1x1(fused.data, head_w, w.get("head.b", (1,)))
     ctx = depthwise_conv2d(fused.data, w.get("brm.ctx_dw_w", (ce, 3, 3)),
                            w.get("brm.ctx_dw_b", (ce,)))
     np.maximum(ctx, 0.0, out=ctx)  # relu, in place on this function's array
-    ctx = conv1x1(ctx, w.get("brm.ctx_pw_w", (ce, ce)), w.get("brm.ctx_pw_b", (ce,)))
-    proj = conv1x1(ctx, proj_w[:, :ce], w.get("brm.proj_b", (ce,)))
+    logits += conv1x1(ctx, u)
     del ctx
-    edge = depthwise_conv2d(fused.data, w.get("brm.edge_dw_w", (ce, 3, 3)),
-                            w.get("brm.edge_dw_b", (ce,)))
-    proj += conv1x1(edge, proj_w[:, ce:])
-    del edge
-    proj += fused.data
-    return FeatureGrid(proj)
+    edge_w = v.reshape(1, ce, 1, 1) * w.get("brm.edge_dw_w", (ce, 3, 3))[None]
+    logits += conv2d(fused.data, edge_w, c)
+    return FeatureGrid(logits)
 
 
 def forward(image: FeatureGrid, cfg: PipelineConfig | None = None,
@@ -337,9 +349,8 @@ def forward(image: FeatureGrid, cfg: PipelineConfig | None = None,
     del tap, x
     # hand the stage outputs over one by one, so gfa frees each once it is summed
     fused = gfa((taps.pop(0) for _ in range(STAGES)), w)
-    refined = brm(fused, w)
-    logits = conv1x1(refined.data, w.get("head.w", (1, refined.channels)), w.get("head.b", (1,)))
-    mask = FeatureGrid(sigmoid(logits))
+    logits = brm(fused, w)
+    mask = FeatureGrid(sigmoid(logits.data))
     if (mask.height, mask.width) != (image.height, image.width):
         mask = resize_bilinear(mask, image.height, image.width)
     return mask

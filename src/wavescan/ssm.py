@@ -29,6 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionError
+from .nn import softplus
 from .weights import WeightStore
 
 try:
@@ -249,7 +250,7 @@ def _coefficients(params: SsmParams, u: np.ndarray):
     """Per-step (decay, drive, readout) tensors for the affine recurrence."""
     length = u.shape[0]
     if params.selective:
-        delta = np.logaddexp(0.0, u @ params.delta_w.T + params.delta_b)
+        delta = softplus(u @ params.delta_w.T + params.delta_b)
         b_t = u @ params.b_w.T
         c_t = u @ params.c_w.T
     else:

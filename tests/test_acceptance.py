@@ -18,6 +18,7 @@ from wavescan.fablock import LgbConfig, ScanAssignment, fa_scan, lgb, lgb_weight
 from wavescan.flops import conv_macs, cross_scan_macs, fa_scan_macs
 from wavescan.grid import FeatureGrid, bilinear_gradient, bilinear_sample
 from wavescan.metrics import ODS_THRESHOLDS, cldice, dice, ods, region_metrics
+from wavescan.nn import conv1x1
 from wavescan.pipeline import (
     PipelineConfig,
     align,
@@ -303,9 +304,15 @@ def test_criterion_08_identity_degeneracies():
                              for n, s in lgb_weight_spec(channels, LgbConfig(stage=1))})
     ok &= bool(np.array_equal(lgb(y, LgbConfig(stage=1), lgb_store).data, y.data))
 
-    brm_spec = [(n, s) for n, s in pipeline_weight_spec(cfg_block) if n.startswith("brm.")]
-    brm_store = WeightStore({n: np.zeros(s) for n, s in brm_spec})
-    ok &= bool(np.array_equal(brm(y, brm_store).data, y.data))
+    # brm carries the head: with zero refiner weights it is the head alone
+    brm_spec = [(n, s) for n, s in pipeline_weight_spec(cfg_block)
+                if n.startswith(("brm.", "head."))]
+    brm_store = seeded_init(brm_spec, 808)
+    for name in brm_store.names():
+        if name.startswith("brm."):
+            brm_store[name] = np.zeros_like(brm_store[name])
+    head_only = conv1x1(y.data, brm_store["head.w"], brm_store["head.b"])
+    ok &= bool(np.array_equal(brm(y, brm_store).data, head_only))
 
     align_store = WeightStore({n: np.zeros(s) for n, s in align_weight_spec(channels)})
     bands = [FeatureGrid(rng.normal(size=(channels, 12, 12))) for _ in range(3)]

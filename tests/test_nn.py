@@ -14,7 +14,7 @@ from wavescan.nn import (
     sigmoid,
     softplus,
 )
-from wavescan.pipeline import PipelineConfig, brm, gfa, pipeline_weight_spec
+from wavescan.pipeline import PipelineConfig, brm, forward, gfa, pipeline_weight_spec
 from wavescan.ssm import SsmParams, _coefficients, ssm_scan_parallel
 from wavescan.weights import seeded_init
 
@@ -35,7 +35,7 @@ def naive_conv(x, w, b, stride=1):
 
 
 def full_pad_conv2d(x, w, b=None, stride=1):
-    """The previous conv2d: one edge-padded copy of the whole input, same row blocks."""
+    """conv2d's im2col orientation on one edge-padded copy of the whole input, same row blocks."""
     c_in, h, width = x.shape
     c_out, _, kh, kw = w.shape
     xp = np.pad(x, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)), mode="edge")
@@ -56,6 +56,31 @@ def full_pad_conv2d(x, w, b=None, stride=1):
                 taps[:, i * kw + j] = xp[:, i + top : i + bottom : stride, j : j + width : stride]
         np.matmul(wmat, taps.reshape(depth, rows * ow),
                   out=flat_out[:, r0 * ow : (r0 + rows) * ow])
+    if b is not None:
+        out += b[:, None, None]
+    return out
+
+
+def full_pad_tap_major(x, w, b=None):
+    """conv2d's tap-major orientation on one edge-padded copy of the whole input, same row blocks."""
+    c_in, h, width = x.shape
+    c_out, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)), mode="edge")
+    wp = width + kw - 1
+    stack = kh * kw * c_out
+    block = max(1, min(h, nn._TAP_BLOCK_BYTES // (max(stack, c_in) * wp * 8)))
+    wtap = w.transpose(2, 3, 0, 1).reshape(stack, c_in)
+    out = np.empty((c_out, h, width))
+    for r0 in range(0, h, block):
+        rows = min(block, h - r0)
+        span = rows + kh - 1
+        planes = (wtap @ xp[:, r0 : r0 + span].reshape(c_in, span * wp)).reshape(
+            kh, kw, c_out, span, wp)
+        acc = planes[0, 0, :, :rows, :width].copy()
+        for k in range(1, kh * kw):
+            i, j = divmod(k, kw)
+            acc += planes[i, j, :, i : i + rows, j : j + width]
+        out[:, r0 : r0 + rows] = acc
     if b is not None:
         out += b[:, None, None]
     return out
@@ -89,8 +114,36 @@ BLOCK_CASES = [
 ]
 
 
+# (C_in, C_out, H, W, kernel) with C_out < C_in at stride 1, the tap-major
+# orientation: odd sizes, 1-wide axes, 1x1, 5x5 and 1x3 kernels.
+TAP_CASES = [
+    (6, 1, 7, 9, 3),
+    (4, 3, 13, 11, 3),
+    (3, 1, 1, 5, 3),
+    (3, 2, 5, 1, 3),
+    (2, 1, 1, 1, 3),
+    (3, 2, 9, 7, 5),
+    (4, 1, 10, 9, 5),
+    (5, 2, 11, 8, (1, 3)),
+    (6, 2, 5, 7, 1),
+]
+
+
 def _kernel_dims(k):
     return k if isinstance(k, tuple) else (k, k)
+
+
+def count_row_blocks(monkeypatch):
+    """Counts the row blocks the convolutions pad: one _pad_rows call each."""
+    calls = []
+    pad_rows = nn._pad_rows
+
+    def counted(*args):
+        calls.append(args[3])
+        return pad_rows(*args)
+
+    monkeypatch.setattr(nn, "_pad_rows", counted)
+    return calls
 
 
 class TestConv:
@@ -125,15 +178,15 @@ class TestConv:
             conv2d(np.zeros((1, 4, 4)), np.zeros((1, 1, 2, 2)))
 
     @pytest.mark.parametrize("shape,stride", [
-        ((64, 41, 43), 1),  # two row blocks, the last one short
-        ((64, 81, 87), 2),  # three row blocks, the last one a single row
+        ((64, 41, 43), 1),  # tap-major (64 -> 3): one block
+        ((64, 81, 87), 2),  # im2col: three row blocks, the last one a single row
         ((3, 1, 5), 1),
         ((5, 9, 7), 2),
     ])
     def test_row_blocks_match_naive_oracle(self, shape, stride):
         c_in, h, width = shape
         oh, ow = -(-h // stride), -(-width // stride)
-        if c_in == 64:
+        if c_in == 64 and stride == 2:
             assert c_in * 9 * oh * ow * 8 > nn._TAP_BLOCK_BYTES
             assert oh % (nn._TAP_BLOCK_BYTES // (c_in * 9 * ow * 8)) != 0
         rng = np.random.default_rng(h)
@@ -156,17 +209,73 @@ class TestConv:
         x = rng.normal(size=(c_in, h, width))
         w = rng.normal(size=(4, c_in, kh, kw))
         b = rng.normal(size=4)
+        assert c_in <= 4  # C_out = 4 >= C_in: the im2col orientation
         got = conv2d(x, w, b, stride=stride)
         assert np.array_equal(got, full_pad_conv2d(x, w, b, stride=stride))
         assert np.abs(got - naive_conv(x, w, b, stride=stride)).max() <= 1e-10
+
+    @pytest.mark.parametrize("budget", [None, 1, 700, 3000])
+    @pytest.mark.parametrize("c_in,c_out,h,width,k", TAP_CASES)
+    def test_tap_major_bit_identical_to_full_pad(self, monkeypatch, budget, c_in, c_out, h,
+                                                 width, k):
+        if budget is not None:
+            monkeypatch.setattr(nn, "_TAP_BLOCK_BYTES", budget)
+        kh, kw = _kernel_dims(k)
+        rng = np.random.default_rng(c_in * 100 + h * 10 + width)
+        x = rng.normal(size=(c_in, h, width))
+        w = rng.normal(size=(c_out, c_in, kh, kw))
+        b = rng.normal(size=c_out)
+        got = conv2d(x, w, b)
+        assert np.array_equal(got, full_pad_tap_major(x, w, b))
+        assert np.array_equal(conv2d(x, w), full_pad_tap_major(x, w))
+        assert np.abs(got - naive_conv(x, w, b)).max() <= 1e-10
+
+    def test_tap_major_row_blocks_with_a_short_last_block(self, monkeypatch):
+        # 6 -> 1 at 7 x 9 takes 9 * 11 * 8 B per row: 3-row blocks, 3 + 3 + 1 rows.
+        monkeypatch.setattr(nn, "_TAP_BLOCK_BYTES", 3000)
+        blocks = count_row_blocks(monkeypatch)
+        rng = np.random.default_rng(16)
+        x, w = rng.normal(size=(6, 7, 9)), rng.normal(size=(1, 6, 3, 3))
+        assert np.array_equal(conv2d(x, w), full_pad_tap_major(x, w))
+        assert blocks == [0, 3, 6]
 
     @pytest.mark.parametrize("shape,stride", [((64, 41, 43), 1), ((64, 81, 87), 2)])
     def test_bit_identical_to_full_pad_at_default_budget(self, shape, stride):
         rng = np.random.default_rng(shape[1])
         x = rng.normal(size=shape)
         w = rng.normal(size=(3, shape[0], 3, 3))
-        assert np.array_equal(conv2d(x, w, None, stride=stride),
-                              full_pad_conv2d(x, w, None, stride=stride))
+        # 64 -> 3 is tap-major at stride 1 and im2col at stride 2.
+        if stride == 1:
+            want = full_pad_tap_major(x, w)
+        else:
+            want = full_pad_conv2d(x, w, None, stride=stride)
+        assert np.array_equal(conv2d(x, w, None, stride=stride), want)
+
+    def test_orientation_of_every_pipeline_conv(self, monkeypatch):
+        """Tap-major exactly for stride 1 with C_out < C_in, over every conv of a forward."""
+        seen = {"tap": set(), "im2col": set()}
+        tap_major, im2col = nn._conv2d_tap_major, nn._conv2d_im2col
+
+        def record_tap(x, w):
+            seen["tap"].add((x.shape[0], w.shape[0], w.shape[2], 1))
+            return tap_major(x, w)
+
+        def record_im2col(x, w, stride):
+            seen["im2col"].add((x.shape[0], w.shape[0], w.shape[2], stride))
+            return im2col(x, w, stride)
+
+        monkeypatch.setattr(nn, "_conv2d_tap_major", record_tap)
+        monkeypatch.setattr(nn, "_conv2d_im2col", record_im2col)
+        image = FeatureGrid(np.random.default_rng(17).uniform(size=(1, 64, 64)))
+        for cfg in (PipelineConfig(), PipelineConfig(stem_stride=2)):
+            forward(image, cfg)
+        # (C_in, C_out, k, stride): align's two predictor convs per stage and
+        # the folded edge branch of brm; stem, downsamples and the gfa fuse.
+        assert seen["tap"] == {(48, 8, 3, 1), (8, 2, 3, 1), (96, 16, 3, 1), (16, 2, 3, 1),
+                               (192, 32, 3, 1), (32, 2, 3, 1), (384, 64, 3, 1),
+                               (64, 2, 3, 1), (16, 1, 3, 1)}
+        assert seen["im2col"] == {(1, 16, 3, 1), (1, 16, 3, 2), (16, 32, 3, 2),
+                                  (32, 64, 3, 2), (64, 128, 3, 2), (16, 16, 3, 1)}
 
 
 class TestDepthwise:
@@ -193,21 +302,25 @@ class TestDepthwise:
     @pytest.mark.parametrize("c,h,width,k,_stride", BLOCK_CASES)
     def test_bit_identical_to_full_pad(self, monkeypatch, budget, c, h, width, k, _stride):
         if budget is not None:
-            monkeypatch.setattr(nn, "_TAP_BLOCK_BYTES", budget)
+            monkeypatch.setattr(nn, "_DEPTHWISE_BLOCK_BYTES", budget)
+        blocks = count_row_blocks(monkeypatch)
         kh, kw = _kernel_dims(k)
         rng = np.random.default_rng(c * 100 + h * 10 + width)
         x = rng.normal(size=(c, h, width))
         w = rng.normal(size=(c, kh, kw))
         b = rng.normal(size=c)
         assert np.array_equal(depthwise_conv2d(x, w, b), full_pad_depthwise(x, w, b))
+        if budget is not None and h > 1 and budget < x.nbytes:
+            assert len(blocks) > 1  # the patched budget splits the rows
         assert np.array_equal(depthwise_conv2d(x, w), full_pad_depthwise(x, w))
 
-    def test_bit_identical_over_default_row_blocks(self):
-        # 64 x 300 float64 rows give 27-row blocks: 27 + 27 + 6 rows.
+    def test_bit_identical_over_default_row_blocks(self, monkeypatch):
+        # 64 x 300 float64 rows give 6-row blocks: nine of 6 rows and one of 6.
+        blocks = count_row_blocks(monkeypatch)
         x = np.random.default_rng(9).normal(size=(64, 60, 300))
         w = np.random.default_rng(10).normal(size=(64, 3, 3))
-        assert x.nbytes > nn._TAP_BLOCK_BYTES
         assert np.array_equal(depthwise_conv2d(x, w), full_pad_depthwise(x, w))
+        assert blocks == list(range(0, 60, 6))
 
 
 class TestSmallOps:
@@ -242,6 +355,23 @@ class TestSmallOps:
         x = np.linspace(-20, 20, 41)
         assert np.allclose(softplus(x), np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0))
 
+    def test_softplus_within_4_ulp_of_logaddexp(self):
+        rng = np.random.default_rng(18)
+        x = np.concatenate([
+            [-800.0, 800.0, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-300, 36.0, -36.0,
+             709.0, 710.0, -745.0, 1e300, -1e300],
+            rng.normal(scale=3.0, size=20000), rng.uniform(-60, 60, 20000),
+            rng.normal(scale=1e-8, size=2000),
+        ])
+        want = np.logaddexp(0.0, x)
+        got = softplus(x)
+        finite = np.isfinite(want)
+        assert np.array_equal(got[~finite], want[~finite])  # +inf
+        ulp = np.spacing(want[finite])
+        assert np.all(np.abs(got[finite] - want[finite]) <= 4 * ulp)
+        assert np.isnan(softplus(np.array([np.nan, 1.0, np.nan]))).tolist() == [True, False, True]
+        assert softplus(0.0) == np.logaddexp(0.0, 0.0)  # a scalar gives a 0-d result
+
 
 class TestInputsUnchanged:
     """Every op that writes in place does so only on arrays it allocated itself."""
@@ -254,6 +384,7 @@ class TestInputsUnchanged:
             assert np.array_equal(a, want)
 
     def test_conv2d(self):
+        # 64 -> 3 runs tap-major at stride 1 and im2col at stride 2.
         rng = np.random.default_rng(5)
         x, w, b = rng.normal(size=(64, 41, 43)), rng.normal(size=(3, 64, 3, 3)), rng.normal(size=3)
         self.assert_unchanged(lambda: conv2d(x, w, b), x, w, b)
@@ -275,11 +406,18 @@ class TestInputsUnchanged:
         self.assert_unchanged(lambda: resize_bilinear(grid, out_h, out_w), grid.data)
 
     def test_depthwise_conv2d_over_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(nn, "_DEPTHWISE_BLOCK_BYTES", 200)
         monkeypatch.setattr(nn, "_TAP_BLOCK_BYTES", 200)
+        blocks = count_row_blocks(monkeypatch)
         rng = np.random.default_rng(9)
         x, w, b = rng.normal(size=(2, 9, 11)), rng.normal(size=(2, 3, 3)), rng.normal(size=2)
         self.assert_unchanged(lambda: depthwise_conv2d(x, w, b), x, w, b)
-        self.assert_unchanged(lambda: conv2d(x, w[:, None].repeat(2, 1), b), x, w, b)
+        assert len(blocks) == 9
+        # 2 -> 2 runs im2col, 2 -> 1 tap-major; both over one-row blocks.
+        w2 = w[:, None].repeat(2, 1)
+        self.assert_unchanged(lambda: conv2d(x, w2, b), x, w, w2, b)
+        self.assert_unchanged(lambda: conv2d(x, w2[:1], b[:1]), x, w, w2, b)
+        assert len(blocks) == 27
 
     def test_sample_px(self):
         rng = np.random.default_rng(10)
@@ -313,6 +451,7 @@ class TestInputsUnchanged:
         rng = np.random.default_rng(15)
         levels = [FeatureGrid(rng.normal(size=(c, 16 >> i, 16 >> i)))
                   for i, c in enumerate(cfg.channels)]
-        weights = [arr for name, arr in store.items() if name.startswith(("gfa.", "brm."))]
+        weights = [arr for name, arr in store.items()
+                   if name.startswith(("gfa.", "brm.", "head."))]
         self.assert_unchanged(lambda: gfa(levels, store), *(lvl.data for lvl in levels), *weights)
         self.assert_unchanged(lambda: brm(levels[0], store), levels[0].data, *weights)

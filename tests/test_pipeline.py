@@ -177,13 +177,16 @@ class TestDecoder:
             gfa(self.make_levels()[:3], store)
 
     def test_brm_zero_weights_identity(self):
+        # A refiner with zero weights passes its input on unchanged to the head.
         cfg = PipelineConfig(channels=(8, 16, 32, 64))
         store = self.gfa_store(cfg)
         for name in store.names():
             if name.startswith("brm."):
                 store[name] = np.zeros_like(store[name])
+        store["head.b"] = np.array([0.3])
         fused = FeatureGrid(np.random.default_rng(5).normal(size=(8, 12, 12)))
-        assert np.array_equal(brm(fused, store).data, fused.data)
+        # the fold adds exact zeros to the head's own projection
+        assert np.array_equal(brm(fused, store).data, head(fused.data, store))
 
     def test_brm_laplacian_edge_branch_ignores_constants(self):
         cfg = PipelineConfig(channels=(8, 16, 32, 64))
@@ -194,7 +197,7 @@ class TestDecoder:
         store["brm.ctx_pw_w"] = np.zeros_like(store["brm.ctx_pw_w"])
         fused = FeatureGrid.full(8, 10, 10, 3.7)
         out = brm(fused, store)
-        assert np.abs(out.data - fused.data).max() <= 1e-9
+        assert np.abs(out.data - head(fused.data, store)).max() <= 1e-9
 
     def test_brm_matches_step_oracle(self):
         from wavescan.nn import conv1x1, depthwise_conv2d, relu
@@ -207,19 +210,43 @@ class TestDecoder:
                                             store["brm.ctx_dw_b"])),
                       store["brm.ctx_pw_w"], store["brm.ctx_pw_b"])
         edge = depthwise_conv2d(fused.data, store["brm.edge_dw_w"], store["brm.edge_dw_b"])
-        want = fused.data + conv1x1(np.concatenate([ctx, edge]), store["brm.proj_w"],
-                                    store["brm.proj_b"])
-        assert np.abs(got.data - want).max() <= 1e-5
+        refined = fused.data + conv1x1(np.concatenate([ctx, edge]), store["brm.proj_w"],
+                                       store["brm.proj_b"])
+        assert got.shape == (1, 6, 6)
+        assert np.abs(got.data - head(refined, store)).max() <= 1e-5
+
+
+def head(refined, store):
+    """The previous head: one projection of the refined decoder map to a logit."""
+    from wavescan.nn import conv1x1
+
+    return conv1x1(refined, store["head.w"], store["head.b"])
 
 
 def concat_brm(fused, store):
-    """The previous brm: both branches concatenated, then one projection."""
+    """The first brm: both branches concatenated, then one projection."""
     from wavescan.nn import conv1x1, depthwise_conv2d, relu
 
     ctx = conv1x1(relu(depthwise_conv2d(fused, store["brm.ctx_dw_w"], store["brm.ctx_dw_b"])),
                   store["brm.ctx_pw_w"], store["brm.ctx_pw_b"])
     edge = depthwise_conv2d(fused, store["brm.edge_dw_w"], store["brm.edge_dw_b"])
     proj = conv1x1(np.concatenate([ctx, edge], axis=0), store["brm.proj_w"], store["brm.proj_b"])
+    proj += fused
+    return proj
+
+
+def split_brm(fused, store):
+    """The brm before the head was folded in: each branch projected by its half of brm.proj_w."""
+    from wavescan.nn import conv1x1, depthwise_conv2d
+
+    ce = fused.shape[0]
+    proj_w = store["brm.proj_w"]
+    ctx = depthwise_conv2d(fused, store["brm.ctx_dw_w"], store["brm.ctx_dw_b"])
+    np.maximum(ctx, 0.0, out=ctx)
+    ctx = conv1x1(ctx, store["brm.ctx_pw_w"], store["brm.ctx_pw_b"])
+    proj = conv1x1(ctx, proj_w[:, :ce], store["brm.proj_b"])
+    edge = depthwise_conv2d(fused, store["brm.edge_dw_w"], store["brm.edge_dw_b"])
+    proj += conv1x1(edge, proj_w[:, ce:])
     proj += fused
     return proj
 
@@ -247,13 +274,16 @@ def oracle_gfa(features, store):
 class TestDecoderOracles:
     @pytest.mark.parametrize("shape", [(8, 6, 6), (8, 9, 13), (8, 1, 7), (8, 5, 1)])
     def test_split_projection_brm_matches_concat(self, shape):
+        # The folded logits against the head of both earlier refiners.
         cfg = PipelineConfig(channels=(8, 16, 32, 64))
-        spec = [(n, s) for n, s in pipeline_weight_spec(cfg) if n.startswith("brm.")]
+        spec = [(n, s) for n, s in pipeline_weight_spec(cfg) if n.startswith(("brm.", "head."))]
         store = seeded_init(spec, shape[1])
         fused = FeatureGrid(np.random.default_rng(shape[2]).normal(size=shape))
         got = brm(fused, store).data
-        want = concat_brm(fused.data, store)
-        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        for oracle in (concat_brm, split_brm):
+            want = head(oracle(fused.data, store), store)
+            assert got.shape == want.shape == (1,) + shape[1:]
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("base", [(16, 16), (18, 14), (8, 8)])
     def test_gfa_bit_identical_to_oracle(self, base):
@@ -293,7 +323,7 @@ class TestForward:
         img = FeatureGrid(np.random.default_rng(3).uniform(size=(1, 32, 32)))
         got = forward(img, cfg, w)
 
-        from wavescan.nn import conv1x1, sigmoid
+        from wavescan.nn import sigmoid
 
         x = stem(img, cfg, w)
         taps = []
@@ -302,9 +332,7 @@ class TestForward:
             taps.append(x)
             if stage < 4:
                 x = downsample(x, cfg, w, stage)
-        refined = brm(gfa(taps, w), w)
-        logits = conv1x1(refined.data, w["head.w"], w["head.b"])
-        want = sigmoid(logits)
+        want = sigmoid(head(split_brm(gfa(taps, w).data, w), w))
         assert np.abs(got.data - want).max() <= 1e-5
 
     def test_weight_bundle_roundtrip_preserves_output(self, tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wavescan.errors import DimensionError
+from wavescan.nn import softplus
 from wavescan.ssm import (
     HAVE_COMPILED_KERNEL,
     SsmParams,
@@ -179,7 +180,7 @@ def oracle_coefficients(params, u):
     """The previous _coefficients: broadcast products into new arrays."""
     length = u.shape[0]
     if params.selective:
-        delta = np.logaddexp(0.0, u @ params.delta_w.T + params.delta_b)
+        delta = softplus(u @ params.delta_w.T + params.delta_b)
         b_t = u @ params.b_w.T
         c_t = u @ params.c_w.T
     else:
