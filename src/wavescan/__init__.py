@@ -31,12 +31,7 @@ from .scanorder import (
     locality_cost,
     serialize,
 )
-from .ssm import (
-    HAVE_COMPILED_KERNEL,
-    SsmParams,
-    ssm_scan_parallel,
-    ssm_scan_sequential,
-)
+from .ssm import SsmParams, ssm_scan_parallel, ssm_scan_sequential
 from .asgp import (
     AsgpConfig,
     ProbeSet,

@@ -1,9 +1,9 @@
 """Wall-clock benchmark harness for the core kernels and the forward pass.
 
 Reports median (not mean) over >= 10 iterations with warmup discarded,
-so scheduler noise cannot skew comparisons.  When the compiled
-recurrence kernel is built, both it and the numpy fallback are timed so
-their throughputs can be compared directly.
+so scheduler noise cannot skew comparisons.  Ops: dwt_haar, idwt_haar,
+hilbert_build, serialize_roundtrip, ssm_scan_parallel, fa_scan,
+cross_scan and forward.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .fablock import cross_scan, fa_scan
 from .grid import FeatureGrid
 from .pipeline import PipelineConfig, default_weights, forward
 from .scanorder import ScanKind, build_scan_order, deserialize, serialize
-from .ssm import SsmParams, _coefficients, recurrence_backends, ssm_scan_parallel
+from .ssm import SsmParams, ssm_scan_parallel
 from .wavelet import dwt_haar, idwt_haar
 
 
@@ -92,13 +92,6 @@ def run_benchmarks(size: int = 256, forward_runs: int = 100, kernel_runs: int = 
     length, channels, states = (half // 2) ** 2, 16, 8
     psi = SsmParams.random(channels, states, seed=seed)
     tokens = rng.normal(size=(length, channels))
-    decay, drive, _ = _coefficients(psi, tokens)
-    if wanted("ssm_recurrence"):
-        for name, backend in recurrence_backends().items():
-            out = np.empty_like(decay)
-            reports.append(_report(f"ssm_recurrence[{name}]", decay.shape,
-                                   lambda b=backend: b(decay, drive, out),
-                                   kernel_runs, decay.size))
     if wanted("ssm_scan_parallel"):
         reports.append(_report("ssm_scan_parallel", (length, channels),
                                lambda: ssm_scan_parallel(psi, tokens),

@@ -19,6 +19,7 @@ import numpy as np
 from . import fileio
 from .asgp import (
     AsgpConfig,
+    asgp_gate,
     asgp_weight_spec,
     coarse_potential,
     evolve_probes,
@@ -30,7 +31,6 @@ from .errors import ConfigError
 from .fablock import ScanAssignment, fa_scan
 from .grid import FeatureGrid
 from .metrics import _OdsCounts, cldice, region_metrics
-from .nn import sigmoid
 from .pipeline import PipelineConfig, default_weights, forward
 from .scanorder import ScanKind, build_scan_order, locality_cost, serialize
 from .ssm import SsmParams
@@ -112,7 +112,8 @@ def cmd_probe_demo(args) -> int:
     trajectory: list[np.ndarray] = []
     refined = evolve_probes(m0, carrier, probes, cfg, store, trajectory=trajectory)
     m1 = refine_mask(refined, (carrier.height, carrier.width), cfg)
-    gate = sigmoid(cfg.blend * m1.data[0] + (1.0 - cfg.blend) * m0.data[0])
+    unit = FeatureGrid(np.ones((1, carrier.height, carrier.width)))
+    gate = asgp_gate(m0, m1, [unit], cfg)[0].data[0]
     rows = [
         [t, i, _fmt(float(coords[i, 0])), _fmt(float(coords[i, 1]))]
         for t, coords in enumerate(trajectory)

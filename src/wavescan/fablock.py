@@ -23,7 +23,7 @@ from .errors import DimensionError
 from .grid import FeatureGrid
 from .nn import conv1x1, depthwise_conv2d, global_avg_pool, relu, sigmoid
 from .scanorder import ScanKind, build_scan_order, deserialize, parse_kind, serialize
-from .ssm import SsmParams, _coefficients, ssm_scan_parallel, ssm_scan_sequential
+from .ssm import SsmParams, _affine_recurrence, _coefficients, ssm_scan_parallel
 from .wavelet import SubbandSet, dwt_haar, idwt_haar
 from .weights import WeightStore
 
@@ -97,15 +97,14 @@ def _check_scan_input(x: FeatureGrid, minimum: int) -> None:
         )
 
 
-def _scan_band(band: FeatureGrid, kind: ScanKind, psi: SsmParams, parallel: bool) -> FeatureGrid:
+def _scan_band(band: FeatureGrid, kind: ScanKind, psi: SsmParams) -> FeatureGrid:
     order = build_scan_order(kind, band.height, band.width)
     seq = serialize(band, order).T  # (L, C) tokens
-    scan = ssm_scan_parallel if parallel else ssm_scan_sequential
-    return deserialize(scan(psi, seq).T, order)
+    return deserialize(ssm_scan_parallel(psi, seq).T, order)
 
 
-def fa_scan(x_ll_aligned: FeatureGrid, psi: SsmParams, assign: ScanAssignment | None = None,
-            parallel: bool = True) -> FeatureGrid:
+def fa_scan(x_ll_aligned: FeatureGrid, psi: SsmParams,
+            assign: ScanAssignment | None = None) -> FeatureGrid:
     """Orientation-matched scan of the topology carrier; shape-preserving.
 
     Odd dimensions follow the wavelet module's policy (edge replication
@@ -115,31 +114,22 @@ def fa_scan(x_ll_aligned: FeatureGrid, psi: SsmParams, assign: ScanAssignment | 
     _check_scan_input(x_ll_aligned, minimum=2)
     bands = dwt_haar(x_ll_aligned)
     out = SubbandSet(
-        ll=_scan_band(bands.ll, assign.ll, psi, parallel),
-        lh=_scan_band(bands.lh, assign.lh, psi, parallel),
-        hl=_scan_band(bands.hl, assign.hl, psi, parallel),
-        hh=_scan_band(bands.hh, assign.hh, psi, parallel),
+        ll=_scan_band(bands.ll, assign.ll, psi),
+        lh=_scan_band(bands.lh, assign.lh, psi),
+        hl=_scan_band(bands.hl, assign.hl, psi),
+        hh=_scan_band(bands.hh, assign.hh, psi),
     )
     return idwt_haar(out, x_ll_aligned.height, x_ll_aligned.width)
 
 
-def _strip_recurrence(decay: np.ndarray, drive: np.ndarray, reverse: bool) -> np.ndarray:
-    """Affine recurrence along axis 1 of (B, L, C, N), strips independent."""
-    if reverse:
-        decay = decay[:, ::-1]
-        drive = drive[:, ::-1]
-    out = np.empty_like(drive)
-    state = drive[:, 0].copy()
-    out[:, 0] = state
-    for t in range(1, drive.shape[1]):
-        state = decay[:, t] * state + drive[:, t]
-        out[:, t] = state
-    return out[:, ::-1] if reverse else out
-
-
 def _scan_four_directions(band: FeatureGrid, psi: SsmParams) -> FeatureGrid:
     """Average of four directional passes: left/right along rows, down/up
-    along columns, each strip scanned independently with zero initial state."""
+    along columns, each strip scanned independently with zero initial state.
+
+    Every pass runs the sequential reference on step-first views of one
+    (H, W, C, N) coefficient set: transposed for rows, as stored for
+    columns, and reversed along the step axis for the backward passes.
+    """
     c, h, w = band.shape
     tokens = band.data.reshape(c, -1).T
     decay, drive, c_t = _coefficients(psi, tokens)
@@ -147,14 +137,13 @@ def _scan_four_directions(band: FeatureGrid, psi: SsmParams) -> FeatureGrid:
     decay = decay.reshape(h, w, c, n)
     drive = drive.reshape(h, w, c, n)
     c_grid = c_t.reshape(h, w, n)
+    hs = np.empty_like(drive)
     acc = np.zeros((h, w, c))
-    for reverse in (False, True):
-        acc += np.einsum("hwcn,hwn->hwc", _strip_recurrence(decay, drive, reverse), c_grid)
-    decay_t = decay.transpose(1, 0, 2, 3)
-    drive_t = drive.transpose(1, 0, 2, 3)
-    for reverse in (False, True):
-        hs = _strip_recurrence(decay_t, drive_t, reverse).transpose(1, 0, 2, 3)
-        acc += np.einsum("hwcn,hwn->hwc", hs, c_grid)
+    for axes in ((1, 0, 2, 3), (0, 1, 2, 3)):  # rows, then columns
+        a, b, states = decay.transpose(axes), drive.transpose(axes), hs.transpose(axes)
+        for step in (slice(None), slice(None, None, -1)):
+            _affine_recurrence(a[step], b[step], states[step])
+            acc += np.einsum("hwcn,hwn->hwc", hs, c_grid)
     out = acc / 4.0 + psi.d_skip * tokens.reshape(h, w, c)
     return FeatureGrid(np.ascontiguousarray(out.transpose(2, 0, 1)))
 

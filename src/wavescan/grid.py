@@ -98,22 +98,32 @@ def as_coord_array(coords) -> np.ndarray:
     return arr
 
 
+def _lerp_indices(pos, size: int):
+    """Clamp pixel positions on an axis of ``size`` to [0, size - 1].
+
+    Returns (i0, i1, frac): the enclosing indices and the weight of i1, in
+    [0, 1].  A size-1 axis collapses to index 0 with frac 0.
+    """
+    if size == 1:
+        idx = np.zeros(np.shape(pos), dtype=np.intp)
+        return idx, idx, np.zeros(np.shape(pos))
+    pos = np.clip(pos, 0.0, float(size - 1))
+    i0 = np.minimum(np.floor(pos).astype(np.intp), size - 2)
+    return i0, i0 + 1, pos - i0
+
+
 def _axis_positions(norm: np.ndarray, size: int):
     """Map normalized coords on one axis to clamped pixel positions.
 
-    Returns (i0, i1, frac, clamped_mask) with i0/i1 the enclosing indices
-    and frac in [0, 1].  A size-1 axis collapses to index 0 with frac 0.
+    Returns (i0, i1, frac, clamped_mask) as ``_lerp_indices`` does, plus
+    where the coordinate fell outside the axis (everywhere on a size-1 axis).
     """
-    if size == 1:
-        zeros = np.zeros_like(norm)
-        idx = np.zeros(norm.shape, dtype=np.intp)
-        return idx, idx, zeros, np.ones(norm.shape, dtype=bool)
     pos = (norm + 1.0) * ((size - 1) / 2.0)
-    clamped = (pos < 0.0) | (pos > size - 1.0)
-    pos = np.clip(pos, 0.0, float(size - 1))
-    i0 = np.minimum(np.floor(pos).astype(np.intp), size - 2)
-    frac = pos - i0
-    return i0, i0 + 1, frac, clamped
+    if size == 1:
+        clamped = np.ones(norm.shape, dtype=bool)
+    else:
+        clamped = (pos < 0.0) | (pos > size - 1.0)
+    return (*_lerp_indices(pos, size), clamped)
 
 
 def sample_px(data: np.ndarray, cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -122,23 +132,9 @@ def sample_px(data: np.ndarray, cols: np.ndarray, rows: np.ndarray) -> np.ndarra
     ``cols`` and ``rows`` are float arrays of equal shape S; returns (C, *S).
     Integer positions reproduce stored values exactly.
     """
-    c_count, h, w = data.shape
-    if w > 1:
-        cols = np.clip(cols, 0.0, float(w - 1))
-        c0 = np.minimum(np.floor(cols).astype(np.intp), w - 2)
-        fx = cols - c0
-        c1 = c0 + 1
-    else:
-        c0 = c1 = np.zeros(np.shape(cols), dtype=np.intp)
-        fx = np.zeros(np.shape(cols))
-    if h > 1:
-        rows = np.clip(rows, 0.0, float(h - 1))
-        r0 = np.minimum(np.floor(rows).astype(np.intp), h - 2)
-        fy = rows - r0
-        r1 = r0 + 1
-    else:
-        r0 = r1 = np.zeros(np.shape(rows), dtype=np.intp)
-        fy = np.zeros(np.shape(rows))
+    _, h, w = data.shape
+    c0, c1, fx = _lerp_indices(cols, w)
+    r0, r1, fy = _lerp_indices(rows, h)
     # The four gathers are fresh copies, so the blend runs in place on them.
     top = data[:, r0, c0]
     right = data[:, r0, c1]

@@ -12,19 +12,16 @@ delta_t, B_t and C_t are linear functions of the input token
 (delta through a softplus); in static mode they are fixed parameters.
 
 Two evaluation paths share the same coefficients: a sequential
-recurrence (the reference; optionally a compiled kernel) and an
-associative prefix-combine scan vectorized over the sequence axis.
-The (L, C, N) decay and drive tensors are each built in one buffer and
-finished in place, and the prefix scan overwrites both instead of
-copying them, returning the states in the drive buffer.
-Set WAVESCAN_PURE=1 to force the interpreted recurrence.
+recurrence (the float64 reference, also used by fablock's four-direction
+baseline) and an associative prefix-combine scan vectorized over the
+sequence axis.  The (L, C, N) decay and drive tensors are each built in
+one buffer and finished in place, and the prefix scan overwrites both
+instead of copying them, returning the states in the drive buffer.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -32,37 +29,21 @@ from .errors import DimensionError
 from .nn import softplus
 from .weights import WeightStore
 
-try:
-    if os.environ.get("WAVESCAN_PURE"):
-        raise ImportError("pure-python mode forced via WAVESCAN_PURE")
-    from . import _kernels  # type: ignore[attr-defined]
 
-    HAVE_COMPILED_KERNEL = True
-except ImportError:
-    _kernels = None
-    HAVE_COMPILED_KERNEL = False
+def _affine_recurrence(decay: np.ndarray, drive: np.ndarray, out: np.ndarray) -> None:
+    """Sequential h_t = decay_t * h_{t-1} + drive_t with h_0 = drive_0, into ``out``.
 
-
-def _recurrence_numpy(decay: np.ndarray, drive: np.ndarray, out: np.ndarray) -> None:
+    Axis 0 is the step; every other axis is an independent batch lane.
+    ``decay``, ``drive`` and ``out`` share one shape and may be strided
+    views (reversed or transposed); ``decay`` and ``drive`` are never
+    written.
+    """
     h = drive[0].copy()
     out[0] = h
     for t in range(1, decay.shape[0]):
         h *= decay[t]
         h += drive[t]
         out[t] = h
-
-
-def recurrence_backends() -> dict[str, Callable]:
-    """Available implementations of the affine recurrence, by name."""
-    backends: dict[str, Callable] = {"numpy": _recurrence_numpy}
-    if HAVE_COMPILED_KERNEL:
-        backends["compiled"] = _kernels.affine_recurrence
-    return backends
-
-
-_DEFAULT_RECURRENCE = (
-    _kernels.affine_recurrence if HAVE_COMPILED_KERNEL else _recurrence_numpy
-)
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,23 +252,12 @@ def _readout(params: SsmParams, hs: np.ndarray, c_t: np.ndarray, u: np.ndarray) 
     return np.einsum("lcn,ln->lc", hs, c_t) + params.d_skip * u
 
 
-def ssm_scan_sequential(params: SsmParams, u, backend: str = "auto") -> np.ndarray:
-    """Reference step-by-step evaluation of the recurrence.
-
-    backend: "auto" (compiled kernel when built), "compiled", or "numpy".
-    All backends are bit-identical; they differ only in speed.
-    """
+def ssm_scan_sequential(params: SsmParams, u) -> np.ndarray:
+    """Reference step-by-step evaluation of the recurrence."""
     u = _check_tokens(params, u)
     decay, drive, c_t = _coefficients(params, u)
     hs = np.empty_like(decay)
-    if backend == "auto":
-        step = _DEFAULT_RECURRENCE
-    else:
-        backends = recurrence_backends()
-        if backend not in backends:
-            raise ValueError(f"unknown backend {backend!r}, have {sorted(backends)}")
-        step = backends[backend]
-    step(decay, drive, hs)
+    _affine_recurrence(decay, drive, hs)
     return _readout(params, hs, c_t, u)
 
 

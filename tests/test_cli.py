@@ -329,12 +329,12 @@ class TestSubcommands:
     def test_bench_small(self, tmp_path):
         out = tmp_path / "bench.csv"
         assert main(["bench", "--size", "32", "--runs", "10", "--out", str(out),
-                     "--ops", "dwt,ssm_recurrence"]) == 0
+                     "--ops", "dwt,ssm_scan_parallel"]) == 0
         header, rows = read_csv(out)
         assert header[0] == "op"
         ops = [r[0] for r in rows]
         assert "dwt_haar" in ops
-        assert any(o.startswith("ssm_recurrence[") for o in ops)
+        assert "ssm_scan_parallel" in ops
         for row in rows:
             assert int(row[2]) >= 10
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wavescan import fablock
 from wavescan.errors import DimensionError
 from wavescan.fablock import (
     LgbConfig,
@@ -15,7 +16,7 @@ from wavescan.flops import cross_scan_macs, fa_scan_macs
 from wavescan.grid import FeatureGrid
 from wavescan.nn import conv1x1, depthwise_conv2d, global_avg_pool, relu, sigmoid
 from wavescan.scanorder import ScanKind, build_scan_order, deserialize, serialize
-from wavescan.ssm import SsmParams, ssm_scan_sequential
+from wavescan.ssm import SsmParams, _coefficients, ssm_scan_sequential
 from wavescan.wavelet import SubbandSet, dwt_haar, idwt_haar
 from wavescan.weights import seeded_init
 
@@ -106,15 +107,83 @@ class TestFaScan:
         with pytest.raises(DimensionError):
             fa_scan(FeatureGrid.zeros(1, 1, 8), SsmParams.identity(1))
 
-    def test_parallel_and_sequential_paths_agree(self):
+    def test_parallel_and_sequential_paths_agree(self, monkeypatch):
         x = FeatureGrid(np.random.default_rng(5).normal(size=(2, 8, 8)))
         psi = SsmParams.random(2, 3, seed=6)
-        a = fa_scan(x, psi, parallel=True)
-        b = fa_scan(x, psi, parallel=False)
+        a = fa_scan(x, psi)
+        calls = []
+
+        def sequential(params, u):
+            calls.append(len(u))
+            return ssm_scan_sequential(params, u)
+
+        monkeypatch.setattr(fablock, "ssm_scan_parallel", sequential)
+        b = fa_scan(x, psi)
+        assert calls == [16] * 4
         assert np.abs(a.data - b.data).max() <= 1e-9
 
 
+def strip_recurrence(decay, drive, reverse):
+    """Affine recurrence along axis 1 of (B, L, C, N), strips independent."""
+    if reverse:
+        decay = decay[:, ::-1]
+        drive = drive[:, ::-1]
+    out = np.empty_like(drive)
+    state = drive[:, 0].copy()
+    out[:, 0] = state
+    for t in range(1, drive.shape[1]):
+        state = decay[:, t] * state + drive[:, t]
+        out[:, t] = state
+    return out[:, ::-1] if reverse else out
+
+
+def strip_four_directions(band, psi):
+    """Oracle for one band of cross_scan: the strip loop over (strip, step)
+    axes, with fresh state buffers for each of the four passes."""
+    c, h, w = band.shape
+    tokens = band.data.reshape(c, -1).T
+    decay, drive, c_t = _coefficients(psi, tokens)
+    n = psi.state_dim
+    decay = decay.reshape(h, w, c, n)
+    drive = drive.reshape(h, w, c, n)
+    c_grid = c_t.reshape(h, w, n)
+    acc = np.zeros((h, w, c))
+    for reverse in (False, True):
+        acc += np.einsum("hwcn,hwn->hwc", strip_recurrence(decay, drive, reverse), c_grid)
+    decay_t = decay.transpose(1, 0, 2, 3)
+    drive_t = drive.transpose(1, 0, 2, 3)
+    for reverse in (False, True):
+        hs = strip_recurrence(decay_t, drive_t, reverse).transpose(1, 0, 2, 3)
+        acc += np.einsum("hwcn,hwn->hwc", hs, c_grid)
+    out = acc / 4.0 + psi.d_skip * tokens.reshape(h, w, c)
+    return FeatureGrid(np.ascontiguousarray(out.transpose(2, 0, 1)))
+
+
+def params_arrays(psi):
+    return {k: v.copy() for k, v in vars(psi).items() if isinstance(v, np.ndarray)}
+
+
 class TestCrossScan:
+    @pytest.mark.parametrize("h,w", [(8, 8), (7, 9), (6, 11), (9, 4), (2, 10), (10, 2), (2, 2)])
+    @pytest.mark.parametrize("selective", [True, False])
+    @pytest.mark.parametrize("state_dim", [1, 3])
+    def test_matches_strip_oracle(self, h, w, selective, state_dim):
+        rng = np.random.default_rng([h, w, state_dim])
+        x = FeatureGrid(rng.normal(size=(3, h, w)))
+        x_before = x.data.copy()
+        psi = SsmParams.random(3, state_dim, seed=h * w, selective=selective)
+        psi_before = params_arrays(psi)
+        got = cross_scan(x, psi)
+        bands = dwt_haar(x)
+        want = idwt_haar(SubbandSet(*(strip_four_directions(b, psi) for b in
+                                      (bands.ll, bands.lh, bands.hl, bands.hh))), h, w)
+        assert np.array_equal(got.data, want.data)
+        assert np.array_equal(x.data, x_before)
+        after = params_arrays(psi)
+        assert after.keys() == psi_before.keys()
+        for name, value in psi_before.items():
+            assert np.array_equal(after[name], value), name
+
     def test_zero_input(self):
         psi = SsmParams.static(1, transition=0.5)
         out = cross_scan(FeatureGrid.zeros(1, 8, 8), psi)

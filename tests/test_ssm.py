@@ -4,11 +4,10 @@ import pytest
 from wavescan.errors import DimensionError
 from wavescan.nn import softplus
 from wavescan.ssm import (
-    HAVE_COMPILED_KERNEL,
     SsmParams,
+    _affine_recurrence,
     _coefficients,
     _prefix_affine,
-    recurrence_backends,
     ssm_scan_parallel,
     ssm_scan_sequential,
 )
@@ -97,22 +96,45 @@ class TestProperties:
         assert np.all(decay <= 1.0)
 
 
-class TestBackends:
-    def test_backends_bit_identical(self):
-        backends = recurrence_backends()
-        assert "numpy" in backends
-        if HAVE_COMPILED_KERNEL:
-            assert "compiled" in backends
-        p = SsmParams.random(4, 3, seed=7)
-        u = np.random.default_rng(7).normal(size=(123, 4))
-        results = [ssm_scan_sequential(p, u, backend=name) for name in backends]
-        for other in results[1:]:
-            assert np.array_equal(results[0], other)
+class TestAffineRecurrence:
+    @staticmethod
+    def coefficients(shape, seed):
+        rng = np.random.default_rng(seed)
+        return rng.uniform(0.0, 1.0, shape), rng.normal(size=shape)
 
-    def test_unknown_backend(self):
-        p = SsmParams.static(1, transition=0.5)
-        with pytest.raises(ValueError):
-            ssm_scan_sequential(p, np.ones((3, 1)), backend="cuda")
+    def test_matches_closed_form_steps(self):
+        decay = np.array([[9.0], [0.5], [0.25]])
+        drive = np.array([[1.0], [2.0], [4.0]])
+        out = np.empty_like(drive)
+        _affine_recurrence(decay, drive, out)
+        assert np.array_equal(out.ravel(), [1.0, 2.5, 4.625])
+
+    @pytest.mark.parametrize("view", [
+        lambda arr: arr[::-1],
+        lambda arr: arr.transpose(1, 0, 2, 3),
+        lambda arr: arr.transpose(1, 0, 2, 3)[::-1],
+    ], ids=["reversed", "transposed", "transposed_reversed"])
+    def test_strided_views_match_contiguous_copies(self, view):
+        decay, drive = self.coefficients((5, 7, 3, 2), seed=4)
+        decay_before, drive_before = decay.copy(), drive.copy()
+        out = np.empty_like(drive)
+        a, b, o = view(decay), view(drive), view(out)
+        assert not a.flags.c_contiguous
+        _affine_recurrence(a, b, o)
+        want = np.empty(a.shape)
+        _affine_recurrence(np.ascontiguousarray(a), np.ascontiguousarray(b), want)
+        assert np.array_equal(o, want)
+        assert np.array_equal(decay, decay_before)
+        assert np.array_equal(drive, drive_before)
+
+    def test_lanes_are_independent(self):
+        decay, drive = self.coefficients((9, 4, 3), seed=5)
+        out = np.empty_like(drive)
+        _affine_recurrence(decay, drive, out)
+        for lane in np.ndindex(4, 3):
+            one = np.empty(9)
+            _affine_recurrence(decay[(slice(None),) + lane], drive[(slice(None),) + lane], one)
+            assert np.array_equal(out[(slice(None),) + lane], one)
 
 
 class TestValidationAndStore:
