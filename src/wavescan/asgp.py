@@ -6,8 +6,11 @@ Probes then evolve for a few steps, each step combining a bounded
 learned semantic offset, gradient ascent on the bilinear surface of M0,
 and a truncated pairwise repulsion that keeps them from collapsing onto
 the strongest ridge; coordinates are clamped to [-1, 1]^2 throughout.
-The refined probes are splatted back to pixel space as M1 (separable
-Gaussians, one small matrix product), and the blended gate
+A step is a fixed handful of array operations on the N probes: one
+grid corner lookup shared by the carrier features and the gradient of
+M0, one pass of the offset head, and repulsion from two N x N offset
+matrices.  The refined probes are splatted back to pixel space as M1
+(separable Gaussians, one small matrix product), and the blended gate
 sigmoid(w*M1 + (1-w)*M0) multiplies the high-frequency bands so only
 structure-consistent detail survives.
 """
@@ -20,7 +23,15 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError
-from .grid import FeatureGrid, Mask, bilinear_gradient, bilinear_sample, require_single_channel
+from .grid import (
+    FeatureGrid,
+    Mask,
+    _blend,
+    _norm_corners,
+    _slope,
+    as_coord_array,
+    require_single_channel,
+)
 from .nn import avg_pool_2x2, relu, sigmoid
 from .weights import WeightStore
 
@@ -68,6 +79,9 @@ class ProbeSet:
             raise DimensionError(f"embeddings must be (N, d), got {emb.shape}")
         if scores.shape != (n,):
             raise DimensionError(f"scores must be (N,), got {scores.shape}")
+        for field, arr in (("coords", coords), ("embeddings", emb), ("scores", scores)):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"probe {field} must be finite")
         if np.any(np.abs(coords) > 1.0):
             raise ValueError("probe coordinates must lie in [-1, 1]^2")
         object.__setattr__(self, "coords", coords)
@@ -141,25 +155,49 @@ def coarse_potential(probes: ProbeSet, x_ll: FeatureGrid, w: WeightStore,
 
 
 def repulsion_forces(coords: np.ndarray, cfg: AsgpConfig) -> np.ndarray:
-    """Truncated pairwise repulsion, active only below the separation radius."""
-    diff = coords[:, None, :] - coords[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
-    weight = np.maximum(0.0, 1.0 - dist / cfg.radius) / (dist + cfg.eps)
-    np.fill_diagonal(weight, 0.0)
-    return (diff * weight[:, :, None]).sum(axis=1)
+    """Truncated pairwise repulsion, active only below the separation radius.
+
+    The pairwise offsets are two N x N matrices, one per axis, each reduced
+    by one sum of its product with the pair weights; no N x N x 2 array is
+    built.  Column i holds probe i's offsets from every probe j, so each sum
+    runs down the columns, adding the pairs in j order.
+    """
+    x, y = coords[:, 0], coords[:, 1]
+    dx = x - x[:, None]
+    dy = y - y[:, None]
+    dist = dx * dx
+    dist += dy * dy
+    np.sqrt(dist, out=dist)
+    weight = 1.0 - dist / cfg.radius
+    np.maximum(weight, 0.0, out=weight)
+    dist += cfg.eps
+    weight /= dist
+    # A probe's offset from itself is 0, so the diagonal adds nothing.
+    dx *= weight
+    dy *= weight
+    return np.stack([dx.sum(axis=0), dy.sum(axis=0)], axis=1)
 
 
-def semantic_offsets(features: np.ndarray, w: WeightStore, prefix: str = "") -> np.ndarray:
-    """Bounded learned offsets: tanh of a two-layer head on sampled features."""
-    n, channels = features.shape
+def _offset_weights(w: WeightStore, prefix: str, channels: int) -> tuple[np.ndarray, ...]:
+    """The offset head's (w1, b1, w2, b2), checked against ``channels`` input features."""
     w1 = w[prefix + "asgp.sem_w1"]
     if w1.ndim != 2 or w1.shape[1] != channels:
         raise DimensionError(f"offset head expects (d, {channels}) weights, got {w1.shape}")
     b1 = w.get(prefix + "asgp.sem_b1", (w1.shape[0],))
     w2 = w.get(prefix + "asgp.sem_w2", (2, w1.shape[0]))
     b2 = w.get(prefix + "asgp.sem_b2", (2,))
+    return w1, b1, w2, b2
+
+
+def _offsets(features: np.ndarray, w1, b1, w2, b2) -> np.ndarray:
     hidden = relu(features @ w1.T + b1)
     return np.tanh(hidden @ w2.T + b2)
+
+
+def semantic_offsets(features: np.ndarray, w: WeightStore, prefix: str = "") -> np.ndarray:
+    """Bounded learned offsets: tanh of a two-layer head on sampled features."""
+    n, channels = features.shape
+    return _offsets(features, *_offset_weights(w, prefix, channels))
 
 
 def evolve_probes(m0: Mask, x_ll: FeatureGrid, probes: ProbeSet, cfg: AsgpConfig,
@@ -171,25 +209,34 @@ def evolve_probes(m0: Mask, x_ll: FeatureGrid, probes: ProbeSet, cfg: AsgpConfig
     the bounded semantic offset, the scaled gradient of M0, and the
     scaled repulsion force, then clamp to [-1, 1]^2.  Scores come from
     the score head at the final coordinates.
+
+    The weights are fetched once per call.  Each step checks the
+    coordinates and looks up their grid corners once; when M0 has the
+    carrier's shape, as in the pipeline, the features and the gradient
+    are read at the same corners.
     """
     require_single_channel(m0, "potential field")
+    channels, h, width = x_ll.shape
+    head = _offset_weights(w, prefix, channels)
+    score_w = w.get(prefix + "asgp.score_w", (1, channels))
+    score_b = w.get(prefix + "asgp.score_b", (1,))
+    field = m0.data[0]
+    shared = field.shape == (h, width)
     coords = probes.coords.copy()
     if trajectory is not None:
         trajectory.append(coords.copy())
     for _ in range(cfg.steps):
-        feats = bilinear_sample(x_ll, coords)
-        sem = semantic_offsets(feats, w, prefix)
-        grad = bilinear_gradient(m0, coords)
+        at = _norm_corners(as_coord_array(coords), h, width)
+        sem = _offsets(_blend(x_ll.data, at).T, *head)
+        grad = _slope(field, at if shared else _norm_corners(coords, *field.shape))
         force = repulsion_forces(coords, cfg)
-        coords = np.clip(
-            coords + sem + cfg.grad_gain * grad + cfg.repulsion_gain * force,
-            -1.0, 1.0,
-        )
+        coords += sem
+        coords += cfg.grad_gain * grad
+        coords += cfg.repulsion_gain * force
+        np.clip(coords, -1.0, 1.0, out=coords)
         if trajectory is not None:
             trajectory.append(coords.copy())
-    feats = bilinear_sample(x_ll, coords)
-    score_w = w.get(prefix + "asgp.score_w", (1, x_ll.channels))
-    score_b = w.get(prefix + "asgp.score_b", (1,))
+    feats = _blend(x_ll.data, _norm_corners(as_coord_array(coords), h, width)).T
     scores = sigmoid(feats @ score_w.T + score_b).ravel()
     return ProbeSet(coords=coords, embeddings=probes.embeddings, scores=scores)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 import time
 from pathlib import Path
@@ -74,7 +75,10 @@ def cmd_dwt_roundtrip(args) -> int:
 
 
 def cmd_scan_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError:
+        raise ValueError(f"--sizes wants comma-separated integers, got {args.sizes!r}") from None
     rows = []
     for size in sizes:
         grid = FeatureGrid(np.random.default_rng(0).normal(size=(4, size, size)))
@@ -97,8 +101,6 @@ def cmd_scan_bench(args) -> int:
 
 
 def cmd_probe_demo(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     sample = generate_sample(SynthConfig(
         height=args.size, width=args.size, curves=2, orientation="bezier",
         contrast=0.8, texture=0.3, seed=args.seed,
@@ -119,6 +121,8 @@ def cmd_probe_demo(args) -> int:
         for t, coords in enumerate(trajectory)
         for i in range(coords.shape[0])
     ]
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "probes.csv", ["t", "i", "x", "y"], rows)
     fileio.save_pgm(out_dir / "m0.pgm", m0.data[0])
     fileio.save_pgm(out_dir / "m1.pgm", m1.data[0])
@@ -178,14 +182,14 @@ def cmd_forward(args) -> int:
     try:
         image = fileio.load_pgm(args.image)
     except OSError as exc:
-        print(f"cannot read image {args.image}: {exc}", file=sys.stderr)
+        print(f"error: cannot read image {args.image}: {exc}", file=sys.stderr)
         return 1
     lines = []
     if args.config:
         try:
             lines = Path(args.config).read_text().splitlines()
         except OSError as exc:
-            print(f"cannot read config {args.config}: {exc}", file=sys.stderr)
+            print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
             return 1
     if args.assign:
         lines.append(f"assign = {args.assign}")
@@ -194,7 +198,7 @@ def cmd_forward(args) -> int:
         try:
             weights = WeightStore.load(args.weights)
         except OSError as exc:
-            print(f"cannot read weights {args.weights}: {exc}", file=sys.stderr)
+            print(f"error: cannot read weights {args.weights}: {exc}", file=sys.stderr)
             return 1
     else:
         weights = default_weights(cfg)
@@ -210,7 +214,8 @@ def cmd_eval(args) -> int:
     names = sorted(p.name for p in pred_dir.glob("*.pgm"))
     pairs = [(n, pred_dir / n, gt_dir / n) for n in names if (gt_dir / n).exists()]
     if not pairs:
-        print(f"no matching .pgm pairs under {pred_dir} and {gt_dir}", file=sys.stderr)
+        print(f"error: no matching .pgm pairs under {pred_dir} and {gt_dir}",
+              file=sys.stderr)
         return 1
     # One pass: each pair is read, scored and added to the ODS counts, then dropped.
     tally, rows = _OdsCounts(), []
@@ -235,6 +240,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth_gen(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -382,10 +389,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _main_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses; callers get a fresh one from build_parser()."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _main_parser().parse_args(argv)
+    # Look the command up by name at call time rather than through args.fn,
+    # which holds the function bound when the cached parser was built, so a
+    # module attribute rebound since (as a tracer does) is the one that runs.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return command(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,6 +7,12 @@ column 0 and x = +1 maps to column W - 1 via ``col = (x + 1) * (W - 1) / 2``
 (edge replication), and the sampled surface has zero derivative in the
 clamped direction there.  A grid that is 1 wide (or 1 tall) maps every
 coordinate to index 0 on that axis.
+
+Sampling has one corner lookup (``_corners``: clamped corner indices,
+fractions and clamp flags), one bilinear blend and one gradient formula.
+``sample_px``, ``bilinear_sample`` and ``bilinear_gradient`` are thin
+wrappers over them, and ``asgp.evolve_probes`` shares one lookup per
+step between the carrier features and the potential's gradient.
 """
 
 from __future__ import annotations
@@ -17,6 +23,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError
+
+# Output bytes per channel block of _resize_axis, as nn._DEPTHWISE_BLOCK_BYTES:
+# about 1 MB keeps the block's scratch near L2.
+_RESIZE_BLOCK_BYTES = 1 << 20
 
 
 class NormCoord(NamedTuple):
@@ -93,7 +103,7 @@ def as_coord_array(coords) -> np.ndarray:
         arr = arr[None, :]
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise DimensionError(f"coordinates must have shape (N, 2), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("coordinates must be finite")
     return arr
 
@@ -101,29 +111,87 @@ def as_coord_array(coords) -> np.ndarray:
 def _lerp_indices(pos, size: int):
     """Clamp pixel positions on an axis of ``size`` to [0, size - 1].
 
-    Returns (i0, i1, frac): the enclosing indices and the weight of i1, in
-    [0, 1].  A size-1 axis collapses to index 0 with frac 0.
+    Returns (i0, i1, frac, clamped): the enclosing indices, the weight of
+    i1 in [0, 1], and where the clamp moved a position.  A size-1 axis
+    collapses to index 0 with frac 0 and counts every position as clamped.
     """
     if size == 1:
         idx = np.zeros(np.shape(pos), dtype=np.intp)
-        return idx, idx, np.zeros(np.shape(pos))
-    pos = np.clip(pos, 0.0, float(size - 1))
-    i0 = np.minimum(np.floor(pos).astype(np.intp), size - 2)
-    return i0, i0 + 1, pos - i0
+        return idx, idx, np.zeros(np.shape(pos)), np.ones(np.shape(pos), dtype=bool)
+    # Two ufuncs, not np.clip: its Python wrapper costs more than both on probe-sized arrays.
+    clipped = np.minimum(np.maximum(pos, 0.0), size - 1.0)
+    i0 = np.minimum(np.floor(clipped).astype(np.intp), size - 2)
+    return i0, i0 + 1, clipped - i0, clipped != pos
 
 
-def _axis_positions(norm: np.ndarray, size: int):
-    """Map normalized coords on one axis to clamped pixel positions.
+class _Corners(NamedTuple):
+    """The lattice corners around a set of positions on an H x W grid.
 
-    Returns (i0, i1, frac, clamped_mask) as ``_lerp_indices`` does, plus
-    where the coordinate fell outside the axis (everywhere on a size-1 axis).
+    (r0, c0) is each position's upper-left corner and (r1, c1) its
+    lower-right one; fx and fy are the weights of c1 and r1.  x_clamped and
+    y_clamped mark positions that fell outside the grid on that axis.
     """
-    pos = (norm + 1.0) * ((size - 1) / 2.0)
-    if size == 1:
-        clamped = np.ones(norm.shape, dtype=bool)
-    else:
-        clamped = (pos < 0.0) | (pos > size - 1.0)
-    return (*_lerp_indices(pos, size), clamped)
+
+    r0: np.ndarray
+    r1: np.ndarray
+    c0: np.ndarray
+    c1: np.ndarray
+    fx: np.ndarray
+    fy: np.ndarray
+    x_clamped: np.ndarray
+    y_clamped: np.ndarray
+
+
+def _corners(cols, rows, h: int, w: int) -> _Corners:
+    """Corner lookup of pixel positions ``cols``, ``rows`` (equal shapes) on an h x w grid."""
+    c0, c1, fx, x_clamped = _lerp_indices(cols, w)
+    r0, r1, fy, y_clamped = _lerp_indices(rows, h)
+    return _Corners(r0, r1, c0, c1, fx, fy, x_clamped, y_clamped)
+
+
+def _norm_corners(pts: np.ndarray, h: int, w: int) -> _Corners:
+    """Corner lookup of an (N, 2) array of finite normalized (x, y) coordinates."""
+    px = (pts + 1.0) * np.array([(w - 1) / 2.0, (h - 1) / 2.0])
+    return _corners(px[:, 0], px[:, 1], h, w)
+
+
+def _blend(data: np.ndarray, k: _Corners) -> np.ndarray:
+    """Bilinear blend of a (C,H,W) array at corners ``k`` of positions of shape S; (C, *S)."""
+    # The four gathers are fresh copies, so the blend runs in place on them.
+    top = data[:, k.r0, k.c0]
+    right = data[:, k.r0, k.c1]
+    bot = data[:, k.r1, k.c0]
+    bot_right = data[:, k.r1, k.c1]
+    wx = 1.0 - k.fx
+    top *= wx
+    right *= k.fx
+    top += right
+    bot *= wx
+    bot_right *= k.fx
+    bot += bot_right
+    top *= 1.0 - k.fy
+    bot *= k.fy
+    top += bot
+    return top
+
+
+def _slope(field: np.ndarray, k: _Corners) -> np.ndarray:
+    """Normalized-unit gradient (N, 2) of an (H,W) field's bilinear surface at corners ``k``.
+
+    The derivative normal to a clamped border is zero.
+    """
+    h, w = field.shape
+    v00 = field[k.r0, k.c0]
+    v01 = field[k.r0, k.c1]
+    v10 = field[k.r1, k.c0]
+    v11 = field[k.r1, k.c1]
+    ddcol = (1.0 - k.fy) * (v01 - v00) + k.fy * (v11 - v10)
+    ddrow = (1.0 - k.fx) * (v10 - v00) + k.fx * (v11 - v01)
+    gx = ddcol * ((w - 1) / 2.0)
+    gy = ddrow * ((h - 1) / 2.0)
+    gx[k.x_clamped] = 0.0
+    gy[k.y_clamped] = 0.0
+    return np.stack([gx, gy], axis=1)
 
 
 def sample_px(data: np.ndarray, cols: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -133,24 +201,7 @@ def sample_px(data: np.ndarray, cols: np.ndarray, rows: np.ndarray) -> np.ndarra
     Integer positions reproduce stored values exactly.
     """
     _, h, w = data.shape
-    c0, c1, fx = _lerp_indices(cols, w)
-    r0, r1, fy = _lerp_indices(rows, h)
-    # The four gathers are fresh copies, so the blend runs in place on them.
-    top = data[:, r0, c0]
-    right = data[:, r0, c1]
-    bot = data[:, r1, c0]
-    bot_right = data[:, r1, c1]
-    wx = 1.0 - fx
-    top *= wx
-    right *= fx
-    top += right
-    bot *= wx
-    bot_right *= fx
-    bot += bot_right
-    top *= 1.0 - fy
-    bot *= fy
-    top += bot
-    return top
+    return _blend(data, _corners(cols, rows, h, w))
 
 
 def bilinear_sample(grid: FeatureGrid, coords) -> np.ndarray:
@@ -164,10 +215,7 @@ def bilinear_sample(grid: FeatureGrid, coords) -> np.ndarray:
         (N, C) array of per-coordinate channel vectors.
     """
     pts = as_coord_array(coords)
-    w, h = grid.width, grid.height
-    cols = (pts[:, 0] + 1.0) * ((w - 1) / 2.0) if w > 1 else np.zeros(len(pts))
-    rows = (pts[:, 1] + 1.0) * ((h - 1) / 2.0) if h > 1 else np.zeros(len(pts))
-    return sample_px(grid.data, cols, rows).T
+    return _blend(grid.data, _norm_corners(pts, grid.height, grid.width)).T
 
 
 def bilinear_gradient(grid: FeatureGrid, coords) -> np.ndarray:
@@ -182,29 +230,16 @@ def bilinear_gradient(grid: FeatureGrid, coords) -> np.ndarray:
     require_single_channel(grid)
     pts = as_coord_array(coords)
     single = np.asarray(coords, dtype=np.float64).ndim == 1 or isinstance(coords, NormCoord)
-    data = grid.data[0]
-    h, w = data.shape
-    c0, c1, fx, cx_clamped = _axis_positions(pts[:, 0], w)
-    r0, r1, fy, cy_clamped = _axis_positions(pts[:, 1], h)
-    v00 = data[r0, c0]
-    v01 = data[r0, c1]
-    v10 = data[r1, c0]
-    v11 = data[r1, c1]
-    ddcol = (1.0 - fy) * (v01 - v00) + fy * (v11 - v10)
-    ddrow = (1.0 - fx) * (v10 - v00) + fx * (v11 - v01)
-    gx = ddcol * ((w - 1) / 2.0)
-    gy = ddrow * ((h - 1) / 2.0)
-    gx[cx_clamped] = 0.0
-    gy[cy_clamped] = 0.0
-    out = np.stack([gx, gy], axis=1)
+    out = _slope(grid.data[0], _norm_corners(pts, grid.height, grid.width))
     return out[0] if single else out
 
 
 def _resize_axis(data: np.ndarray, axis: int, out_size: int) -> np.ndarray:
     """Corner-aligned linear resize of a (C, H, W) array along axis 1 or 2.
 
-    Blends one channel at a time into a preallocated output, so the only
-    temporary is one channel's upper-neighbour gather.
+    Blends blocks of whole channels, as many as fit _RESIZE_BLOCK_BYTES of
+    output (at least one), into a preallocated output, so the only
+    temporary is one block's upper-neighbour gather.
     """
     size = data.shape[axis]
     if out_size == size:
@@ -213,21 +248,26 @@ def _resize_axis(data: np.ndarray, axis: int, out_size: int) -> np.ndarray:
         return np.repeat(data, out_size, axis=axis)
     pos = np.linspace(0.0, size - 1.0, out_size)
     i0 = np.minimum(np.floor(pos).astype(np.intp), size - 2)
+    i1 = i0 + 1
     frac = pos - i0
-    shape = [1] * (data.ndim - 1)
-    shape[axis - 1] = out_size
+    shape = [1] * data.ndim
+    shape[axis] = out_size
     frac = frac.reshape(shape)
     wlo = 1.0 - frac
     out_shape = list(data.shape)
     out_shape[axis] = out_size
     out = np.empty(out_shape)
-    hi = np.empty(out_shape[1:])
-    for lo, src in zip(out, data):
-        np.take(src, i0, axis=axis - 1, out=lo, mode="clip")
-        np.take(src, i0 + 1, axis=axis - 1, out=hi, mode="clip")
+    block = max(1, _RESIZE_BLOCK_BYTES // out[0].nbytes)
+    hi = np.empty([min(block, len(out))] + out_shape[1:])
+    for start in range(0, len(out), block):
+        lo = out[start:start + block]
+        up = hi[:len(lo)]
+        src = data[start:start + block]
+        np.take(src, i0, axis=axis, out=lo, mode="clip")
+        np.take(src, i1, axis=axis, out=up, mode="clip")
         lo *= wlo
-        hi *= frac
-        lo += hi
+        up *= frac
+        lo += up
     return out
 
 

@@ -12,10 +12,14 @@ from wavescan.asgp import (
     probe_grid_coords,
     refine_mask,
     repulsion_forces,
+    semantic_offsets,
 )
+from wavescan import pipeline
 from wavescan.errors import DimensionError
-from wavescan.grid import FeatureGrid
+from wavescan.grid import FeatureGrid, bilinear_gradient, bilinear_sample
 from wavescan.nn import sigmoid
+from wavescan.pipeline import PipelineConfig
+from wavescan.synth import SynthConfig, generate_sample
 from wavescan.weights import WeightStore, seeded_init
 
 SIGMOID_1 = 1.0 / (1.0 + np.exp(-1.0))
@@ -379,3 +383,161 @@ class TestReassociatedOracles:
         got = coarse_potential(probes, x, store).data
         want = softmax_mean_potential(probes, x, store)
         assert max_rel_err(got, want) <= 1e-12
+
+
+def oracle_repulsion(coords, cfg):
+    """The previous repulsion_forces: an N x N x 2 offset stack, weighted and summed."""
+    diff = coords[:, None, :] - coords[None, :, :]
+    dist = np.sqrt((diff ** 2).sum(axis=2))
+    weight = np.maximum(0.0, 1.0 - dist / cfg.radius) / (dist + cfg.eps)
+    np.fill_diagonal(weight, 0.0)
+    return (diff * weight[:, :, None]).sum(axis=1)
+
+
+def oracle_evolve(m0, x_ll, probes, cfg, w, prefix=""):
+    """The previous evolve_probes: the public sampler, head, gradient and repulsion
+    called once each per step.  Returns (trajectory, final scores)."""
+    coords = probes.coords.copy()
+    trajectory = [coords.copy()]
+    for _ in range(cfg.steps):
+        feats = bilinear_sample(x_ll, coords)
+        sem = semantic_offsets(feats, w, prefix)
+        grad = bilinear_gradient(m0, coords)
+        force = oracle_repulsion(coords, cfg)
+        coords = np.clip(coords + sem + cfg.grad_gain * grad + cfg.repulsion_gain * force,
+                         -1.0, 1.0)
+        trajectory.append(coords.copy())
+    feats = bilinear_sample(x_ll, coords)
+    score_w = w.get(prefix + "asgp.score_w", (1, x_ll.channels))
+    score_b = w.get(prefix + "asgp.score_b", (1,))
+    return trajectory, sigmoid(feats @ score_w.T + score_b).ravel()
+
+
+def stage_probe_inputs(size):
+    """(m0, carrier, probes, cfg, store, prefix) of each stage of a default forward."""
+    calls = []
+
+    def record(m0, x_ll, probes, cfg, w, prefix="", trajectory=None):
+        calls.append((m0, x_ll, probes, cfg, w, prefix))
+        return evolve_probes(m0, x_ll, probes, cfg, w, prefix, trajectory)
+
+    cfg = PipelineConfig()
+    image = generate_sample(SynthConfig(height=size, width=size, curves=3, seed=size)).image
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "evolve_probes", record)
+        pipeline.forward(image, cfg, pipeline.default_weights(cfg))
+    return calls
+
+
+def small_case(kind):
+    """(m0, carrier, probes, cfg, store) of one edge case of the probe step."""
+    rng = np.random.default_rng(len(kind))
+    channels, n, shape, m0_shape, steps = 3, 16, (16, 16), (16, 16), 3
+    coords = rng.uniform(-1, 1, (n, 2))
+    if kind == "m0-17-carrier-16":
+        m0_shape = (17, 17)
+    elif kind in ("row", "column"):
+        shape = m0_shape = (1, 9) if kind == "row" else (9, 1)
+    elif kind == "on-border":
+        coords[:8] = rng.choice([-1.0, 1.0], (8, 2))
+    elif kind == "coincident":
+        coords[1::2] = coords[::2]
+        coords[3] = coords[0]
+    elif kind in ("steps-0", "steps-5"):
+        steps = int(kind[-1])
+    elif kind == "single":
+        n, coords = 1, coords[:1]
+    store = seeded_init(asgp_weight_spec(channels, 4, n), len(kind))
+    if kind == "past-border":
+        # Offsets of about +-1 push every probe beyond the box on both axes.
+        store["asgp.sem_b2"] = np.array([40.0, -40.0])
+        coords[:4] = [[0.9, -0.9], [1.0, -1.0], [0.5, 0.0], [-1.0, 1.0]]
+    x = FeatureGrid(rng.normal(size=(channels,) + shape))
+    m0 = FeatureGrid(rng.uniform(size=(1,) + m0_shape))
+    probes = ProbeSet(coords=coords, embeddings=store["asgp.probe_embed"],
+                      scores=np.full(n, 0.5))
+    return m0, x, probes, AsgpConfig(steps=steps, probes=n), store
+
+
+SMALL_CASES = ["m0-17-carrier-16", "row", "column", "on-border", "past-border", "coincident",
+               "steps-0", "steps-5", "single"]
+
+
+def assert_matches_oracle(m0, x, probes, cfg, store, prefix=""):
+    trajectory: list[np.ndarray] = []
+    out = evolve_probes(m0, x, probes, cfg, store, prefix, trajectory=trajectory)
+    want_traj, want_scores = oracle_evolve(m0, x, probes, cfg, store, prefix)
+    assert len(trajectory) == len(want_traj) == cfg.steps + 1
+    for got, want in zip(trajectory, want_traj):
+        assert np.abs(got - want).max() <= 1e-12
+    assert np.array_equal(out.coords, trajectory[-1])
+    assert np.abs(out.scores - want_scores).max() <= 1e-12
+    return trajectory
+
+
+class TestProbeStepOracle:
+    @pytest.mark.parametrize("size", [64, 256])
+    def test_pipeline_stages_match_per_step_oracle(self, size):
+        calls = stage_probe_inputs(size)
+        assert [c[5] for c in calls] == ["s1.", "s2.", "s3.", "s4."]
+        for m0, x, probes, cfg, store, prefix in calls:
+            assert m0.shape[1:] == x.shape[1:]
+            assert_matches_oracle(m0, x, probes, cfg, store, prefix)
+
+    @pytest.mark.parametrize("kind", SMALL_CASES)
+    def test_edge_cases_match_per_step_oracle(self, kind):
+        trajectory = assert_matches_oracle(*small_case(kind))
+        if kind == "past-border":
+            # The clamp holds probes that the offsets push past the border.
+            assert np.any(np.abs(trajectory[-1]) == 1.0)
+            assert np.all(np.abs(trajectory[-1]) <= 1.0)
+
+    @pytest.mark.parametrize("n, spread", [(1, 1.0), (2, 0.01), (9, 0.1), (64, 1.0), (64, 0.2)])
+    def test_repulsion_matches_stack_oracle(self, n, spread):
+        rng = np.random.default_rng(n)
+        coords = rng.uniform(-spread, spread, (n, 2))
+        cfg = AsgpConfig()
+        got = repulsion_forces(coords, cfg)
+        assert got.shape == (n, 2)
+        assert np.abs(got - oracle_repulsion(coords, cfg)).max() <= 1e-15
+        # Both sum each probe's pairs in the same order.
+        assert np.array_equal(got, oracle_repulsion(coords, cfg))
+
+    def test_repulsion_of_coincident_probes_matches_oracle(self):
+        coords = np.array([[0.1, 0.2], [0.1, 0.2], [0.15, 0.2], [0.1, 0.2], [-0.5, 0.5]])
+        cfg = AsgpConfig()
+        got = repulsion_forces(coords, cfg)
+        assert np.all(np.isfinite(got))
+        assert np.abs(got - oracle_repulsion(coords, cfg)).max() <= 1e-15
+
+    def test_inf_offset_weight_still_raises(self):
+        # A zero carrier meets the inf weight as inf * 0: the offsets turn NaN,
+        # and the next step's coordinate check stops the loop.
+        m0, _, probes, cfg, store = small_case("steps-0")
+        store["asgp.sem_w1"] = store["asgp.sem_w1"].copy()
+        store["asgp.sem_w1"][0, 0] = np.inf
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+            evolve_probes(m0, FeatureGrid.zeros(3, 16, 16), probes, AsgpConfig(steps=1, probes=16),
+                          store)
+
+    def test_offset_head_shape_still_checked(self):
+        m0, x, probes, cfg, store = small_case("steps-0")
+        store["asgp.sem_w1"] = np.zeros((4, 5))
+        with pytest.raises(DimensionError, match="offset head"):
+            evolve_probes(m0, x, probes, cfg, store)
+
+    def test_multichannel_potential_rejected(self):
+        _, x, probes, cfg, store = small_case("steps-0")
+        with pytest.raises(DimensionError, match="potential field"):
+            evolve_probes(FeatureGrid.zeros(2, 16, 16), x, probes, cfg, store)
+
+
+class TestProbeSetFinite:
+    @pytest.mark.parametrize("field", ["coords", "embeddings", "scores"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_rejected_by_name(self, field, value):
+        arrays = {"coords": np.zeros((3, 2)), "embeddings": np.zeros((3, 4)),
+                  "scores": np.full(3, 0.5)}
+        arrays[field].flat[1] = value
+        with pytest.raises(ValueError, match=f"probe {field} must be finite"):
+            ProbeSet(**arrays)

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from test_metrics import oracle_ods_counts, oracle_region, oracle_skeletonize
-from wavescan import fileio
-from wavescan.cli import main, parse_config_text
+from wavescan import cli, fileio
+from wavescan.cli import build_parser, main, parse_config_text
 from wavescan.errors import ConfigError
 from wavescan.metrics import ODS_THRESHOLDS
 from wavescan.pipeline import PipelineConfig, default_weights
@@ -313,6 +313,7 @@ class TestSubcommands:
         (tmp_path / "b").mkdir()
         assert main(["eval", "--pred-dir", str(tmp_path / "a"),
                      "--gt-dir", str(tmp_path / "b")]) == 1
+        assert capsys.readouterr().err.startswith("error: no matching .pgm pairs")
 
     @pytest.mark.parametrize("orientation", ["horizontal", "vertical"])
     def test_mismatch_demo_aligned_wins(self, tmp_path, orientation, capsys):
@@ -337,6 +338,38 @@ class TestSubcommands:
         assert "ssm_scan_parallel" in ops
         for row in rows:
             assert int(row[2]) >= 10
+
+    # One malformed input per subcommand; {tmp} is the test's scratch directory.
+    @pytest.mark.parametrize("argv, says", [
+        (["dwt-roundtrip", "--size", "0", "--out", "{tmp}/d.csv"], "dimensions must be positive"),
+        (["scan-bench", "--sizes", "8,x", "--out", "{tmp}/s.csv"], "--sizes"),
+        (["probe-demo", "--probes", "0", "--out-dir", "{tmp}/p"], "at least one probe"),
+        (["forward", "--image", "{tmp}/missing.pgm", "--out", "{tmp}/m.pgm"],
+         "cannot read image"),
+        (["eval", "--pred-dir", "{tmp}", "--gt-dir", "{tmp}", "--out", "{tmp}/e.csv"],
+         "no matching .pgm pairs"),
+        (["synth-gen", "--count", "0", "--out-dir", "{tmp}/g"], "--count"),
+        (["mismatch-demo", "--size", "2", "--out", "{tmp}/x.csv"], "at least 4x4"),
+        (["bench", "--size", "0", "--out", "{tmp}/b.csv"], "dimensions must be positive"),
+    ])
+    def test_malformed_input_is_one_error_line(self, tmp_path, argv, says):
+        code, err = run_cli(*(a.format(tmp=tmp_path) for a in argv))
+        assert code == 1
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert says in err
+        assert [p.name for p in tmp_path.iterdir()] == []
+
+    def test_main_parser_is_reused_and_build_parser_is_fresh(self, monkeypatch):
+        assert cli._main_parser() is cli._main_parser()
+        parser = build_parser()
+        assert parser is not build_parser() and parser is not cli._main_parser()
+        # main runs the command bound to the module name at call time.
+        calls = []
+        monkeypatch.setattr(cli, "cmd_dwt_roundtrip", lambda args: calls.append(args) or 7)
+        assert main(["dwt-roundtrip", "--size", "4"]) == 7
+        assert main(["dwt-roundtrip", "--size", "6"]) == 7
+        assert [a.size for a in calls] == [4, 6]
 
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wavescan import grid
 from wavescan.errors import DimensionError
 from wavescan.grid import (
     FeatureGrid,
@@ -252,3 +253,127 @@ class TestInPlaceRewrites:
         data = np.random.default_rng(3).normal(size=(3, 10, 12))[:, ::2, 1:]
         for axis in (1, 2):
             assert np.array_equal(_resize_axis(data, axis, 17), oracle_resize_axis(data, axis, 17))
+
+
+def oracle_bilinear_sample(data, pts):
+    """The previous bilinear_sample: pixel positions (0 on a size-1 axis), then sample_px."""
+    _, h, w = data.shape
+    cols = (pts[:, 0] + 1.0) * ((w - 1) / 2.0) if w > 1 else np.zeros(len(pts))
+    rows = (pts[:, 1] + 1.0) * ((h - 1) / 2.0) if h > 1 else np.zeros(len(pts))
+    return oracle_sample_px(data, cols, rows).T
+
+
+def oracle_axis(norm, size):
+    """The previous _axis_positions: clamped corner indices, fraction and clamp flags."""
+    pos = (norm + 1.0) * ((size - 1) / 2.0)
+    if size == 1:
+        idx = np.zeros(norm.shape, dtype=np.intp)
+        return idx, idx, np.zeros(norm.shape), np.ones(norm.shape, dtype=bool)
+    clamped = (pos < 0.0) | (pos > size - 1.0)
+    pos = np.clip(pos, 0.0, float(size - 1))
+    i0 = np.minimum(np.floor(pos).astype(np.intp), size - 2)
+    return i0, i0 + 1, pos - i0, clamped
+
+
+def oracle_bilinear_gradient(field, pts):
+    """The previous bilinear_gradient of an (H, W) field at (N, 2) normalized points."""
+    h, w = field.shape
+    c0, c1, fx, cx_clamped = oracle_axis(pts[:, 0], w)
+    r0, r1, fy, cy_clamped = oracle_axis(pts[:, 1], h)
+    v00, v01, v10, v11 = field[r0, c0], field[r0, c1], field[r1, c0], field[r1, c1]
+    gx = ((1.0 - fy) * (v01 - v00) + fy * (v11 - v10)) * ((w - 1) / 2.0)
+    gy = ((1.0 - fx) * (v10 - v00) + fx * (v11 - v01)) * ((h - 1) / 2.0)
+    gx[cx_clamped] = 0.0
+    gy[cy_clamped] = 0.0
+    return np.stack([gx, gy], axis=1)
+
+
+def per_channel_resize_axis(data, axis, out_size):
+    """The previous _resize_axis: one channel at a time into a preallocated output."""
+    size = data.shape[axis]
+    if out_size == size:
+        return data
+    if size == 1:
+        return np.repeat(data, out_size, axis=axis)
+    pos = np.linspace(0.0, size - 1.0, out_size)
+    i0 = np.minimum(np.floor(pos).astype(np.intp), size - 2)
+    shape = [1, 1]
+    shape[axis - 1] = out_size
+    frac = (pos - i0).reshape(shape)
+    out_shape = list(data.shape)
+    out_shape[axis] = out_size
+    out = np.empty(out_shape)
+    hi = np.empty(out_shape[1:])
+    for lo, src in zip(out, data):
+        np.take(src, i0, axis=axis - 1, out=lo, mode="clip")
+        np.take(src, i0 + 1, axis=axis - 1, out=hi, mode="clip")
+        lo *= 1.0 - frac
+        hi *= frac
+        lo += hi
+    return out
+
+
+def spread_points(rng, n=60):
+    """Normalized points inside, on and beyond the borders, some on lattice values."""
+    pts = rng.uniform(-1.4, 1.4, (n, 2))
+    pts[:8] = rng.choice([-1.0, 1.0], (8, 2))
+    pts[8:16] = np.round(pts[8:16] * 4.0) / 4.0
+    pts[16:20, 0] = [-2.0, 2.0, -1.0, 1.0]
+    return pts
+
+
+GRID_SHAPES = [(1, 1), (1, 7), (6, 1), (5, 8), (2, 2), (17, 17), (32, 64)]
+
+
+class TestSharedCornerLookup:
+    @pytest.mark.parametrize("shape", GRID_SHAPES)
+    def test_bilinear_sample_matches_previous(self, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        data = rng.normal(size=(3,) + shape)
+        pts = spread_points(rng)
+        assert np.array_equal(bilinear_sample(FeatureGrid(data), pts),
+                              oracle_bilinear_sample(data, pts))
+
+    @pytest.mark.parametrize("shape", GRID_SHAPES)
+    def test_bilinear_gradient_matches_previous(self, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1] + 1)
+        data = rng.normal(size=(1,) + shape)
+        pts = spread_points(rng)
+        assert np.array_equal(bilinear_gradient(FeatureGrid(data), pts),
+                              oracle_bilinear_gradient(data[0], pts))
+
+    def test_corner_clamp_flags(self):
+        from wavescan.grid import _norm_corners
+
+        pts = np.array([[-1.0, 1.0], [-1.5, 0.0], [0.2, 1.01], [1.0, -1.0]])
+        k = _norm_corners(pts, 5, 9)
+        assert k.x_clamped.tolist() == [False, True, False, False]
+        assert k.y_clamped.tolist() == [False, False, True, False]
+        flat = _norm_corners(pts, 1, 9)
+        assert flat.y_clamped.all() and not flat.x_clamped[0]
+
+
+class TestResizeBlocks:
+    # One channel per block, two, all five, a short last block of one
+    # (three per block), and a budget far above the whole output.
+    @pytest.mark.parametrize("planes", [0, 1, 2, 3, 5, 1000])
+    @pytest.mark.parametrize("shape, axis, out_size", [
+        ((5, 9, 11), 1, 23), ((5, 9, 11), 2, 4), ((5, 1, 7), 1, 6), ((5, 6, 1), 2, 3),
+        ((5, 1, 7), 2, 13), ((1, 4, 4), 1, 9),
+    ])
+    def test_matches_per_channel_oracle(self, monkeypatch, planes, shape, axis, out_size):
+        data = np.random.default_rng(planes + out_size).normal(size=shape)
+        out_shape = list(shape)
+        out_shape[axis] = out_size
+        plane_bytes = 8 * out_shape[1] * out_shape[2]
+        monkeypatch.setattr(grid, "_RESIZE_BLOCK_BYTES", planes * plane_bytes)
+        got = _resize_axis(data, axis, out_size)
+        assert got.shape == tuple(out_shape)
+        assert np.array_equal(got, per_channel_resize_axis(data, axis, out_size))
+
+    def test_block_of_a_strided_view(self, monkeypatch):
+        data = np.random.default_rng(4).normal(size=(5, 10, 12))[:, ::2, 1:]
+        monkeypatch.setattr(grid, "_RESIZE_BLOCK_BYTES", 2 * 8 * 17 * 11)
+        for axis in (1, 2):
+            assert np.array_equal(_resize_axis(data, axis, 17),
+                                  per_channel_resize_axis(data, axis, 17))

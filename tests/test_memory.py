@@ -14,7 +14,7 @@ import numpy as np
 from wavescan import fileio
 from wavescan.asgp import ProbeSet, asgp_weight_spec, coarse_potential, refine_mask
 from wavescan.cli import main
-from wavescan.grid import FeatureGrid
+from wavescan.grid import _RESIZE_BLOCK_BYTES, FeatureGrid, _resize_axis
 from wavescan.metrics import ods, skeletonize
 from wavescan.nn import conv2d
 from wavescan.pipeline import PipelineConfig, default_weights, forward
@@ -50,6 +50,18 @@ def test_conv2d_peak_is_bounded_by_row_blocks():
     # a padded copy of the whole input would add 8.5 MB more.
     peak = traced_peak_mb(lambda: conv2d(x, w, b))
     assert peak < 16.0, f"conv2d peak {peak:.1f} MB"
+
+
+def test_resize_peak_is_bounded_by_channel_blocks():
+    # (16, 128, 128) -> 256 x 256 in its two passes.  Each pass holds its
+    # output and one block's upper-neighbour gather, at most the budget;
+    # a whole-array gather would add a second output.
+    x = np.random.default_rng(6).normal(size=(16, 128, 128))
+    rows = _resize_axis(x, 1, 256)
+    for data, axis, out_mb in ((x, 1, 16 * 256 * 128 * 8 / MB), (rows, 2, 16 * 256 * 256 * 8 / MB)):
+        peak = traced_peak_mb(lambda: _resize_axis(data, axis, 256))
+        assert peak <= out_mb + _RESIZE_BLOCK_BYTES / MB + 0.25, \
+            f"axis {axis} resize peak {peak:.2f} MB for a {out_mb:.2f} MB output"
 
 
 def warm_forward_peak_mb(size: int) -> float:
