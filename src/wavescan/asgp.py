@@ -190,14 +190,9 @@ def _offset_weights(w: WeightStore, prefix: str, channels: int) -> tuple[np.ndar
 
 
 def _offsets(features: np.ndarray, w1, b1, w2, b2) -> np.ndarray:
+    """Bounded learned offsets: tanh of the two-layer head on sampled features."""
     hidden = relu(features @ w1.T + b1)
     return np.tanh(hidden @ w2.T + b2)
-
-
-def semantic_offsets(features: np.ndarray, w: WeightStore, prefix: str = "") -> np.ndarray:
-    """Bounded learned offsets: tanh of a two-layer head on sampled features."""
-    n, channels = features.shape
-    return _offsets(features, *_offset_weights(w, prefix, channels))
 
 
 def evolve_probes(m0: Mask, x_ll: FeatureGrid, probes: ProbeSet, cfg: AsgpConfig,

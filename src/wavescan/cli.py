@@ -62,7 +62,11 @@ def cmd_dwt_roundtrip(args) -> int:
     bands = dwt_haar(grid)
     recon = idwt_haar(bands, args.size, args.size)
     err = float(np.abs(recon.data - grid.data).max())
-    energy_in = float((grid.data ** 2).sum())
+    # The transform is orthonormal on the edge-padded grid it splits, so an
+    # odd size is compared with the energy of that grid, not of the input.
+    pad = args.size % 2
+    padded = np.pad(grid.data, ((0, 0), (0, pad), (0, pad)), mode="edge")
+    energy_in = float((padded ** 2).sum())
     energy_out = float(sum((b.data ** 2).sum() for b in (bands.ll, bands.lh, bands.hl, bands.hh)))
     rel = abs(energy_in - energy_out) / energy_in
     passed = err < 1e-5 and rel < 1e-5
@@ -135,6 +139,19 @@ _CONFIG_KEYS = ("channels", "stem_kernel", "stem_stride", "state_dim", "seed", "
                "gate", "max_offset", "assign", "probes", "steps")
 
 
+def _config_number(key: str, text: str, kind, sep: str | None = None):
+    """``kind(text)``, or a tuple of it over ``sep``-separated items; ConfigError names the key."""
+    try:
+        if sep is None:
+            return kind(text)
+        return tuple(kind(item) for item in text.split(sep))
+    except ValueError:
+        want = "an integer" if kind is int else "a number"
+        if sep is not None:
+            want = f"{want} per {sep!r}-separated item"
+        raise ConfigError(f"config key {key!r} wants {want}, got {text!r}") from None
+
+
 def parse_config_text(lines, seed_override: int | None = None) -> PipelineConfig:
     """Parse plain key=value lines into a pipeline configuration.
 
@@ -155,22 +172,22 @@ def parse_config_text(lines, seed_override: int | None = None) -> PipelineConfig
         fields[key] = value.strip()
     kwargs: dict = {}
     if "channels" in fields:
-        kwargs["channels"] = tuple(int(c) for c in fields["channels"].split(","))
+        kwargs["channels"] = _config_number("channels", fields["channels"], int, ",")
     for key in ("stem_kernel", "stem_stride", "state_dim", "seed"):
         if key in fields:
-            kwargs[key] = int(fields[key])
+            kwargs[key] = _config_number(key, fields[key], int)
     if "policy" in fields:
         kwargs["policy"] = fields["policy"]
     if "gate" in fields:
         kwargs["gate_mode"] = fields["gate"]
     if "max_offset" in fields:
-        kwargs["max_offset"] = float(fields["max_offset"])
+        kwargs["max_offset"] = _config_number("max_offset", fields["max_offset"], float)
     if "assign" in fields:
         kwargs["assign"] = ScanAssignment.parse(fields["assign"])
     asgp_kwargs: dict = {}
     for key, attr in (("probes", "probes"), ("steps", "steps")):
         if key in fields:
-            asgp_kwargs[attr] = int(fields[key])
+            asgp_kwargs[attr] = _config_number(key, fields[key], int)
     if asgp_kwargs:
         kwargs["asgp"] = AsgpConfig(**asgp_kwargs)
     if seed_override is not None:

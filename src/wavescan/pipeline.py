@@ -15,6 +15,7 @@ or loaded from a .fgw bundle; there is no training here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,8 +68,10 @@ class PipelineConfig:
         LgbConfig(stage=1, policy=self.policy)  # validates the policy string
         if self.state_dim < 1:
             raise ConfigError("state_dim must be positive")
-        if self.max_offset <= 0:
-            raise ConfigError("max_offset must be positive")
+        if not (math.isfinite(self.max_offset) and self.max_offset > 0):
+            raise ConfigError(f"max_offset must be positive and finite, got {self.max_offset}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
     def lgb_config(self, stage: int) -> LgbConfig:
         return LgbConfig(stage=stage, policy=self.policy)

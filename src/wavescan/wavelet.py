@@ -10,6 +10,18 @@ and self-inverse.  Band naming: first letter is the filter along the
 horizontal axis, second along the vertical axis, so LH responds to
 horizontal structures and HL to vertical ones.
 
+Both directions compute these formulas in lifting form (Sweldens, "The
+lifting scheme", 1996): sums and differences over row pairs, then over
+column pairs.  The analysis halves the row pairs, s = (a + c, b + d) / 2
+and t = (a - c, b - d) / 2, and the column butterflies of s give LL and
+HL, those of t give LH and HH.  The synthesis runs the same butterflies
+backwards.  Each works on blocks of whole channels, as many as fit
+_HAAR_BLOCK_BYTES of the full-resolution grid (at least one), through
+two scratch arrays of that block's size, so every pass stays near L2.
+dwt_haar writes all four bands into one (4, C, h, w) buffer and returns
+views of it; idwt_haar writes a fresh output and never its input bands.
+Neither keeps state between calls.
+
 Odd input dimensions are edge-replicated to even before the transform;
 the inverse crops back to the requested target size.
 """
@@ -22,6 +34,11 @@ import numpy as np
 
 from .errors import DimensionError
 from .grid import FeatureGrid
+
+# Full-resolution bytes per channel block of dwt_haar and idwt_haar, as
+# nn._DEPTHWISE_BLOCK_BYTES and grid._RESIZE_BLOCK_BYTES: about 1 MB keeps
+# the block and its two half-size scratch arrays near L2.
+_HAAR_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,6 +63,11 @@ class SubbandSet:
         return self.lh, self.hl, self.hh
 
 
+def _channel_block(channels: int, plane_bytes: int) -> int:
+    """Channels per block: as many full-resolution planes as fit the budget, at least one."""
+    return max(1, min(channels, _HAAR_BLOCK_BYTES // plane_bytes))
+
+
 def dwt_haar(x: FeatureGrid) -> SubbandSet:
     """Split a grid into LL/LH/HL/HH half-resolution bands."""
     if x.height < 2 or x.width < 2:
@@ -54,16 +76,27 @@ def dwt_haar(x: FeatureGrid) -> SubbandSet:
     ph, pw = x.height % 2, x.width % 2
     if ph or pw:
         data = np.pad(data, ((0, 0), (0, ph), (0, pw)), mode="edge")
-    a = data[:, 0::2, 0::2]
-    b = data[:, 0::2, 1::2]
-    c = data[:, 1::2, 0::2]
-    d = data[:, 1::2, 1::2]
-    return SubbandSet(
-        ll=FeatureGrid((a + b + c + d) / 2.0),
-        lh=FeatureGrid((a + b - c - d) / 2.0),
-        hl=FeatureGrid((a - b + c - d) / 2.0),
-        hh=FeatureGrid((a - b - c + d) / 2.0),
-    )
+    ch, height, width = data.shape
+    bands = np.empty((4, ch, height // 2, width // 2))
+    ll, lh, hl, hh = bands
+    block = _channel_block(ch, data[0].nbytes)
+    rows_sum = np.empty((block, height // 2, width))
+    rows_diff = np.empty_like(rows_sum)
+    for start in range(0, ch, block):
+        stop = min(start + block, ch)
+        src = data[start:stop]
+        s, t = rows_sum[:stop - start], rows_diff[:stop - start]
+        np.add(src[:, 0::2], src[:, 1::2], out=s)
+        np.subtract(src[:, 0::2], src[:, 1::2], out=t)
+        s *= 0.5
+        t *= 0.5
+        np.add(s[:, :, 0::2], s[:, :, 1::2], out=ll[start:stop])
+        np.subtract(s[:, :, 0::2], s[:, :, 1::2], out=hl[start:stop])
+        np.add(t[:, :, 0::2], t[:, :, 1::2], out=lh[start:stop])
+        np.subtract(t[:, :, 0::2], t[:, :, 1::2], out=hh[start:stop])
+    del rows_sum, rows_diff, s, t  # freed before the bands' finiteness checks
+    return SubbandSet(ll=FeatureGrid(ll), lh=FeatureGrid(lh),
+                      hl=FeatureGrid(hl), hh=FeatureGrid(hh))
 
 
 def idwt_haar(s: SubbandSet, target_h: int | None = None, target_w: int | None = None) -> FeatureGrid:
@@ -77,8 +110,21 @@ def idwt_haar(s: SubbandSet, target_h: int | None = None, target_w: int | None =
             f"target {target_h}x{target_w} incompatible with band shape {bh}x{bw}"
         )
     out = np.empty((ch, 2 * bh, 2 * bw))
-    out[:, 0::2, 0::2] = (ll + lh + hl + hh) / 2.0
-    out[:, 0::2, 1::2] = (ll + lh - hl - hh) / 2.0
-    out[:, 1::2, 0::2] = (ll - lh + hl - hh) / 2.0
-    out[:, 1::2, 1::2] = (ll - lh - hl + hh) / 2.0
+    block = _channel_block(ch, out[0].nbytes)
+    # Interleaved columns of the row-pair sums (a + c, b + d) and differences (a - c, b - d).
+    rows_sum = np.empty((block, bh, 2 * bw))
+    rows_diff = np.empty_like(rows_sum)
+    for start in range(0, ch, block):
+        stop = min(start + block, ch)
+        sl = slice(start, stop)
+        p, q = rows_sum[:stop - start], rows_diff[:stop - start]
+        np.add(ll[sl], hl[sl], out=p[:, :, 0::2])
+        np.subtract(ll[sl], hl[sl], out=p[:, :, 1::2])
+        np.add(lh[sl], hh[sl], out=q[:, :, 0::2])
+        np.subtract(lh[sl], hh[sl], out=q[:, :, 1::2])
+        p *= 0.5
+        q *= 0.5
+        np.add(p, q, out=out[sl, 0::2])
+        np.subtract(p, q, out=out[sl, 1::2])
+    del rows_sum, rows_diff, p, q  # freed before the output's finiteness check
     return FeatureGrid(out[:, :target_h, :target_w])

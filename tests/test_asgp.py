@@ -4,6 +4,8 @@ import pytest
 from wavescan.asgp import (
     AsgpConfig,
     ProbeSet,
+    _offset_weights,
+    _offsets,
     asgp_gate,
     asgp_weight_spec,
     coarse_potential,
@@ -12,7 +14,6 @@ from wavescan.asgp import (
     probe_grid_coords,
     refine_mask,
     repulsion_forces,
-    semantic_offsets,
 )
 from wavescan import pipeline
 from wavescan.errors import DimensionError
@@ -383,6 +384,11 @@ class TestReassociatedOracles:
         got = coarse_potential(probes, x, store).data
         want = softmax_mean_potential(probes, x, store)
         assert max_rel_err(got, want) <= 1e-12
+
+
+def semantic_offsets(features, w, prefix=""):
+    """Bounded learned offsets: tanh of the two-layer head on sampled features."""
+    return _offsets(features, *_offset_weights(w, prefix, features.shape[1]))
 
 
 def oracle_repulsion(coords, cfg):

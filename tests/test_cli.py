@@ -7,10 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_metrics import oracle_ods_counts, oracle_region, oracle_skeletonize
 from wavescan import cli, fileio
-from wavescan.cli import build_parser, main, parse_config_text
+from wavescan.cli import _CONFIG_KEYS, build_parser, main, parse_config_text
 from wavescan.errors import ConfigError
 from wavescan.metrics import ODS_THRESHOLDS
 from wavescan.pipeline import PipelineConfig, default_weights
@@ -115,6 +117,34 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
             parse_config_text(["seed = 1", line])
 
+    @pytest.mark.parametrize("line", ["max_offset = nan", "max_offset = inf", "max_offset = -inf",
+                                      "max_offset = far", "seed = -1", "channels = ",
+                                      "channels = 16,,64,128", "steps = two", "probes = 1.5"])
+    def test_bad_value_rejected_by_key(self, line):
+        key = line.partition("=")[0].strip()
+        with pytest.raises(ConfigError, match=key):
+            parse_config_text([line])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(_CONFIG_KEYS),
+        st.one_of(st.text(alphabet=st.characters(blacklist_characters="\n\r#",
+                                                 blacklist_categories=("Cs",)), max_size=12),
+                  st.integers(-3, 300).map(str),
+                  st.floats(allow_nan=True, allow_infinity=True).map(repr),
+                  st.lists(st.integers(-4, 200), min_size=1, max_size=5)
+                  .map(lambda cs: ",".join(map(str, cs))),
+                  st.sampled_from(["EEGG", "GGGG", "EGX", "unit", "probe",
+                                   "ll=z,lh=v,hl=h,hh=snake", "ll=spiral"])),
+    ), max_size=6))
+    def test_fuzzed_config_parses_or_raises_value_error(self, items):
+        lines = [f"{key} = {value}" for key, value in items]
+        try:
+            cfg = parse_config_text(lines)
+        except ValueError:  # ConfigError is a ValueError
+            return
+        assert isinstance(cfg, PipelineConfig)
+
 
 class TestSubcommands:
     def test_dwt_roundtrip_passes(self, capsys, tmp_path):
@@ -125,6 +155,13 @@ class TestSubcommands:
         assert "max reconstruction error" in out
         header, rows = read_csv(out_csv)
         assert rows[0][-1] == "1"
+
+    @pytest.mark.parametrize("size", [3, 5, 9])
+    def test_dwt_roundtrip_passes_at_odd_size(self, size, tmp_path):
+        out_csv = tmp_path / "dwt.csv"
+        assert main(["dwt-roundtrip", "--size", str(size), "--out", str(out_csv)]) == 0
+        header, rows = read_csv(out_csv)
+        assert dict(zip(header, rows[0]))["pass"] == "1"
 
     def test_scan_bench_csv(self, tmp_path):
         out = tmp_path / "scan.csv"
@@ -181,6 +218,19 @@ class TestSubcommands:
                      "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: unknown config key 'probs'")
+        assert err.count("\n") == 1
+        assert not out_path.exists()
+
+    def test_forward_nan_max_offset_is_one_error_line(self, tmp_path, capsys):
+        img_path = tmp_path / "in.pgm"
+        fileio.save_pgm(img_path, np.zeros((32, 32)))
+        cfg_path = tmp_path / "cfg.txt"
+        cfg_path.write_text("max_offset = nan\n")
+        out_path = tmp_path / "mask.pgm"
+        assert main(["forward", "--image", str(img_path), "--out", str(out_path),
+                     "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: max_offset must be positive and finite")
         assert err.count("\n") == 1
         assert not out_path.exists()
 

@@ -20,6 +20,7 @@ from wavescan.nn import conv2d
 from wavescan.pipeline import PipelineConfig, default_weights, forward
 from wavescan.weights import seeded_init
 from wavescan.synth import SynthConfig, generate_sample
+from wavescan.wavelet import _HAAR_BLOCK_BYTES, dwt_haar, idwt_haar
 
 MB = 1e6
 
@@ -62,6 +63,19 @@ def test_resize_peak_is_bounded_by_channel_blocks():
         peak = traced_peak_mb(lambda: _resize_axis(data, axis, 256))
         assert peak <= out_mb + _RESIZE_BLOCK_BYTES / MB + 0.25, \
             f"axis {axis} resize peak {peak:.2f} MB for a {out_mb:.2f} MB output"
+
+
+def test_haar_peaks_are_bounded_by_channel_blocks():
+    # At 16 x 256 x 256 each direction holds its 8.4 MB output and two
+    # scratch arrays of half a channel block each; a temporary per Hadamard
+    # term, as the four-view formulas make, would add whole-band arrays.
+    x = FeatureGrid(np.random.default_rng(7).normal(size=(16, 256, 256)))
+    bands = dwt_haar(x)
+    out_mb = x.data.nbytes / MB
+    for name, fn in (("dwt_haar", lambda: dwt_haar(x)), ("idwt_haar", lambda: idwt_haar(bands))):
+        peak = traced_peak_mb(fn)
+        assert peak <= out_mb + 2 * _HAAR_BLOCK_BYTES / MB + 0.25, \
+            f"{name} peak {peak:.2f} MB for a {out_mb:.2f} MB output"
 
 
 def warm_forward_peak_mb(size: int) -> float:

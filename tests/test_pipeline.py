@@ -369,6 +369,14 @@ class TestForward:
         with pytest.raises(ConfigError):
             PipelineConfig(gate_mode="sometimes")
 
+    @pytest.mark.parametrize("kwargs", [{"max_offset": float("nan")},
+                                        {"max_offset": float("inf")},
+                                        {"max_offset": 0.0}, {"seed": -1}])
+    def test_config_rejects_bad_value_by_name(self, kwargs):
+        (key, _), = kwargs.items()
+        with pytest.raises(ConfigError, match=key):
+            PipelineConfig(**kwargs)
+
 
 class TestFlops:
     def test_conv_closed_form(self):

@@ -1,13 +1,80 @@
 import numpy as np
 import pytest
 
+from wavescan import wavelet
 from wavescan.errors import DimensionError
 from wavescan.grid import FeatureGrid
+from wavescan.pipeline import PipelineConfig
 from wavescan.wavelet import SubbandSet, dwt_haar, idwt_haar
+
+BANDS = ("ll", "lh", "hl", "hh")
 
 
 def band_energy(bands):
     return sum(float((b.data ** 2).sum()) for b in (bands.ll, bands.lh, bands.hl, bands.hh))
+
+
+def oracle_dwt(x: np.ndarray) -> dict[str, np.ndarray]:
+    """The Hadamard formulas over four strided quarter views of the edge-padded input."""
+    x = np.pad(x, ((0, 0), (0, x.shape[1] % 2), (0, x.shape[2] % 2)), mode="edge")
+    a, b, c, d = x[:, 0::2, 0::2], x[:, 0::2, 1::2], x[:, 1::2, 0::2], x[:, 1::2, 1::2]
+    return {"ll": (a + b + c + d) / 2.0, "lh": (a + b - c - d) / 2.0,
+            "hl": (a - b + c - d) / 2.0, "hh": (a - b - c + d) / 2.0}
+
+
+def oracle_idwt(ll, lh, hl, hh, target_h, target_w) -> np.ndarray:
+    """The Hadamard formulas written into the four quarter views, then cropped."""
+    ch, bh, bw = ll.shape
+    out = np.empty((ch, 2 * bh, 2 * bw))
+    out[:, 0::2, 0::2] = (ll + lh + hl + hh) / 2.0
+    out[:, 0::2, 1::2] = (ll + lh - hl - hh) / 2.0
+    out[:, 1::2, 0::2] = (ll - lh + hl - hh) / 2.0
+    out[:, 1::2, 1::2] = (ll - lh - hl + hh) / 2.0
+    return out[:, :target_h, :target_w]
+
+
+def pipeline_stage_shapes(size=256):
+    """(C, H, W) of every grid a default forward at size x size splits: each
+    encoder block's input and, at half its size, the carrier fa_scan splits."""
+    shapes = []
+    for stage, ch in enumerate(PipelineConfig().channels):
+        side = size >> stage
+        shapes += [(ch, side, side), (ch, side // 2, side // 2)]
+    return shapes
+
+
+def strided(rng, shape):
+    """A non-contiguous (C, H, W) view: every other row of a transposed array."""
+    ch, h, w = shape
+    return rng.normal(size=(ch, w, 2 * h)).transpose(0, 2, 1)[:, ::2]
+
+
+ORACLE_CASES = {
+    "even": lambda rng: rng.normal(size=(3, 16, 12)),
+    "odd-h": lambda rng: rng.normal(size=(2, 7, 10)),
+    "odd-w": lambda rng: rng.normal(size=(2, 8, 11)),
+    "odd-hw": lambda rng: rng.normal(size=(3, 9, 5)),
+    "2x2": lambda rng: rng.normal(size=(4, 2, 2)),
+    "1-channel": lambda rng: rng.normal(size=(1, 14, 18)),
+    "strided": lambda rng: strided(rng, (3, 12, 10)),
+    **{f"stage-{c}x{h}x{w}": (lambda rng, s=(c, h, w): rng.normal(size=s))
+       for c, h, w in pipeline_stage_shapes()},
+}
+
+
+def assert_matches_oracles(x: np.ndarray):
+    """dwt_haar and idwt_haar of x within 1e-14 * max|x| of the oracles."""
+    tol = 1e-14 * np.abs(x).max()
+    bands = dwt_haar(FeatureGrid(x))
+    want = oracle_dwt(x)
+    for name in BANDS:
+        got = getattr(bands, name).data
+        assert got.shape == want[name].shape, name
+        assert np.abs(got - want[name]).max() <= tol, name
+    h, w = x.shape[1:]
+    recon = idwt_haar(bands, h, w).data
+    assert np.abs(recon - oracle_idwt(*(want[n] for n in BANDS), h, w)).max() <= tol
+    assert np.abs(recon - x).max() <= tol
 
 
 class TestForward:
@@ -118,3 +185,67 @@ class TestQuadrantSigns:
             bands[name] = FeatureGrid.full(1, 1, 1, 1.0)
             out = idwt_haar(SubbandSet(**bands)).data[0]
             assert tuple(out.ravel() * 2.0) == want, name
+
+
+class TestButterflyAgainstOracles:
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_bands_and_reconstruction_match_oracles(self, case):
+        assert_matches_oracles(ORACLE_CASES[case](np.random.default_rng(7)))
+
+    def test_strided_input_is_not_contiguous(self):
+        x = strided(np.random.default_rng(0), (3, 12, 10))
+        assert x.shape == (3, 12, 10) and not x.flags.c_contiguous
+
+    def test_idwt_of_strided_bands_matches_oracle(self):
+        rng = np.random.default_rng(8)
+        bands = {n: strided(rng, (2, 5, 6)) for n in BANDS}
+        got = idwt_haar(SubbandSet(**{n: FeatureGrid(b) for n, b in bands.items()}), 9, 12).data
+        want = oracle_idwt(*(bands[n] for n in BANDS), 9, 12)
+        assert np.abs(got - want).max() <= 1e-14 * max(np.abs(b).max() for b in bands.values())
+
+    @pytest.mark.parametrize("planes", [None, 1, 2, 3, 10])
+    @pytest.mark.parametrize("shape", [(7, 10, 12), (7, 9, 11)])
+    def test_channel_blocks(self, monkeypatch, shape, planes):
+        # Budgets of one channel, below one channel (None: 100 B, still one
+        # channel a block), 2 and 3 channels (a short last block of 1), and
+        # every channel in one block.
+        ch, h, w = shape
+        plane = (h + h % 2) * (w + w % 2) * 8
+        monkeypatch.setattr(wavelet, "_HAAR_BLOCK_BYTES", 100 if planes is None else planes * plane)
+        assert_matches_oracles(np.random.default_rng(9).normal(size=shape))
+
+    def test_bands_are_slots_of_one_buffer(self):
+        bands = dwt_haar(FeatureGrid(np.random.default_rng(10).normal(size=(3, 8, 6))))
+        buffer = bands.ll.data.base
+        assert buffer is not None and buffer.shape == (4, 3, 4, 3)
+        for slot, name in enumerate(BANDS):
+            assert np.shares_memory(getattr(bands, name).data, buffer[slot])
+
+
+class TestNoSharedState:
+    def test_inputs_unchanged(self):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(3, 9, 12))
+        before = x.copy()
+        bands = dwt_haar(FeatureGrid(x))
+        assert np.array_equal(x, before)
+        kept = {n: getattr(bands, n).data.copy() for n in BANDS}
+        idwt_haar(bands, 9, 12)
+        for name in BANDS:
+            assert np.array_equal(getattr(bands, name).data, kept[name]), name
+
+    def test_calls_return_distinct_buffers(self):
+        x = FeatureGrid(np.random.default_rng(12).normal(size=(2, 8, 8)))
+        want, tol = oracle_dwt(x.data), 1e-14 * np.abs(x.data).max()
+        first = dwt_haar(x)
+        for name in BANDS:
+            getattr(first, name).data[...] = 7.0
+        second = dwt_haar(x)
+        for name in BANDS:
+            assert not np.shares_memory(getattr(first, name).data, getattr(second, name).data)
+            assert np.abs(getattr(second, name).data - want[name]).max() <= tol, name
+        out = idwt_haar(second)
+        out.data[...] = -3.0
+        again = idwt_haar(second)
+        assert not np.shares_memory(out.data, again.data)
+        assert np.abs(again.data - x.data).max() <= tol
