@@ -33,6 +33,10 @@ class BenchReport:
     flops: int
 
 
+_OPS = ("dwt_haar", "idwt_haar", "hilbert_build", "serialize_roundtrip",
+       "ssm_scan_parallel", "fa_scan", "cross_scan", "forward")
+
+
 def _time(fn, iterations: int, warmup: int = 3) -> tuple[float, float]:
     for _ in range(warmup):
         fn()
@@ -60,7 +64,16 @@ def _report(op: str, shape: tuple, fn, iterations: int, elems: int, macs: int = 
 
 def run_benchmarks(size: int = 256, forward_runs: int = 100, kernel_runs: int = 25,
                    ops: list[str] | None = None, seed: int = 0) -> list[BenchReport]:
-    """Benchmark the hot operations at the given input size."""
+    """Benchmark the hot operations at the given input size.
+
+    ``ops`` holds op-name prefixes; a prefix that names no op in ``_OPS``
+    raises ``ValueError`` before anything runs.
+    """
+    if ops is not None:
+        unmatched = [o for o in ops if not any(name.startswith(o) for name in _OPS)]
+        if unmatched:
+            raise ValueError(f"no benchmark op starts with {', '.join(map(repr, unmatched))}"
+                             f" (ops: {', '.join(_OPS)})")
     rng = np.random.default_rng(seed)
     reports: list[BenchReport] = []
     half = size // 2
@@ -69,11 +82,11 @@ def run_benchmarks(size: int = 256, forward_runs: int = 100, kernel_runs: int = 
         return ops is None or any(name.startswith(o) for o in ops)
 
     grid = FeatureGrid(rng.normal(size=(16, size, size)))
-    if wanted("dwt"):
+    if wanted("dwt_haar"):
         reports.append(_report("dwt_haar", grid.shape, lambda: dwt_haar(grid),
                                kernel_runs, grid.data.size))
     bands = dwt_haar(grid)
-    if wanted("idwt"):
+    if wanted("idwt_haar"):
         reports.append(_report("idwt_haar", grid.shape, lambda: idwt_haar(bands),
                                kernel_runs, grid.data.size))
 
@@ -82,7 +95,7 @@ def run_benchmarks(size: int = 256, forward_runs: int = 100, kernel_runs: int = 
         reports.append(_report("hilbert_build", (half, half),
                                lambda: uncached(ScanKind.HILBERT, half, half),
                                kernel_runs, half * half))
-    if wanted("serialize"):
+    if wanted("serialize_roundtrip"):
         order = build_scan_order(ScanKind.HILBERT, half, half)
         sub = FeatureGrid(rng.normal(size=(16, half, half)))
         reports.append(_report("serialize_roundtrip", sub.shape,

@@ -95,6 +95,23 @@ def align_weight_spec(channels: int, prefix: str = "") -> list[tuple[str, tuple]
     ]
 
 
+def _stack_bands(bands: list[np.ndarray]) -> np.ndarray:
+    """The channel concatenation of ``bands``, without a copy when it exists.
+
+    ``dwt_haar`` returns LH, HL and HH as slots 1-3 of one (4, C, h, w)
+    buffer, whose ``[1:]`` is already their concatenation; bands built
+    elsewhere are copied.
+    """
+    base = bands[0].base
+    if base is not None and base.ndim == 4 and base.flags.c_contiguous:
+        slots = base[1:len(bands) + 1]
+        if len(slots) == len(bands) and all(
+                band.__array_interface__ == slot.__array_interface__
+                for band, slot in zip(bands, slots)):
+            return slots.reshape(-1, *slots.shape[2:])
+    return np.concatenate(bands, axis=0)
+
+
 def align(x_ll: FeatureGrid, x_hf, w: WeightStore, prefix: str = "",
           max_offset: float = 0.25) -> FeatureGrid:
     """Resample the carrier along offsets predicted from the detail bands.
@@ -110,7 +127,7 @@ def align(x_ll: FeatureGrid, x_hf, w: WeightStore, prefix: str = "",
     for band in bands:
         if (band.height, band.width) != shape:
             raise DimensionError("detail bands must match the carrier's spatial shape")
-    stacked = np.concatenate([band.data for band in bands], axis=0)
+    stacked = _stack_bands([band.data for band in bands])
     channels = x_ll.channels
     hidden = align_hidden(channels)
     w1 = w.get(prefix + "align.w1", (hidden, stacked.shape[0], 3, 3))

@@ -17,6 +17,15 @@ baseline) and an associative prefix-combine scan vectorized over the
 sequence axis.  The (L, C, N) decay and drive tensors are each built in
 one buffer and finished in place, and the prefix scan overwrites both
 instead of copying them, returning the states in the drive buffer.
+
+The prefix scan works on a time-major layout: the sequence is cut into
+nb = ceil(L / bs) blocks of bs = ceil(sqrt(L)) steps, and step t of
+block k is token k*bs + t, stored at row t*nb + k.  Each in-block step
+then touches one contiguous nb x C x N slab.  The tokens are permuted
+into this layout before the coefficients are built, with zero tokens
+padding the last block after the final real step, and the readout is
+permuted back and cropped.  Non-finite tokens are rejected on both
+paths.
 """
 
 from __future__ import annotations
@@ -224,6 +233,11 @@ def _check_tokens(params: SsmParams, u) -> np.ndarray:
         )
     if u.shape[0] < 1:
         raise DimensionError("token sequence must be non-empty")
+    if not np.all(np.isfinite(u)):
+        step, channel = np.argwhere(~np.isfinite(u))[0]
+        raise ValueError(
+            f"tokens must be finite: step {step}, channel {channel} is {u[step, channel]}"
+        )
     return u
 
 
@@ -262,45 +276,57 @@ def ssm_scan_sequential(params: SsmParams, u) -> np.ndarray:
 
 
 def _prefix_affine(decay: np.ndarray, drive: np.ndarray) -> np.ndarray:
-    """Inclusive scan of h -> a*h + b via a two-level blocked combine.
+    """Inclusive scan of h -> a*h + b over time-major blocks.
 
     Relies on the associativity of affine maps: (a1, b1) then (a2, b2)
-    composes to (a2*a1, a2*b1 + b2).  Elements are split into ~sqrt(L)
-    blocks scanned in lockstep (vectorized across blocks), block carries
-    are combined, and carried state is folded back with the in-block
-    prefix products.  Any length works; identity elements pad the tail.
+    composes to (a2*a1, a2*b1 + b2).  The inputs are (bs, nb, ...):
+    step t of block k sits at ``[t, k]``, so the blocks are scanned in
+    lockstep and each in-block step reads and writes one contiguous
+    (nb, ...) slab.  The block carries are then combined from zero, and
+    the carried state is folded back with the in-block prefix products.
+    Only the states of the last block may depend on what follows the
+    sequence, so its tail may hold any padding steps.
 
     Works in place: both inputs are overwritten (with the in-block
-    prefix products and the states), and the returned states may be a
-    view of ``drive``.  Pass buffers the caller no longer needs.
+    prefix products and the states), and the returned states, in the
+    same (bs, nb, ...) layout, are ``drive``.  Pass buffers the caller no
+    longer needs.
     """
-    length = decay.shape[0]
-    if length == 1:
+    bs, nb = decay.shape[:2]
+    if bs * nb == 1:
         return drive
+    a, b = decay, drive
+    tmp = np.empty(b.shape[1:])
+    for t in range(1, bs):
+        np.multiply(a[t], b[t - 1], out=tmp)
+        b[t] += tmp
+        a[t] *= a[t - 1]
+    carries = np.zeros(b.shape[1:])
+    for k in range(1, nb):
+        np.multiply(a[-1, k - 1], carries[k - 1], out=carries[k])
+        carries[k] += b[-1, k - 1]
+    a *= carries
+    b += a
+    return b
+
+
+def ssm_scan_parallel(params: SsmParams, u) -> np.ndarray:
+    """Prefix-combine evaluation; matches the sequential path to ~1e-12.
+
+    The tokens are permuted into the scan's time-major layout, padded
+    with zero tokens after the last real step, before the coefficients
+    are built; the readout is put back in sequence order and cropped.
+    """
+    u = _check_tokens(params, u)
+    length, channels = u.shape
     bs = int(np.ceil(np.sqrt(length)))
     nb = -(-length // bs)
     pad = nb * bs - length
     if pad:
-        decay = np.concatenate([decay, np.ones((pad,) + decay.shape[1:])])
-        drive = np.concatenate([drive, np.zeros((pad,) + drive.shape[1:])])
-    a = decay.reshape(nb, bs, *decay.shape[1:])
-    b = drive.reshape(nb, bs, *drive.shape[1:])
-    for t in range(1, bs):
-        b[:, t] += a[:, t] * b[:, t - 1]
-        a[:, t] *= a[:, t - 1]
-    carries = np.zeros((nb,) + b.shape[2:])
-    carry = carries[0]
-    for k in range(1, nb):
-        carry = a[k - 1, -1] * carry + b[k - 1, -1]
-        carries[k] = carry
-    a *= carries[:, None]
-    b += a
-    return b.reshape(nb * bs, *decay.shape[1:])[:length]
-
-
-def ssm_scan_parallel(params: SsmParams, u) -> np.ndarray:
-    """Prefix-combine evaluation; matches the sequential path to ~1e-12."""
-    u = _check_tokens(params, u)
+        u = np.concatenate([u, np.zeros((pad, channels))])
+    u = u.reshape(nb, bs, channels).swapaxes(0, 1).reshape(bs * nb, channels)
     decay, drive, c_t = _coefficients(params, u)
-    hs = _prefix_affine(decay, drive)  # overwrites decay and drive
-    return _readout(params, hs, c_t, u)
+    blocked = (bs, nb) + decay.shape[1:]
+    hs = _prefix_affine(decay.reshape(blocked), drive.reshape(blocked))  # overwrites both
+    y = _readout(params, hs.reshape(decay.shape), c_t, u)
+    return y.reshape(bs, nb, channels).swapaxes(0, 1).reshape(bs * nb, channels)[:length]

@@ -389,6 +389,13 @@ class TestSubcommands:
         for row in rows:
             assert int(row[2]) >= 10
 
+    def test_bench_ops_match_full_names_as_prefixes(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--size", "32", "--runs", "10", "--out", str(out),
+                     "--ops", "dwt_haar,serialize_roundtrip"]) == 0
+        _, rows = read_csv(out)
+        assert [r[0] for r in rows] == ["dwt_haar", "serialize_roundtrip"]
+
     # One malformed input per subcommand; {tmp} is the test's scratch directory.
     @pytest.mark.parametrize("argv, says", [
         (["dwt-roundtrip", "--size", "0", "--out", "{tmp}/d.csv"], "dimensions must be positive"),
@@ -401,6 +408,8 @@ class TestSubcommands:
         (["synth-gen", "--count", "0", "--out-dir", "{tmp}/g"], "--count"),
         (["mismatch-demo", "--size", "2", "--out", "{tmp}/x.csv"], "at least 4x4"),
         (["bench", "--size", "0", "--out", "{tmp}/b.csv"], "dimensions must be positive"),
+        (["bench", "--size", "32", "--ops", "scan,nothing", "--out", "{tmp}/b.csv"],
+         "no benchmark op starts with 'scan', 'nothing'"),
     ])
     def test_malformed_input_is_one_error_line(self, tmp_path, argv, says):
         code, err = run_cli(*(a.format(tmp=tmp_path) for a in argv))

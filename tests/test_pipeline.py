@@ -8,6 +8,7 @@ from wavescan.flops import conv_macs, cross_scan_macs, fa_scan_macs, flop_estima
 from wavescan.grid import FeatureGrid
 from wavescan.pipeline import (
     PipelineConfig,
+    _stack_bands,
     _stage_probes,
     align,
     align_weight_spec,
@@ -62,6 +63,32 @@ class TestAlign:
         store["align.b2"] = np.array([50.0, -50.0])  # tanh saturates at +-1
         out = align(x, bands, store, max_offset=0.25)
         assert np.all(np.isfinite(out.data))
+
+    def test_dwt_detail_bands_are_stacked_as_a_view(self):
+        sub = dwt_haar(FeatureGrid(np.random.default_rng(2).normal(size=(4, 16, 16))))
+        bands = [b.data for b in sub.high()]
+        stacked = _stack_bands(bands)
+        assert np.shares_memory(stacked, sub.lh.data)
+        assert np.array_equal(stacked, np.concatenate(bands))
+
+    @pytest.mark.parametrize("pick", [
+        lambda sub: [b.data.copy() for b in sub.high()],
+        lambda sub: [sub.hl.data, sub.lh.data, sub.hh.data],
+        lambda sub: [sub.ll.data, sub.lh.data, sub.hl.data],
+    ], ids=["copies", "reordered", "with_ll"])
+    def test_other_bands_are_stacked_as_a_copy(self, pick):
+        sub = dwt_haar(FeatureGrid(np.random.default_rng(3).normal(size=(4, 16, 16))))
+        bands = pick(sub)
+        stacked = _stack_bands(bands)
+        assert not any(np.shares_memory(stacked, b) for b in bands)
+        assert np.array_equal(stacked, np.concatenate(bands))
+
+    def test_view_and_copy_align_identically(self):
+        sub = dwt_haar(FeatureGrid(np.random.default_rng(4).normal(size=(4, 16, 16))))
+        copies = [FeatureGrid(b.data.copy()) for b in sub.high()]
+        store = seeded_init(align_weight_spec(4), 4)
+        want = align(sub.ll, copies, store)
+        assert np.array_equal(align(sub.ll, sub.high(), store).data, want.data)
 
     def test_band_shape_mismatch_rejected(self):
         x, bands = self.make_inputs()

@@ -148,6 +148,17 @@ class TestValidationAndStore:
         with pytest.raises(DimensionError):
             ssm_scan_sequential(p, np.ones((0, 1)))
 
+    @pytest.mark.parametrize("scan", [ssm_scan_parallel, ssm_scan_sequential])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_tokens(self, scan, bad):
+        # Without the check both paths return an all-NaN output.
+        p = SsmParams.random(3, 2, seed=0)
+        u = np.zeros((10, 3))
+        u[8, 0] = bad
+        u[6, 2] = bad
+        with pytest.raises(ValueError, match=f"step 6, channel 2 is {bad}"):
+            scan(p, u)
+
     def test_rejects_positive_infinity_a_log(self):
         with pytest.raises(ValueError):
             SsmParams(state_dim=1, a_log=np.full((1, 1), np.inf), d_skip=np.zeros(1),
@@ -174,7 +185,8 @@ class TestValidationAndStore:
 
 
 def copying_prefix_affine(decay, drive):
-    """The previous _prefix_affine: scans copies of its inputs and builds a new output."""
+    """An earlier _prefix_affine: block-major blocks of the natural (L, ...) layout,
+    scanned on copies of its inputs into a new output."""
     length = decay.shape[0]
     if length == 1:
         return drive.copy()
@@ -196,6 +208,25 @@ def copying_prefix_affine(decay, drive):
         carries[k] = carry
     out = b + a * carries[:, None]
     return out.reshape(nb * bs, *decay.shape[1:])[:length]
+
+
+def blocking(length):
+    """The scan's (steps per block, blocks) for a sequence of ``length``."""
+    bs = int(np.ceil(np.sqrt(length)))
+    return bs, -(-length // bs)
+
+
+def time_major(x, fill):
+    """(L, ...) -> (bs, nb, ...) with step t of block k at [t, k]; the tail holds ``fill``."""
+    bs, nb = blocking(x.shape[0])
+    padded = np.full((nb * bs,) + x.shape[1:], fill)
+    padded[:x.shape[0]] = x
+    return np.ascontiguousarray(padded.reshape(nb, bs, *x.shape[1:]).swapaxes(0, 1))
+
+
+def sequence_order(x, length):
+    """Undo ``time_major`` and crop the tail."""
+    return x.swapaxes(0, 1).reshape(-1, *x.shape[2:])[:length]
 
 
 def oracle_coefficients(params, u):
@@ -237,23 +268,34 @@ class TestInPlaceScan:
         decay = rng.uniform(0.0, 1.0, size=(length, 3, 2))
         drive = rng.normal(size=(length, 3, 2))
         want = copying_prefix_affine(decay.copy(), drive.copy())
-        got = _prefix_affine(decay, drive)
+        got = _prefix_affine(time_major(decay, 1.0), time_major(drive, 0.0))
+        assert got.shape == blocking(length) + (3, 2)
+        got = sequence_order(got, length)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
 
     def test_prefix_affine_overwrites_its_inputs(self):
         # The docstring's contract: the buffers are scratch; states come back in drive.
         rng = np.random.default_rng(4)
-        decay = rng.uniform(0.0, 1.0, size=(16, 2, 2))
-        drive = rng.normal(size=(16, 2, 2))
+        decay = rng.uniform(0.0, 1.0, size=(4, 4, 2, 2))
+        drive = rng.normal(size=(4, 4, 2, 2))
+        decay_before = decay.copy()
         states = _prefix_affine(decay, drive)
+        assert states.shape == (4, 4, 2, 2)
         assert np.shares_memory(states, drive)
+        assert not np.array_equal(decay, decay_before)
 
     @pytest.mark.parametrize("selective", [True, False])
     def test_parallel_scan_bit_identical_to_copying_scan(self, selective):
-        p = SsmParams.random(4, 3, seed=7, selective=selective)
-        u = np.random.default_rng(7).normal(size=(123, 4))
-        decay, drive, c_t = oracle_coefficients(p, u)
-        hs = copying_prefix_affine(decay, drive)
-        want = np.einsum("lcn,ln->lc", hs, c_t) + p.d_skip * u
-        assert np.array_equal(ssm_scan_parallel(p, u), want)
+        # The four stage shapes of a 256^2 forward, then other lengths over the same widths.
+        for length, channels in [(4096, 16), (1024, 32), (256, 64), (64, 128),
+                                 (1, 16), (2, 32), (3, 64), (4, 128),
+                                 (10, 16), (17, 32), (123, 64), (1000, 128)]:
+            p = SsmParams.random(channels, 8, seed=length, selective=selective)
+            u = np.random.default_rng(length).normal(size=(length, channels))
+            decay, drive, c_t = oracle_coefficients(p, u)
+            hs = copying_prefix_affine(decay, drive)
+            want = np.einsum("lcn,ln->lc", hs, c_t) + p.d_skip * u
+            got = ssm_scan_parallel(p, u)
+            assert got.shape == want.shape, (length, channels)
+            assert np.array_equal(got, want), (length, channels)
