@@ -24,8 +24,9 @@ import numpy as np
 
 from .errors import DimensionError
 
-# Output bytes per channel block of _resize_axis, as nn._DEPTHWISE_BLOCK_BYTES:
-# about 1 MB keeps the block's scratch near L2.
+# Bytes per channel block of _resize_axis's output and of resize_bilinear's
+# row-pass and output planes, as nn._DEPTHWISE_BLOCK_BYTES: about 1 MB keeps
+# the block's scratch near L2.
 _RESIZE_BLOCK_BYTES = 1 << 20
 
 
@@ -234,18 +235,26 @@ def bilinear_gradient(grid: FeatureGrid, coords) -> np.ndarray:
     return out[0] if single else out
 
 
-def _resize_axis(data: np.ndarray, axis: int, out_size: int) -> np.ndarray:
+def _resize_axis(data: np.ndarray, axis: int, out_size: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Corner-aligned linear resize of a (C, H, W) array along axis 1 or 2.
 
     Blends blocks of whole channels, as many as fit _RESIZE_BLOCK_BYTES of
     output (at least one), into a preallocated output, so the only
-    temporary is one block's upper-neighbour gather.
+    temporary is one block's upper-neighbour gather.  The output is
+    ``out`` when given; otherwise a new array, or ``data`` itself when the
+    size is unchanged.
     """
     size = data.shape[axis]
-    if out_size == size:
+    if out_size == size and out is None:
         return data
-    if size == 1:
-        return np.repeat(data, out_size, axis=axis)
+    out_shape = list(data.shape)
+    out_shape[axis] = out_size
+    if out is None:
+        out = np.empty(out_shape)
+    if out_size == size or size == 1:
+        out[...] = data  # a size-1 axis broadcasts to every output position
+        return out
     pos = np.linspace(0.0, size - 1.0, out_size)
     i0 = np.minimum(np.floor(pos).astype(np.intp), size - 2)
     i1 = i0 + 1
@@ -254,9 +263,6 @@ def _resize_axis(data: np.ndarray, axis: int, out_size: int) -> np.ndarray:
     shape[axis] = out_size
     frac = frac.reshape(shape)
     wlo = 1.0 - frac
-    out_shape = list(data.shape)
-    out_shape[axis] = out_size
-    out = np.empty(out_shape)
     block = max(1, _RESIZE_BLOCK_BYTES // out[0].nbytes)
     hi = np.empty([min(block, len(out))] + out_shape[1:])
     for start in range(0, len(out), block):
@@ -272,9 +278,21 @@ def _resize_axis(data: np.ndarray, axis: int, out_size: int) -> np.ndarray:
 
 
 def resize_bilinear(grid: FeatureGrid, out_h: int, out_w: int) -> FeatureGrid:
-    """Resize a grid with corner-aligned bilinear interpolation (separable)."""
+    """Resize a grid with corner-aligned bilinear interpolation (separable).
+
+    Both passes run on one block of whole channels at a time, as many as
+    fit _RESIZE_BLOCK_BYTES of row-pass and output planes (at least one),
+    straight into the new output, so no full row-pass intermediate is
+    built.  Each channel is resized on its own, so the blocking does not
+    change a value.
+    """
     if out_h < 1 or out_w < 1:
         raise DimensionError("target size must be positive")
-    data = _resize_axis(grid.data, 1, out_h)
-    data = _resize_axis(data, 2, out_w)
-    return FeatureGrid(np.ascontiguousarray(data))
+    data = grid.data
+    channels, _, in_w = data.shape
+    out = np.empty((channels, out_h, out_w))
+    block = max(1, _RESIZE_BLOCK_BYTES // (8 * out_h * (in_w + out_w)))
+    for start in range(0, channels, block):
+        part = slice(start, start + block)
+        _resize_axis(_resize_axis(data[part], 1, out_h), 2, out_w, out=out[part])
+    return FeatureGrid(out)

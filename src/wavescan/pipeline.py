@@ -214,27 +214,39 @@ def _stage_probes(w: WeightStore, cfg: PipelineConfig, channels: int, prefix: st
 
 def encoder_block(x: FeatureGrid, cfg: PipelineConfig, w: WeightStore,
                   stage: int = 1) -> FeatureGrid:
-    """One resolution-preserving split/align/model-and-gate/merge block."""
+    """One resolution-preserving split/align/model-and-gate/merge block.
+
+    Every full-resolution buffer is released once its last reader is
+    done: the block drops its reference to ``x`` right after the split,
+    gates the detail bands before the scan so that the band buffer can go
+    before it, and drops the aligned carrier once the scan has read it.
+    A caller that hands its only reference over (``block(held.pop(),
+    ...)``) lets the input be freed during the block; a caller that keeps
+    ``x`` gets the same output and finds ``x`` unchanged.
+    """
     if x.height % 2 or x.width % 2:
         raise DimensionError(f"block needs even dims, got {x.height}x{x.width}")
     if x.height < 4 or x.width < 4:
         raise DimensionError(f"block needs dims >= 4, got {x.height}x{x.width}")
+    height, width, channels = x.height, x.width, x.channels
     prefix = f"s{stage}."
     bands = dwt_haar(x)
+    del x
     aligned = align(bands.ll, bands.high(), w, prefix, cfg.max_offset)
-    psi = SsmParams.from_store(w, prefix)
-    carrier = fa_scan(aligned, psi, cfg.assign)
-    carrier = lgb(carrier, cfg.lgb_config(stage), w, prefix)
     if cfg.gate_mode == "unit":
         gated = list(bands.high())
     else:
-        probes = _stage_probes(w, cfg, x.channels, prefix)
+        probes = _stage_probes(w, cfg, channels, prefix)
         m0 = coarse_potential(probes, aligned, w, prefix)
         probes = evolve_probes(m0, aligned, probes, cfg.asgp, w, prefix)
-        m1 = refine_mask(probes, (bands.ll.height, bands.ll.width), cfg.asgp)
+        m1 = refine_mask(probes, (aligned.height, aligned.width), cfg.asgp)
         gated = asgp_gate(m0, m1, bands.high(), cfg.asgp)
+    del bands
+    carrier = fa_scan(aligned, SsmParams.from_store(w, prefix), cfg.assign)
+    del aligned
+    carrier = lgb(carrier, cfg.lgb_config(stage), w, prefix)
     merged = SubbandSet(ll=carrier, lh=gated[0], hl=gated[1], hh=gated[2])
-    return idwt_haar(merged, x.height, x.width)
+    return idwt_haar(merged, height, width)
 
 
 def stem(image: FeatureGrid, cfg: PipelineConfig, w: WeightStore) -> FeatureGrid:
@@ -266,19 +278,19 @@ def gfa(features, w: WeightStore) -> FeatureGrid:
     the first level's size, scaled by its gate vector, summed, and mixed
     by one 3x3 convolution.  ``features`` is read one level at a time and
     no level is kept past its projection, so an iterator that hands over
-    its levels lets each one be freed as soon as it is used.
+    its levels lets each one be freed as soon as it is used.  The sum
+    starts as level 1's gated projection itself, so no zero-filled
+    full-resolution buffer is held beside it.
     """
     ce = w["gfa.phi1_w"].shape[0]
     hidden = max(1, ce // 4)
-    total = None
     level = 0
     for feat in features:
         level += 1
         if level > STAGES:
             raise ConfigError(f"fusion expects {STAGES} levels, got more")
-        if total is None:
+        if level == 1:
             out_h, out_w = feat.height, feat.width
-            total = np.zeros((ce, out_h, out_w))
         pw = w.get(f"gfa.phi{level}_w", (ce, feat.channels))
         pb = w.get(f"gfa.phi{level}_b", (ce,))
         proj = conv1x1(feat.data, pw, pb)
@@ -291,7 +303,10 @@ def gfa(features, w: WeightStore) -> FeatureGrid:
         gb2 = w.get(f"gfa.gate{level}_b2", (ce,))
         gate = sigmoid(g2 @ relu(g1 @ global_avg_pool(proj) + gb1) + gb2)
         proj *= gate[:, None, None]  # proj is this loop's own array
-        total += proj
+        if level == 1:
+            total = proj
+        else:
+            total += proj
         del proj
     if level != STAGES:
         raise ConfigError(f"fusion expects {STAGES} levels, got {level}")
@@ -341,6 +356,9 @@ def forward(image: FeatureGrid, cfg: PipelineConfig | None = None,
     The input must be single-channel with H and W multiples of
     16 * stem_stride and >= 32, so every stage grid stays even.
     Deterministic: identical (image, cfg, weights) give identical masks.
+    Each stage input is handed over to its encoder block, and each stage
+    output to gfa, without a second reference, so every full-resolution
+    buffer is freed once its last reader is done.
     """
     cfg = cfg or PipelineConfig()
     if image.channels != 1:
@@ -353,13 +371,15 @@ def forward(image: FeatureGrid, cfg: PipelineConfig | None = None,
             f"input dims must be multiples of {step}, got {image.height}x{image.width}"
         )
     w = w if w is not None else default_weights(cfg)
-    x = stem(image, cfg, w)
+    # held owns each stage input alone and pops it into the block, which
+    # frees it once it is split
+    held = [stem(image, cfg, w)]
     taps: list[FeatureGrid] = []
     for stage in range(1, STAGES + 1):
-        x = encoder_block(x, cfg, w, stage)
+        x = encoder_block(held.pop(), cfg, w, stage)
         taps.append(x)
         if stage < STAGES:
-            x = downsample(x, cfg, w, stage)
+            held.append(downsample(x, cfg, w, stage))
     base_h, base_w = taps[0].height, taps[0].width
     for idx, tap in enumerate(taps):
         if (tap.height, tap.width) != (base_h >> idx, base_w >> idx):

@@ -257,7 +257,11 @@ def _coefficients(params: SsmParams, u: np.ndarray):
     decay = np.repeat(delta, n, axis=1).reshape(length, params.channels, n)
     decay *= a
     np.exp(decay, out=decay)
-    drive = np.repeat(delta * u, n, axis=1).reshape(length, params.channels, n)
+    if params.selective:
+        delta_u = np.multiply(delta, u, out=delta)  # delta is this function's own array
+    else:
+        delta_u = delta * u
+    drive = np.repeat(delta_u, n, axis=1).reshape(length, params.channels, n)
     drive *= b_t[:, None, :]
     return decay, drive, c_t
 
@@ -326,7 +330,9 @@ def ssm_scan_parallel(params: SsmParams, u) -> np.ndarray:
         u = np.concatenate([u, np.zeros((pad, channels))])
     u = u.reshape(nb, bs, channels).swapaxes(0, 1).reshape(bs * nb, channels)
     decay, drive, c_t = _coefficients(params, u)
-    blocked = (bs, nb) + decay.shape[1:]
+    shape = decay.shape
+    blocked = (bs, nb) + shape[1:]
     hs = _prefix_affine(decay.reshape(blocked), drive.reshape(blocked))  # overwrites both
-    y = _readout(params, hs.reshape(decay.shape), c_t, u)
+    del decay, drive  # hs is drive's buffer; decay is not read again
+    y = _readout(params, hs.reshape(shape), c_t, u)
     return y.reshape(bs, nb, channels).swapaxes(0, 1).reshape(bs * nb, channels)[:length]

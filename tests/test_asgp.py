@@ -320,6 +320,21 @@ class TestGate:
             asgp_gate(FeatureGrid.zeros(1, 5, 5), FeatureGrid.zeros(1, 4, 4),
                       [FeatureGrid.zeros(1, 4, 4)])
 
+    def test_bands_and_masks_unchanged(self):
+        # encoder_block frees the band buffer once the gate has read it,
+        # so the gate must return new arrays and leave its inputs as they are.
+        rng = np.random.default_rng(3)
+        m0 = FeatureGrid(rng.uniform(size=(1, 8, 8)))
+        m1 = FeatureGrid(rng.uniform(size=(1, 4, 4)))
+        buffer = rng.normal(size=(4, 2, 4, 4))
+        bands = [FeatureGrid(slot) for slot in buffer[1:]]
+        inputs = [m0.data, m1.data, buffer]
+        before = [a.copy() for a in inputs]
+        gated = asgp_gate(m0, m1, bands)
+        for a, want in zip(inputs, before):
+            assert np.array_equal(a, want)
+        assert not any(np.shares_memory(g.data, a) for g in gated for a in inputs)
+
 
 def splat_stack_mask(probes, shape, sigma):
     """The previous refine_mask: a probes x H x W stack of Gaussian splats, summed."""

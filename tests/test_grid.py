@@ -377,3 +377,25 @@ class TestResizeBlocks:
         for axis in (1, 2):
             assert np.array_equal(_resize_axis(data, axis, 17),
                                   per_channel_resize_axis(data, axis, 17))
+
+    # Each plane of a resize_bilinear block is one row-pass plane plus one
+    # output plane.
+    @pytest.mark.parametrize("planes", [0, 1, 2, 1000])
+    @pytest.mark.parametrize("shape, out_h, out_w", [
+        ((5, 9, 11), 23, 4), ((5, 9, 11), 4, 23), ((5, 1, 7), 6, 13), ((5, 6, 1), 3, 5),
+        ((3, 7, 5), 7, 9), ((3, 7, 5), 11, 5), ((3, 7, 5), 1, 1), ((1, 4, 4), 9, 9),
+    ])
+    def test_resize_bilinear_matches_two_passes(self, monkeypatch, planes, shape, out_h, out_w):
+        data = np.random.default_rng(planes + out_h).normal(size=shape)
+        want = _resize_axis(_resize_axis(data, 1, out_h), 2, out_w)
+        monkeypatch.setattr(grid, "_RESIZE_BLOCK_BYTES", planes * 8 * out_h * (shape[2] + out_w))
+        got = resize_bilinear(FeatureGrid(data), out_h, out_w).data
+        assert got.shape == (shape[0], out_h, out_w)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("planes", [0, 1, 2, 1000])
+    def test_resize_bilinear_of_a_strided_view(self, monkeypatch, planes):
+        data = np.random.default_rng(5).normal(size=(5, 10, 12))[:, ::2, 1:]
+        want = _resize_axis(_resize_axis(data, 1, 9), 2, 17)
+        monkeypatch.setattr(grid, "_RESIZE_BLOCK_BYTES", planes * 8 * 9 * (11 + 17))
+        assert np.array_equal(resize_bilinear(FeatureGrid(data), 9, 17).data, want)

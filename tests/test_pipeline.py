@@ -136,6 +136,21 @@ class TestEncoderBlock:
         want = idwt_haar(SubbandSet(carrier, *gated), 16, 16)
         assert np.abs(got.data - want.data).max() <= 1e-5
 
+    @pytest.mark.parametrize("gate_mode", ["probe", "unit"])
+    def test_kept_input_is_unchanged_and_gives_the_handed_over_output(self, gate_mode):
+        # forward hands each stage input over (block(held.pop(), ...)) so the
+        # block can free it; a caller that keeps its grid must see no change.
+        cfg = PipelineConfig(gate_mode=gate_mode)
+        store = default_weights(cfg)
+        data = np.random.default_rng(2).normal(size=(cfg.channels[0], 32, 32))
+        before = data.copy()
+        kept = FeatureGrid(data)
+        got = encoder_block(kept, cfg, store, stage=1)
+        assert np.array_equal(data, before)
+        held = [FeatureGrid(before.copy())]
+        handed = encoder_block(held.pop(), cfg, store, stage=1)
+        assert np.array_equal(got.data, handed.data)
+
     def test_rejects_small_or_odd_inputs(self):
         cfg = PipelineConfig(gate_mode="unit")
         store = zero_block_store(cfg.channels[0], cfg)
