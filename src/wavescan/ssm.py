@@ -257,10 +257,8 @@ def _coefficients(params: SsmParams, u: np.ndarray):
     decay = np.repeat(delta, n, axis=1).reshape(length, params.channels, n)
     decay *= a
     np.exp(decay, out=decay)
-    if params.selective:
-        delta_u = np.multiply(delta, u, out=delta)  # delta is this function's own array
-    else:
-        delta_u = delta * u
+    delta_u = delta * u
+    del delta  # decay is built; only delta*u is read again
     drive = np.repeat(delta_u, n, axis=1).reshape(length, params.channels, n)
     drive *= b_t[:, None, :]
     return decay, drive, c_t

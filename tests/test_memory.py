@@ -140,9 +140,9 @@ def test_encoder_block_frees_a_handed_over_input():
 def test_parallel_scan_peak_holds_one_decay_and_drive(selective, length):
     # Stage 1 of a 256^2 forward scans 4096 x 16 tokens with N = 8: decay and
     # drive take 4.19 MB each, and beside them the coefficients hold the
-    # permuted tokens, delta*u (in delta's own buffer in selective mode),
-    # B_t and C_t, 1.6 MB together.  A fresh delta*u array adds 0.5 MB, and
-    # a third (L, C, N) buffer, such as padded copies of decay and drive at
+    # permuted tokens, delta*u, B_t and C_t, 1.6 MB together; delta itself
+    # is dropped once decay is built.  Keeping delta adds 0.5 MB, and a
+    # third (L, C, N) buffer, such as padded copies of decay and drive at
     # a length that is not a multiple of the block size, 4 MB or more.
     params = SsmParams.random(16, 8, seed=0, selective=selective)
     u = np.random.default_rng(0).normal(size=(length, 16))
