@@ -35,6 +35,9 @@ from .grid import (
 from .nn import avg_pool_2x2, relu, sigmoid
 from .weights import WeightStore
 
+# Column-block budget, in bytes, of the keys coarse_potential holds at once.
+_KEY_BLOCK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class AsgpConfig:
@@ -138,19 +141,32 @@ def coarse_potential(probes: ProbeSet, x_ll: FeatureGrid, w: WeightStore,
     probe mean goes through a logistic.  The logits are exponentiated in
     place and the normalized mean is taken as one matrix-vector product
     with per-probe weights H*W / (N * row sum), so no second probes x H*W
-    array is built.
+    array is built.  The keys and their products with the embeddings are
+    formed over column blocks of at most _KEY_BLOCK_BYTES of keys,
+    written into the logits, so the (d, H*W) key map is never held whole.
     """
     d = probes.embed_dim
     channels, h, width = x_ll.shape
     key_w = w.get(prefix + "asgp.key_w", (d, channels))
     key_b = w.get(prefix + "asgp.key_b", (d,))
-    keys = key_w @ x_ll.data.reshape(channels, -1) + key_b[:, None]  # (d, HW)
-    logits = (probes.embeddings @ keys) / np.sqrt(d)  # (N, HW)
+    flat = x_ll.data.reshape(channels, -1)
+    size = flat.shape[1]
+    logits = np.empty((probes.count, size))  # (N, HW)
+    block = max(1, min(size, _KEY_BLOCK_BYTES // (d * 8)))
+    buf = np.empty(d * block)
+    for c0 in range(0, size, block):
+        cols = slice(c0, min(size, c0 + block))
+        keys = buf[: d * (cols.stop - c0)].reshape(d, -1)
+        np.matmul(key_w, flat[:, cols], out=keys)
+        keys += key_b[:, None]
+        np.matmul(probes.embeddings, keys, out=logits[:, cols])
+    logits /= np.sqrt(d)
     logits -= logits.max(axis=1, keepdims=True)
     np.exp(logits, out=logits)
     # mean_n(exp_n / rowsum_n) * HW as one weighted sum over the probes.
     weights = (h * width) / (probes.count * logits.sum(axis=1))
     field = weights @ logits
+    del logits, keys, buf
     return FeatureGrid(sigmoid(field).reshape(1, h, width))
 
 

@@ -108,18 +108,23 @@ def fa_scan(x_ll_aligned: FeatureGrid, psi: SsmParams,
     """Orientation-matched scan of the topology carrier; shape-preserving.
 
     Odd dimensions follow the wavelet module's policy (edge replication
-    in, crop out), so any H, W >= 2 works.
+    in, crop out), so any H, W >= 2 works.  The carrier is dropped once
+    it is split, so a caller that hands its only reference over
+    (``fa_scan(held.pop(), ...)``) lets it be freed before the scans; a
+    caller that keeps it gets the same output and finds it unchanged.
     """
     assign = assign or ScanAssignment()
     _check_scan_input(x_ll_aligned, minimum=2)
+    height, width = x_ll_aligned.height, x_ll_aligned.width
     bands = dwt_haar(x_ll_aligned)
+    del x_ll_aligned
     out = SubbandSet(
         ll=_scan_band(bands.ll, assign.ll, psi),
         lh=_scan_band(bands.lh, assign.lh, psi),
         hl=_scan_band(bands.hl, assign.hl, psi),
         hh=_scan_band(bands.hh, assign.hh, psi),
     )
-    return idwt_haar(out, x_ll_aligned.height, x_ll_aligned.width)
+    return idwt_haar(out, height, width)
 
 
 def _scan_four_directions(band: FeatureGrid, psi: SsmParams) -> FeatureGrid:

@@ -99,13 +99,6 @@ def write_subbands(fh: BinaryIO, bands) -> None:
         write_tensor(fh, band.data)
 
 
-def read_subbands(fh: BinaryIO):
-    from .wavelet import SubbandSet
-
-    grids = [FeatureGrid(read_tensor(fh)) for _ in range(4)]
-    return SubbandSet(*grids)
-
-
 def write_store(path, blocks: dict[str, np.ndarray]) -> None:
     names = list(blocks)
     with open(path, "wb") as fh:

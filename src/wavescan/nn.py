@@ -13,9 +13,10 @@ tap's C_out-channel plane, and the shifted planes are added into the
 output, so the traffic scales with C_out.  Every other shape gathers
 the block's im2col taps (C_in*kh*kw rows) for one matmul with the
 C_out x C_in*kh*kw kernel.  Both orientations size their row blocks
-so that the output rows of their largest per-block buffer fit
-_TAP_BLOCK_BYTES.  Depthwise convolutions add their per-tap products
-through one row-block scratch of at most _DEPTHWISE_BLOCK_BYTES.
+so that the output rows of their largest per-block buffer fit a budget:
+_TAP_BLOCK_BYTES for tap-major, _IM2COL_BLOCK_BYTES for im2col.
+Depthwise convolutions add their per-tap products through one
+row-block scratch of at most _DEPTHWISE_BLOCK_BYTES.
 Biases and products are applied in place on arrays allocated here,
 never on the caller's inputs or weights.
 """
@@ -26,10 +27,12 @@ import numpy as np
 
 from .errors import DimensionError
 
-# Row-block budget, in bytes, of conv2d: the im2col taps of one block, or the
-# larger of the tap-major padded input and tap-plane product per block of
-# output rows.
+# Row-block budget, in bytes, of tap-major conv2d: the larger of the padded
+# input and the tap-plane product per block of output rows.
 _TAP_BLOCK_BYTES = 4 << 20
+# Row-block budget, in bytes, of im2col conv2d: the taps of one block.  About
+# 1 MB keeps them near L2; tap-major blocks of that size run slower.
+_IM2COL_BLOCK_BYTES = 1 << 20
 # Upper bound, in bytes, of depthwise_conv2d's row-block scratch; about 1 MB
 # keeps it near L2, where a larger block runs slower and a smaller one pays
 # more per-block overhead.
@@ -98,8 +101,8 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
     kernel with the padded rows, whose kh*kw shifted C_out-channel planes
     are then summed into the output.  Every other shape gathers the
     block's taps channel-major (im2col) and multiplies them into the
-    output with one matmul.  Both size their row blocks by
-    _TAP_BLOCK_BYTES.
+    output with one matmul.  Tap-major sizes its row blocks by
+    _TAP_BLOCK_BYTES, im2col by _IM2COL_BLOCK_BYTES.
     """
     c_in, h, width = x.shape
     c_out, c_in_w, kh, kw = w.shape
@@ -122,7 +125,7 @@ def _conv2d_im2col(x: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
     oh = -(-h // stride)
     ow = -(-width // stride)
     depth = c_in * kh * kw
-    block = max(1, min(oh, _TAP_BLOCK_BYTES // max(1, depth * ow * 8)))
+    block = max(1, min(oh, _IM2COL_BLOCK_BYTES // max(1, depth * ow * 8)))
     wmat = w.reshape(c_out, depth)
     out = np.empty((c_out, oh, ow))
     flat_out = out.reshape(c_out, oh * ow)

@@ -219,10 +219,11 @@ def encoder_block(x: FeatureGrid, cfg: PipelineConfig, w: WeightStore,
     Every full-resolution buffer is released once its last reader is
     done: the block drops its reference to ``x`` right after the split,
     gates the detail bands before the scan so that the band buffer can go
-    before it, and drops the aligned carrier once the scan has read it.
-    A caller that hands its only reference over (``block(held.pop(),
-    ...)``) lets the input be freed during the block; a caller that keeps
-    ``x`` gets the same output and finds ``x`` unchanged.
+    before it, and hands its only reference to the aligned carrier over
+    to ``fa_scan``, which drops it once split.  A caller that hands its
+    only reference over (``block(held.pop(), ...)``) lets the input be
+    freed during the block; a caller that keeps ``x`` gets the same
+    output and finds ``x`` unchanged.
     """
     if x.height % 2 or x.width % 2:
         raise DimensionError(f"block needs even dims, got {x.height}x{x.width}")
@@ -232,18 +233,21 @@ def encoder_block(x: FeatureGrid, cfg: PipelineConfig, w: WeightStore,
     prefix = f"s{stage}."
     bands = dwt_haar(x)
     del x
-    aligned = align(bands.ll, bands.high(), w, prefix, cfg.max_offset)
+    # held owns the aligned carrier alone and pops it into fa_scan, which
+    # frees it once it is split
+    held = [align(bands.ll, bands.high(), w, prefix, cfg.max_offset)]
     if cfg.gate_mode == "unit":
         gated = list(bands.high())
     else:
+        aligned = held[0]
         probes = _stage_probes(w, cfg, channels, prefix)
         m0 = coarse_potential(probes, aligned, w, prefix)
         probes = evolve_probes(m0, aligned, probes, cfg.asgp, w, prefix)
         m1 = refine_mask(probes, (aligned.height, aligned.width), cfg.asgp)
         gated = asgp_gate(m0, m1, bands.high(), cfg.asgp)
+        del aligned
     del bands
-    carrier = fa_scan(aligned, SsmParams.from_store(w, prefix), cfg.assign)
-    del aligned
+    carrier = fa_scan(held.pop(), SsmParams.from_store(w, prefix), cfg.assign)
     carrier = lgb(carrier, cfg.lgb_config(stage), w, prefix)
     merged = SubbandSet(ll=carrier, lh=gated[0], hl=gated[1], hh=gated[2])
     return idwt_haar(merged, height, width)
@@ -275,26 +279,35 @@ def gfa(features, w: WeightStore) -> FeatureGrid:
     """Parallel multi-scale fusion with per-level channel gates.
 
     Every level is projected to the shared decoder width, upsampled to
-    the first level's size, scaled by its gate vector, summed, and mixed
-    by one 3x3 convolution.  ``features`` is read one level at a time and
-    no level is kept past its projection, so an iterator that hands over
-    its levels lets each one be freed as soon as it is used.  The sum
-    starts as level 1's gated projection itself, so no zero-filled
-    full-resolution buffer is held beside it.
+    the first level's size, scaled by its gate vector, summed in level
+    order, and mixed by one 3x3 convolution.  All four levels are read
+    before any is projected, so a wrong level count fails first.  Levels
+    2-4 are projected first, at their own resolution, and each is dropped
+    once projected; so when level 1 is projected only its input and the
+    three small projections are live beside it, and an iterator that
+    hands over its levels lets each one be freed as soon as it is used.
+    The sum starts as level 1's gated projection itself, so no
+    zero-filled full-resolution buffer is held beside it.
     """
+    levels = []
+    for feat in features:
+        if len(levels) == STAGES:
+            raise ConfigError(f"fusion expects {STAGES} levels, got more")
+        levels.append(feat)
+    if len(levels) != STAGES:
+        raise ConfigError(f"fusion expects {STAGES} levels, got {len(levels)}")
     ce = w["gfa.phi1_w"].shape[0]
     hidden = max(1, ce // 4)
-    level = 0
-    for feat in features:
-        level += 1
-        if level > STAGES:
-            raise ConfigError(f"fusion expects {STAGES} levels, got more")
-        if level == 1:
-            out_h, out_w = feat.height, feat.width
-        pw = w.get(f"gfa.phi{level}_w", (ce, feat.channels))
-        pb = w.get(f"gfa.phi{level}_b", (ce,))
-        proj = conv1x1(feat.data, pw, pb)
+    out_h, out_w = levels[0].height, levels[0].width
+    projs = [None] * STAGES
+    for idx in (1, 2, 3, 0):
+        feat, levels[idx] = levels[idx], None
+        pw = w.get(f"gfa.phi{idx + 1}_w", (ce, feat.channels))
+        pb = w.get(f"gfa.phi{idx + 1}_b", (ce,))
+        projs[idx] = conv1x1(feat.data, pw, pb)
         del feat
+    for level in range(1, STAGES + 1):
+        proj = projs.pop(0)
         if proj.shape[1:] != (out_h, out_w):
             proj = resize_bilinear(FeatureGrid(proj), out_h, out_w).data
         g1 = w.get(f"gfa.gate{level}_w1", (hidden, ce))
@@ -308,8 +321,6 @@ def gfa(features, w: WeightStore) -> FeatureGrid:
         else:
             total += proj
         del proj
-    if level != STAGES:
-        raise ConfigError(f"fusion expects {STAGES} levels, got {level}")
     fw = w.get("gfa.fuse_w", (ce, ce, 3, 3))
     fb = w.get("gfa.fuse_b", (ce,))
     return FeatureGrid(conv2d(total, fw, fb))
@@ -387,7 +398,7 @@ def forward(image: FeatureGrid, cfg: PipelineConfig | None = None,
         if tap.channels != cfg.channels[idx]:
             raise DimensionError("stage widths must follow the configured plan")
     del tap, x
-    # hand the stage outputs over one by one, so gfa frees each once it is summed
+    # hand the stage outputs over one by one, so gfa frees each once it is projected
     fused = gfa((taps.pop(0) for _ in range(STAGES)), w)
     logits = brm(fused, w)
     mask = FeatureGrid(sigmoid(logits.data))

@@ -15,7 +15,7 @@ from wavescan.asgp import (
     refine_mask,
     repulsion_forces,
 )
-from wavescan import pipeline
+from wavescan import asgp, pipeline
 from wavescan.errors import DimensionError
 from wavescan.grid import FeatureGrid, bilinear_gradient, bilinear_sample
 from wavescan.nn import sigmoid
@@ -396,6 +396,25 @@ class TestReassociatedOracles:
         store = seeded_init(asgp_weight_spec(channels, d, n), n)
         probes = ProbeSet(coords=rng.uniform(-1, 1, (n, 2)),
                           embeddings=2.0 * rng.normal(size=(n, d)), scores=np.full(n, 0.5))
+        got = coarse_potential(probes, x, store).data
+        want = softmax_mean_potential(probes, x, store)
+        assert max_rel_err(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("budget,shape", [
+        (None, (100, 97)),  # 9700 columns: one 8192-column block and a short one
+        (None, (1, 1)),
+        (1, (9, 7)),  # one column per block
+        (1, (1, 1)),
+        (1 << 40, (100, 97)),  # one block
+    ])
+    def test_key_column_blocks_match_softmax_mean(self, monkeypatch, budget, shape):
+        if budget is not None:
+            monkeypatch.setattr(asgp, "_KEY_BLOCK_BYTES", budget)
+        rng = np.random.default_rng(shape[0])
+        x = FeatureGrid(3.0 * rng.normal(size=(16,) + shape))
+        store = seeded_init(asgp_weight_spec(16, 16, 64), 12)
+        probes = ProbeSet(coords=rng.uniform(-1, 1, (64, 2)),
+                          embeddings=2.0 * rng.normal(size=(64, 16)), scores=np.full(64, 0.5))
         got = coarse_potential(probes, x, store).data
         want = softmax_mean_potential(probes, x, store)
         assert max_rel_err(got, want) <= 1e-12

@@ -107,6 +107,18 @@ class TestFaScan:
         with pytest.raises(DimensionError):
             fa_scan(FeatureGrid.zeros(1, 1, 8), SsmParams.identity(1))
 
+    @pytest.mark.parametrize("shape", [(3, 8, 8), (2, 7, 9)])
+    def test_kept_carrier_matches_handed_over_and_is_unchanged(self, shape):
+        # fa_scan drops its reference once the carrier is split; a caller
+        # that keeps the carrier gets the same bits and an untouched carrier.
+        data = np.random.default_rng(10).normal(size=shape)
+        psi = SsmParams.random(shape[0], 3, seed=11)
+        kept = FeatureGrid(data.copy())
+        got = fa_scan(kept, psi)
+        held = [FeatureGrid(data.copy())]
+        assert np.array_equal(got.data, fa_scan(held.pop(), psi).data)
+        assert np.array_equal(kept.data, data)
+
     def test_parallel_and_sequential_paths_agree(self, monkeypatch):
         x = FeatureGrid(np.random.default_rng(5).normal(size=(2, 8, 8)))
         psi = SsmParams.random(2, 3, seed=6)

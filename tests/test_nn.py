@@ -42,7 +42,7 @@ def full_pad_conv2d(x, w, b=None, stride=1):
     oh = -(-h // stride)
     ow = -(-width // stride)
     depth = c_in * kh * kw
-    block = max(1, min(oh, nn._TAP_BLOCK_BYTES // max(1, depth * ow * 8)))
+    block = max(1, min(oh, nn._IM2COL_BLOCK_BYTES // max(1, depth * ow * 8)))
     wmat = w.reshape(c_out, depth)
     out = np.empty((c_out, oh, ow))
     flat_out = out.reshape(c_out, oh * ow)
@@ -179,7 +179,7 @@ class TestConv:
 
     @pytest.mark.parametrize("shape,stride", [
         ((64, 41, 43), 1),  # tap-major (64 -> 3): one block
-        ((64, 81, 87), 2),  # im2col: three row blocks, the last one a single row
+        ((64, 81, 87), 2),  # im2col: nine row blocks, the last one a single row
         ((3, 1, 5), 1),
         ((5, 9, 7), 2),
     ])
@@ -187,8 +187,8 @@ class TestConv:
         c_in, h, width = shape
         oh, ow = -(-h // stride), -(-width // stride)
         if c_in == 64 and stride == 2:
-            assert c_in * 9 * oh * ow * 8 > nn._TAP_BLOCK_BYTES
-            assert oh % (nn._TAP_BLOCK_BYTES // (c_in * 9 * ow * 8)) != 0
+            assert c_in * 9 * oh * ow * 8 > nn._IM2COL_BLOCK_BYTES
+            assert oh % (nn._IM2COL_BLOCK_BYTES // (c_in * 9 * ow * 8)) == 1
         rng = np.random.default_rng(h)
         x = rng.normal(size=shape)
         w = rng.normal(size=(3, c_in, 3, 3))
@@ -203,7 +203,7 @@ class TestConv:
     def test_bit_identical_to_full_pad(self, monkeypatch, budget, c_in, h, width, k, stride):
         # A small byte budget forces one or a few rows per block, with a short last block.
         if budget is not None:
-            monkeypatch.setattr(nn, "_TAP_BLOCK_BYTES", budget)
+            monkeypatch.setattr(nn, "_IM2COL_BLOCK_BYTES", budget)
         kh, kw = _kernel_dims(k)
         rng = np.random.default_rng(c_in * 100 + h * 10 + width)
         x = rng.normal(size=(c_in, h, width))
@@ -238,6 +238,21 @@ class TestConv:
         x, w = rng.normal(size=(6, 7, 9)), rng.normal(size=(1, 6, 3, 3))
         assert np.array_equal(conv2d(x, w), full_pad_tap_major(x, w))
         assert blocks == [0, 3, 6]
+
+    @pytest.mark.parametrize("budget", ["_IM2COL_BLOCK_BYTES", "_TAP_BLOCK_BYTES"])
+    def test_each_orientation_reads_its_own_budget(self, monkeypatch, budget):
+        # A one-byte budget gives one-row blocks to its own orientation only:
+        # 2 -> 2 runs im2col and 2 -> 1 tap-major, each on 9 rows.
+        monkeypatch.setattr(nn, budget, 1)
+        blocks = count_row_blocks(monkeypatch)
+        rng = np.random.default_rng(18)
+        x, w = rng.normal(size=(2, 9, 11)), rng.normal(size=(2, 2, 3, 3))
+        conv2d(x, w)
+        im2col_blocks = len(blocks)
+        conv2d(x, w[:1])
+        tap_blocks = len(blocks) - im2col_blocks
+        want = (9, 1) if budget == "_IM2COL_BLOCK_BYTES" else (1, 9)
+        assert (im2col_blocks, tap_blocks) == want
 
     @pytest.mark.parametrize("shape,stride", [((64, 41, 43), 1), ((64, 81, 87), 2)])
     def test_bit_identical_to_full_pad_at_default_budget(self, shape, stride):
@@ -408,6 +423,7 @@ class TestInputsUnchanged:
     def test_depthwise_conv2d_over_row_blocks(self, monkeypatch):
         monkeypatch.setattr(nn, "_DEPTHWISE_BLOCK_BYTES", 200)
         monkeypatch.setattr(nn, "_TAP_BLOCK_BYTES", 200)
+        monkeypatch.setattr(nn, "_IM2COL_BLOCK_BYTES", 200)
         blocks = count_row_blocks(monkeypatch)
         rng = np.random.default_rng(9)
         x, w, b = rng.normal(size=(2, 9, 11)), rng.normal(size=(2, 3, 3)), rng.normal(size=2)

@@ -218,6 +218,34 @@ class TestDecoder:
         with pytest.raises(ConfigError):
             gfa(self.make_levels()[:3], store)
 
+    @pytest.mark.parametrize("count", [3, 5])
+    def test_wrong_level_count_rejected_before_any_projection(self, monkeypatch, count):
+        from wavescan import pipeline
+
+        cfg = PipelineConfig(channels=(8, 16, 32, 64))
+        store = self.gfa_store(cfg)
+        levels = self.make_levels()
+        levels = (levels + levels)[:count]
+        calls = []
+        monkeypatch.setattr(pipeline, "conv1x1", lambda *args: calls.append(args))
+        with pytest.raises(ConfigError):
+            gfa(levels, store)
+        with pytest.raises(ConfigError):
+            gfa(iter(levels), store)
+        assert calls == []
+
+    def test_generator_matches_list(self):
+        # A generator that hands its levels over gives the bits of a list
+        # whose levels the caller keeps, and the kept levels are unchanged.
+        cfg = PipelineConfig(channels=(8, 16, 32, 64))
+        store = self.gfa_store(cfg, zero_bias=False, seed=9)
+        levels = self.make_levels(seed=10)
+        copies = [lvl.data.copy() for lvl in levels]
+        got = gfa(levels, store)
+        handed = gfa((FeatureGrid(data.copy()) for data in copies), store)
+        assert np.array_equal(got.data, handed.data)
+        assert all(np.array_equal(lvl.data, data) for lvl, data in zip(levels, copies))
+
     def test_brm_zero_weights_identity(self):
         # A refiner with zero weights passes its input on unchanged to the head.
         cfg = PipelineConfig(channels=(8, 16, 32, 64))
