@@ -12,7 +12,9 @@ PGM files are binary P5, maxval 255; gray values map to [0, 1] floats.
 The readers raise ``InputError`` for any malformed or truncated input,
 naming the file (when the stream has a name) and the byte offset.  Header
 counts and sizes are checked against the bytes left in the file before
-anything is allocated for them.
+anything is allocated for them.  A tensor payload that holds NaN is
+rejected; infinities read as they are, and ``WeightStore.load`` decides
+which blocks may hold them.  A .fgw error names the block it was met in.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from typing import BinaryIO
 import numpy as np
 
 from .errors import DimensionError, InputError
-from .grid import FeatureGrid
 
 MAGIC = b"FGT1"
 # numpy supports at most this many dimensions.
@@ -62,7 +63,11 @@ def _read_u32(fh: BinaryIO, what: str) -> int:
 
 
 def read_tensor(fh: BinaryIO) -> np.ndarray:
-    """Read one FGT1 tensor from the stream's position, as float64."""
+    """Read one FGT1 tensor from the stream's position, as float64.
+
+    A payload that holds NaN raises InputError naming the byte of the
+    first one; infinities read as they are.
+    """
     offset = fh.tell()
     magic = _read_exact(fh, 4, "tensor magic")
     if magic != MAGIC:
@@ -76,27 +81,15 @@ def read_tensor(fh: BinaryIO) -> np.ndarray:
     if math.prod(d or 1 for d in dims) * 8 > np.iinfo(np.intp).max:
         raise InputError(f"tensor dims {dims} at byte {offset + 8} are too large{_where(fh)}")
     count = math.prod(dims)
-    raw = _read_exact(fh, 4 * count, f"tensor payload of dims {dims}")
-    return np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float64)
-
-
-def save_grid(path, grid: FeatureGrid) -> None:
-    with open(path, "wb") as fh:
-        write_tensor(fh, grid.data)
-
-
-def load_grid(path) -> FeatureGrid:
-    with open(path, "rb") as fh:
-        arr = read_tensor(fh)
-    if arr.ndim != 3:
-        raise DimensionError(f"expected a rank-3 grid tensor, got rank {arr.ndim}")
-    return FeatureGrid(arr)
-
-
-def write_subbands(fh: BinaryIO, bands) -> None:
-    """Write a SubbandSet as four consecutive tensors in LL, LH, HL, HH order."""
-    for band in (bands.ll, bands.lh, bands.hl, bands.hh):
-        write_tensor(fh, band.data)
+    start = fh.tell()
+    values = np.frombuffer(_read_exact(fh, 4 * count, f"tensor payload of dims {dims}"),
+                           dtype="<f4")
+    # checked on the float32 view: casting a signaling NaN warns
+    nan = np.flatnonzero(np.isnan(values))
+    if nan.size:
+        raise InputError(f"tensor payload holds {nan.size} NaN value(s), the first at "
+                         f"byte {start + 4 * int(nan[0])}{_where(fh)}")
+    return values.reshape(dims).astype(np.float64)
 
 
 def write_store(path, blocks: dict[str, np.ndarray]) -> None:
@@ -125,7 +118,13 @@ def read_store(path) -> dict[str, np.ndarray]:
             if name in names:
                 raise InputError(f"duplicate name {name!r} at byte {offset}{_where(fh)}")
             names[name] = None
-        return {name: read_tensor(fh) for name in names}
+        blocks = {}
+        for name in names:
+            try:
+                blocks[name] = read_tensor(fh)
+            except InputError as exc:
+                raise InputError(f"block {name!r}: {exc}") from None
+        return blocks
 
 
 def save_pgm(path, values: np.ndarray) -> None:

@@ -6,13 +6,17 @@ Both convolutions work on blocks of output rows, so no temporary grows
 with H: each block edge-pads only the input rows it reads.
 
 A dense convolution takes one of two GEMM orientations, chosen from the
-shapes alone.  A stride-1 convolution with fewer output than input
-channels runs tap-major: one matmul of the tap-stacked kernel
+shapes alone by _tap_major.  A stride-1 convolution with fewer output
+than input channels runs tap-major: one matmul of the tap-stacked kernel
 (kh*kw*C_out x C_in) with the block's padded input rows gives every
 tap's C_out-channel plane, and the shifted planes are added into the
-output, so the traffic scales with C_out.  Every other shape gathers
-the block's im2col taps (C_in*kh*kw rows) for one matmul with the
-C_out x C_in*kh*kw kernel.  Both orientations size their row blocks
+output, so the traffic scales with C_out.  The tap-stacked kernel is a
+free view of a kernel held in (kh, kw, C_out, C_in) order, as
+WeightStore holds every rank-4 block that _tap_major accepts at stride
+1; any other kernel is copied into that order on each call.  Every
+other shape gathers the block's im2col taps (C_in*kh*kw rows) for one
+matmul with the C_out x C_in*kh*kw kernel, a free view of a C-ordered
+kernel.  Both orientations size their row blocks
 so that the output rows of their largest per-block buffer fit a budget:
 _TAP_BLOCK_BYTES for tap-major, _IM2COL_BLOCK_BYTES for im2col.
 Depthwise convolutions add their per-tap products through one
@@ -91,6 +95,11 @@ def _pad_rows(x: np.ndarray, kh: int, kw: int, top: int, out: np.ndarray) -> np.
     return out
 
 
+def _tap_major(c_out: int, c_in: int, stride: int = 1) -> bool:
+    """Whether conv2d runs a C_in -> C_out kernel at this stride tap-major."""
+    return stride == 1 and c_out < c_in
+
+
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
            stride: int = 1) -> np.ndarray:
     """Dense convolution: x (C_in,H,W), w (C_out,C_in,kh,kw) -> (C_out,H',W').
@@ -109,7 +118,7 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
     if c_in_w != c_in:
         raise DimensionError(f"kernel expects {c_in_w} input channels, grid has {c_in}")
     _check_odd(kh, kw)
-    if stride == 1 and c_out < c_in:
+    if _tap_major(c_out, c_in, stride):
         out = _conv2d_tap_major(x, w)
     else:
         out = _conv2d_im2col(x, w, stride)
@@ -149,7 +158,9 @@ def _conv2d_tap_major(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
     The product holds, for every padded input pixel of the block, the
     C_out-channel contribution of each tap; output pixel (r, c) sums tap
-    (i, j)'s plane at (r + i, c + j), in tap order.
+    (i, j)'s plane at (r + i, c + j), in tap order.  The tap-stacked
+    kernel is a view when w is held in (kh, kw, C_out, C_in) order, and a
+    copy otherwise.
     """
     c_in, h, width = x.shape
     c_out, _, kh, kw = w.shape

@@ -366,7 +366,10 @@ def forward(image: FeatureGrid, cfg: PipelineConfig | None = None,
 
     The input must be single-channel with H and W multiples of
     16 * stem_stride and >= 32, so every stage grid stays even.
-    Deterministic: identical (image, cfg, weights) give identical masks.
+    Deterministic for a fixed OpenBLAS thread count: identical (image,
+    cfg, weights) give bit-identical masks.  Another thread count may
+    split a GEMM differently and move the masks by a few ulps (3.9e-15
+    measured between one and two threads; tests bound it at 1e-12).
     Each stage input is handed over to its encoder block, and each stage
     output to gfa, without a second reference, so every full-resolution
     buffer is freed once its last reader is done.

@@ -55,10 +55,6 @@ class SubbandSet:
         if len(shapes) != 1:
             raise DimensionError(f"sub-bands must share one shape, got {sorted(shapes)}")
 
-    @property
-    def band_shape(self) -> tuple[int, int, int]:
-        return self.ll.shape
-
     def high(self) -> tuple[FeatureGrid, FeatureGrid, FeatureGrid]:
         return self.lh, self.hl, self.hh
 

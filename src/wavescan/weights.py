@@ -6,6 +6,13 @@ loads a .fgw file or draws weights from ``seeded_init``: uniform in
 the leading dimension (the full length for rank-1 blocks).  Draws are
 quantized to float32 so that save/load through the float32 file format
 round-trips bit-exactly.
+
+A rank-4 kernel that conv2d runs tap-major at stride 1 (fewer output than
+input channels: the ``align`` kernels of the pipeline) is held in
+(kh, kw, C_out, C_in) order, the layout conv2d's tap-major GEMM reads,
+and handed out as a (C_out, C_in, kh, kw) view of that buffer.  conv2d
+then reads it without copying it, and the .fgw bytes do not change.  The
+store holds its own copy of such a block, never the caller's array.
 """
 
 from __future__ import annotations
@@ -16,10 +23,15 @@ import numpy as np
 
 from . import fileio
 from .errors import DimensionError, InputError, MissingBlockError
+from .nn import _tap_major
 
 
 class WeightStore:
-    """An ordered mapping of block name -> float64 ndarray."""
+    """An ordered mapping of block name -> float64 ndarray.
+
+    A tap-major kernel is held as a copy in tap order (see the module
+    docstring); every other block may share the caller's float64 array.
+    """
 
     def __init__(self, blocks: dict[str, np.ndarray] | None = None):
         self._blocks: dict[str, np.ndarray] = {}
@@ -27,7 +39,10 @@ class WeightStore:
             self[name] = arr
 
     def __setitem__(self, name: str, arr) -> None:
-        self._blocks[name] = np.asarray(arr, dtype=np.float64)
+        arr = np.asarray(arr, dtype=np.float64)
+        if arr.ndim == 4 and _tap_major(arr.shape[0], arr.shape[1]):
+            arr = np.ascontiguousarray(arr.transpose(2, 3, 0, 1)).transpose(2, 3, 0, 1)
+        self._blocks[name] = arr
 
     def __getitem__(self, name: str) -> np.ndarray:
         if name not in self._blocks:
@@ -54,9 +69,6 @@ class WeightStore:
                 f"block {name!r} has shape {arr.shape}, consumer expects {tuple(shape)}"
             )
         return arr
-
-    def param_count(self, prefix: str = "") -> int:
-        return sum(a.size for n, a in self._blocks.items() if n.startswith(prefix))
 
     def save(self, path) -> None:
         fileio.write_store(path, self._blocks)

@@ -122,6 +122,27 @@ def test_forward_peak_at_256():
     assert peak <= 21.5, f"forward peak {peak:.2f} MB"
 
 
+def test_forward_peak_at_64():
+    # 2.31 MB, set by brm's depthwise.  Stage 4's align.w1 (64 x 384 x 3 x 3)
+    # is held in the tap order conv2d reads; reordering a C-ordered copy on
+    # each call puts a fresh 1.77 MB kernel on top and reads 3.06 MB.
+    peak = warm_forward_peak_mb(64)
+    assert peak <= 2.45, f"forward peak {peak:.2f} MB"
+
+
+def test_stored_tap_major_kernel_is_read_without_a_copy():
+    # Stage 4's align conv of a 64^2 forward, 384 -> 64 on a 4 x 4 band: the
+    # stored kernel is read as it is held, and a C-ordered copy of it is
+    # reordered into a fresh array of the kernel's 1.77 MB first.
+    w = default_weights(PipelineConfig())["s4.align.w1"]
+    c_ordered = np.ascontiguousarray(w)
+    x = np.random.default_rng(11).normal(size=(384, 4, 4))
+    stored_peak = traced_peak_mb(lambda: conv2d(x, w))
+    copied_peak = traced_peak_mb(lambda: conv2d(x, c_ordered))
+    assert stored_peak <= copied_peak - w.nbytes / MB, \
+        f"stored-kernel conv2d peak {stored_peak:.2f} MB, C-ordered {copied_peak:.2f} MB"
+
+
 def test_forward_peak_at_512():
     # 82.91 MB, set by stage 1's scan coefficients as at 256^2.
     peak = warm_forward_peak_mb(512)

@@ -14,7 +14,14 @@ from wavescan.nn import (
     sigmoid,
     softplus,
 )
-from wavescan.pipeline import PipelineConfig, brm, forward, gfa, pipeline_weight_spec
+from wavescan.pipeline import (
+    PipelineConfig,
+    brm,
+    default_weights,
+    forward,
+    gfa,
+    pipeline_weight_spec,
+)
 from wavescan.ssm import SsmParams, _coefficients, ssm_scan_parallel
 from wavescan.weights import seeded_init
 
@@ -265,6 +272,22 @@ class TestConv:
         else:
             want = full_pad_conv2d(x, w, None, stride=stride)
         assert np.array_equal(conv2d(x, w, None, stride=stride), want)
+
+    @pytest.mark.parametrize("size", [64, 256])
+    @pytest.mark.parametrize("stage", [1, 2, 3, 4])
+    def test_stored_align_kernels_match_c_ordered_copies(self, stage, size):
+        # The store holds align.w1 and align.w2 in (kh, kw, C_out, C_in) order,
+        # so conv2d reads them without a copy; a C-ordered copy of the same
+        # kernel goes through the per-call reorder and must give the same bits.
+        # align runs on stage N's LL band, size >> N on a side.
+        store = default_weights(PipelineConfig())
+        rng = np.random.default_rng(100 * stage + size)
+        for name in ("align.w1", "align.w2"):
+            w = store[f"s{stage}.{name}"]
+            assert w.transpose(2, 3, 0, 1).flags.c_contiguous
+            b = rng.normal(size=w.shape[0])
+            x = rng.normal(size=(w.shape[1], size >> stage, size >> stage))
+            assert np.array_equal(conv2d(x, w, b), conv2d(x, np.ascontiguousarray(w), b))
 
     def test_orientation_of_every_pipeline_conv(self, monkeypatch):
         """Tap-major exactly for stride 1 with C_out < C_in, over every conv of a forward."""

@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from wavescan import fileio
 from wavescan.errors import DimensionError, InputError
-from wavescan.grid import FeatureGrid
-from wavescan.wavelet import dwt_haar
 from wavescan.weights import WeightStore, seeded_init
 
 
@@ -90,10 +88,32 @@ class TestWeightStore:
         loaded.save(path2)
         assert path.read_bytes() == path2.read_bytes()
 
-    def test_param_count(self):
-        store = WeightStore({"x.a": np.zeros(4), "x.b": np.zeros((2, 3)), "y": np.zeros(5)})
-        assert store.param_count() == 15
-        assert store.param_count("x.") == 10
+    # (C_out, C_in, kh, kw): conv2d runs the first two tap-major at stride 1
+    KERNELS = {"tap.w": (2, 6, 3, 3), "tap5.w": (3, 4, 5, 1), "square.w": (4, 4, 3, 3),
+               "wide.w": (6, 2, 3, 3), "b": (6,)}
+
+    def test_tap_major_kernels_are_held_in_tap_order(self):
+        rng = np.random.default_rng(12)
+        blocks = {name: rng.normal(size=shape) for name, shape in self.KERNELS.items()}
+        store = WeightStore(blocks)
+        for name, arr in blocks.items():
+            held = store[name]
+            assert np.array_equal(held, arr) and held.shape == arr.shape
+            if name.startswith("tap"):
+                assert held.transpose(2, 3, 0, 1).flags.c_contiguous
+                assert not np.shares_memory(held, arr)  # the store's own copy
+            else:
+                assert held.flags.c_contiguous
+
+    def test_save_writes_c_order_whatever_the_held_order(self, tmp_path):
+        store = seeded_init(list(self.KERNELS.items()), 13)
+        c_ordered = {name: np.ascontiguousarray(arr) for name, arr in store.items()}
+        store.save(tmp_path / "held.fgw")
+        fileio.write_store(tmp_path / "c.fgw", c_ordered)
+        assert (tmp_path / "held.fgw").read_bytes() == (tmp_path / "c.fgw").read_bytes()
+        loaded = WeightStore.load(tmp_path / "held.fgw")
+        for name, arr in c_ordered.items():
+            assert np.array_equal(loaded[name], arr)
 
 
 class TestTensorFormat:
@@ -125,22 +145,6 @@ class TestTensorFormat:
         raw = buf.getvalue()[:-4]
         with pytest.raises(ValueError):
             fileio.read_tensor(io.BytesIO(raw))
-
-    def test_grid_roundtrip(self, tmp_path):
-        g = FeatureGrid(np.random.default_rng(1).normal(size=(2, 4, 4)).astype(np.float32))
-        fileio.save_grid(tmp_path / "g.fgt", g)
-        back = fileio.load_grid(tmp_path / "g.fgt")
-        assert np.array_equal(back.data, g.data)
-
-    def test_subbands_serialize_in_band_order(self):
-        g = FeatureGrid(np.random.default_rng(2).normal(size=(1, 4, 4)).astype(np.float32))
-        bands = dwt_haar(g)
-        buf = io.BytesIO()
-        fileio.write_subbands(buf, bands)
-        buf.seek(0)
-        for want in (bands.ll, bands.lh, bands.hl, bands.hh):
-            got = fileio.read_tensor(buf)
-            assert np.allclose(got, want.data, atol=1e-7)
 
 
 MALFORMED_PGMS = [
@@ -283,6 +287,16 @@ class TestTensorReader:
     def test_rank_zero_reads_a_scalar(self):
         assert fileio.read_tensor(io.BytesIO(fgt1_bytes(np.float32(1.5)))) == 1.5
 
+    # signaling and quiet NaN of either sign; casting a signaling NaN warns
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bits", [0x7FA00000, 0xFF800001, 0x7FC00000, 0xFFFFFFFF], ids=hex)
+    def test_nan_payload_rejected_before_casting(self, bits):
+        raw = np.array([[1.0, -np.inf, np.inf], [0.5, 0.25, 2.0]], dtype="<f4")
+        assert np.array_equal(read_tensor_or_input_error(fgt1_bytes(raw)), raw)
+        raw.view("<u4")[1, 1] = bits
+        with pytest.raises(InputError, match=f"1 NaN value.*at byte {FGT1_HEADER + 16}"):
+            fileio.read_tensor(io.BytesIO(fgt1_bytes(raw)))
+
     def test_every_proper_prefix_raises_input_error(self):
         assert np.array_equal(read_tensor_or_input_error(VALID_FGT1), VALID_ARRAY)
         for end in range(len(VALID_FGT1)):
@@ -298,10 +312,10 @@ class TestTensorReader:
         got = read_tensor_or_input_error(bytes(data))
         if got is None:
             return
-        assert got.dtype == np.float64
+        assert got.dtype == np.float64 and not np.isnan(got).any()
         if data[:FGT1_HEADER] == VALID_FGT1[:FGT1_HEADER]:
             want = np.frombuffer(bytes(data[FGT1_HEADER:]), dtype="<f4").reshape(2, 3)
-            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(got, want)
 
 
 VALID_BLOCKS = {"a.w": VALID_ARRAY, "bé": np.array([1.0, -2.0, 0.5, 8.0], dtype=np.float32)}
@@ -372,7 +386,8 @@ class TestStoreReader:
         got = read_store_or_input_error(directory, bytes(data))
         if got is None:
             return
-        assert all(isinstance(v, np.ndarray) and v.dtype == np.float64 for v in got.values())
+        assert all(isinstance(v, np.ndarray) and v.dtype == np.float64 and not np.isnan(v).any()
+                   for v in got.values())
         # Payloads are the last bytes of each tensor; with every other byte intact
         # the blocks must be exactly the mutated payloads.
         payload_ends, end = [], len(valid)
@@ -385,4 +400,4 @@ class TestStoreReader:
         if all(data[i] == valid[i] for i in structure):
             for name, (lo, hi, shape) in zip(VALID_BLOCKS, payloads):
                 want = np.frombuffer(bytes(data[lo:hi]), dtype="<f4").reshape(shape)
-                assert np.array_equal(got[name], want, equal_nan=True)
+                assert np.array_equal(got[name], want)
