@@ -16,9 +16,11 @@ WeightStore holds every rank-4 block that _tap_major accepts at stride
 1; any other kernel is copied into that order on each call.  Every
 other shape gathers the block's im2col taps (C_in*kh*kw rows) for one
 matmul with the C_out x C_in*kh*kw kernel, a free view of a C-ordered
-kernel.  Both orientations size their row blocks
-so that the output rows of their largest per-block buffer fit a budget:
-_TAP_BLOCK_BYTES for tap-major, _IM2COL_BLOCK_BYTES for im2col.
+kernel.  Tap-major sizes its row blocks so that the larger of its
+padded input rows and its tap planes fits _TAP_BLOCK_BYTES.  Im2col
+counts both its taps and its padded input rows against
+_IM2COL_BLOCK_BYTES, and splits the output rows into the fewest blocks
+that fit, of sizes within one row of each other.
 Depthwise convolutions add their per-tap products through one
 row-block scratch of at most _DEPTHWISE_BLOCK_BYTES.
 Biases and products are applied in place on arrays allocated here,
@@ -34,8 +36,9 @@ from .errors import DimensionError
 # Row-block budget, in bytes, of tap-major conv2d: the larger of the padded
 # input and the tap-plane product per block of output rows.
 _TAP_BLOCK_BYTES = 4 << 20
-# Row-block budget, in bytes, of im2col conv2d: the taps of one block.  About
-# 1 MB keeps them near L2; tap-major blocks of that size run slower.
+# Row-block budget, in bytes, of im2col conv2d: the taps and the padded input
+# rows of one block.  About 1 MB keeps them near L2; tap-major blocks of that
+# size run slower.
 _IM2COL_BLOCK_BYTES = 1 << 20
 # Upper bound, in bytes, of depthwise_conv2d's row-block scratch; about 1 MB
 # keeps it near L2, where a larger block runs slower and a smaller one pays
@@ -111,7 +114,8 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
     are then summed into the output.  Every other shape gathers the
     block's taps channel-major (im2col) and multiplies them into the
     output with one matmul.  Tap-major sizes its row blocks by
-    _TAP_BLOCK_BYTES, im2col by _IM2COL_BLOCK_BYTES.
+    _TAP_BLOCK_BYTES; im2col fits each block's taps and padded rows in
+    _IM2COL_BLOCK_BYTES, in near-equal blocks.
     """
     c_in, h, width = x.shape
     c_out, c_in_w, kh, kw = w.shape
@@ -128,20 +132,32 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
 
 
 def _conv2d_im2col(x: np.ndarray, w: np.ndarray, stride: int) -> np.ndarray:
-    """Bias-free conv2d that gathers each row block's taps for one matmul."""
+    """Bias-free conv2d that gathers each row block's taps for one matmul.
+
+    A block of n output rows holds its taps, C_in*kh*kw*n*W' floats, and
+    its padded input rows, C_in*((n - 1)*stride + kh)*(W + kw - 1) floats;
+    both count against _IM2COL_BLOCK_BYTES.  The output rows are split
+    into the fewest blocks that fit, whose sizes differ by at most one
+    row; a single row that does not fit runs as a block of its own.
+    """
     c_in, h, width = x.shape
     c_out, _, kh, kw = w.shape
     oh = -(-h // stride)
     ow = -(-width // stride)
     depth = c_in * kh * kw
-    block = max(1, min(oh, _IM2COL_BLOCK_BYTES // max(1, depth * ow * 8)))
+    wp = width + kw - 1
+    row_bytes = (depth * ow + c_in * stride * wp) * 8
+    fit = (_IM2COL_BLOCK_BYTES - c_in * (kh - stride) * wp * 8) // max(1, row_bytes)
+    count = -(-oh // max(1, fit))
+    block = -(-oh // count)
     wmat = w.reshape(c_out, depth)
     out = np.empty((c_out, oh, ow))
     flat_out = out.reshape(c_out, oh * ow)
     buf = np.empty(depth * block * ow)
-    pad_buf = np.empty((c_in, (block - 1) * stride + kh, width + kw - 1))
-    for r0 in range(0, oh, block):
-        rows = min(block, oh - r0)
+    pad_buf = np.empty((c_in, (block - 1) * stride + kh, wp))
+    for k in range(count):
+        r0 = k * oh // count
+        rows = (k + 1) * oh // count - r0
         taps = buf[: depth * rows * ow].reshape(c_in, kh * kw, rows, ow)
         span = (rows - 1) * stride + 1
         xp = _pad_rows(x, kh, kw, r0 * stride, pad_buf[:, : span + kh - 1])

@@ -339,8 +339,12 @@ def brm(fused: FeatureGrid, w: WeightStore) -> FeatureGrid:
         h F + head.b + (h P_ctx W_pw) relu(ctx_dw(F))
         + conv(F, (h P_edge) * brm.edge_dw_w) + c,
 
-    with c = h (P_ctx ctx_pw_b + proj_b) + (h P_edge) edge_dw_b.  This
-    runs one full-resolution depthwise and no ce-channel projection.
+    with c = h (P_ctx ctx_pw_b + proj_b) + (h P_edge) edge_dw_b.  The
+    context branch runs one channel k at a time: its depthwise, relu and
+    scale by entry k of u = h P_ctx W_pw are added into the logits, so no
+    ce-channel map is built.  Summed channel by channel rather than by one
+    projection, the logits agree with the unfolded refiner within 1e-12
+    of their largest magnitude.
     """
     ce = fused.channels
     head_w = w.get("head.w", (1, ce))
@@ -350,10 +354,13 @@ def brm(fused: FeatureGrid, w: WeightStore) -> FeatureGrid:
     c = (head_w @ (proj_w[:, :ce] @ w.get("brm.ctx_pw_b", (ce,)) + w.get("brm.proj_b", (ce,)))
          + v @ w.get("brm.edge_dw_b", (ce,)))
     logits = conv1x1(fused.data, head_w, w.get("head.b", (1,)))
-    ctx = depthwise_conv2d(fused.data, w.get("brm.ctx_dw_w", (ce, 3, 3)),
-                           w.get("brm.ctx_dw_b", (ce,)))
-    np.maximum(ctx, 0.0, out=ctx)  # relu, in place on this function's array
-    logits += conv1x1(ctx, u)
+    ctx_w = w.get("brm.ctx_dw_w", (ce, 3, 3))
+    ctx_b = w.get("brm.ctx_dw_b", (ce,))
+    for k in range(ce):
+        ctx = depthwise_conv2d(fused.data[k : k + 1], ctx_w[k : k + 1], ctx_b[k : k + 1])
+        np.maximum(ctx, 0.0, out=ctx)  # relu, in place on this function's array
+        ctx *= u[0, k]
+        logits += ctx
     del ctx
     edge_w = v.reshape(1, ce, 1, 1) * w.get("brm.edge_dw_w", (ce, 3, 3))[None]
     logits += conv2d(fused.data, edge_w, c)

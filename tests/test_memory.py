@@ -24,8 +24,15 @@ from wavescan.cli import main
 from wavescan.grid import _RESIZE_BLOCK_BYTES, FeatureGrid, _resize_axis, resize_bilinear
 from wavescan.metrics import ods, skeletonize
 from wavescan.fablock import fa_scan
-from wavescan.nn import _IM2COL_BLOCK_BYTES, conv2d
-from wavescan.pipeline import PipelineConfig, default_weights, encoder_block, forward, gfa
+from wavescan.nn import _IM2COL_BLOCK_BYTES, _TAP_BLOCK_BYTES, conv2d
+from wavescan.pipeline import (
+    PipelineConfig,
+    brm,
+    default_weights,
+    encoder_block,
+    forward,
+    gfa,
+)
 from wavescan.ssm import SsmParams, ssm_scan_parallel
 from wavescan.weights import seeded_init
 from wavescan.synth import SynthConfig, generate_sample
@@ -51,19 +58,37 @@ def traced_peak_mb(fn) -> float:
 
 
 def test_conv2d_peak_is_bounded_by_row_blocks():
-    # The full im2col buffer of this call is 16*9*256*256*8 B = 75.5 MB.
+    # gfa's fuse conv (16 -> 16) and down1 (16 -> 32, stride 2) at 256^2, on
+    # im2col.  The full im2col buffer of the fuse is 16*9*256*256*8 B = 75.5 MB.
+    # Each call holds its output and one row block's taps and padded input
+    # rows, which share the budget; a padded copy of the whole input would add
+    # 8.5 MB, and a block sized by its taps alone puts down1's padded rows
+    # (0.5 MB) beside 1 MB of taps.
     rng = np.random.default_rng(0)
     x = rng.normal(size=(16, 256, 256))
-    w = rng.normal(size=(16, 16, 3, 3))
-    b = rng.normal(size=16)
-    # Output 8.4 MB plus at most 1 MB of taps (3 rows) and one padded row
-    # block; a padded copy of the whole input would add 8.5 MB more, and
-    # 4 MB tap blocks about 3 MB.
-    rows = _IM2COL_BLOCK_BYTES // (16 * 9 * 256 * 8)
-    pad_mb = 16 * (rows + 2) * 258 * 8 / MB
-    bound = 16 * 256 * 256 * 8 / MB + _IM2COL_BLOCK_BYTES / MB + pad_mb + 0.25
-    peak = traced_peak_mb(lambda: conv2d(x, w, b))
-    assert peak <= bound, f"conv2d peak {peak:.2f} MB, bound {bound:.2f} MB"
+    for c_out, stride in ((16, 1), (32, 2)):
+        w = rng.normal(size=(c_out, 16, 3, 3))
+        b = rng.normal(size=c_out)
+        bound = c_out * (256 // stride) ** 2 * 8 / MB + _IM2COL_BLOCK_BYTES / MB + 0.25
+        peak = traced_peak_mb(lambda: conv2d(x, w, b, stride=stride))
+        assert peak <= bound, f"conv2d stride {stride} peak {peak:.2f} MB, bound {bound:.2f} MB"
+
+
+def test_brm_peak_holds_no_context_map():
+    # brm at 16 x 256 x 256.  The context branch runs one channel at a time,
+    # so beside the logits it holds one channel's depthwise; the edge branch's
+    # tap-major conv then holds its output and one row block's padded input
+    # (16 channels) and tap planes (9).  A 16-channel context map would add
+    # 8.4 MB; brm peaked at 11.15 MB with it.
+    cfg = PipelineConfig()
+    weights = default_weights(cfg)
+    fused = FeatureGrid(np.random.default_rng(12).normal(size=(16, 256, 256)))
+    plane = 256 * 256 * 8 / MB
+    rows = _TAP_BLOCK_BYTES // (16 * 258 * 8)
+    tap_mb = (16 + 9) * (rows + 2) * 258 * 8 / MB
+    bound = 2 * plane + tap_mb + 0.25
+    peak = traced_peak_mb(lambda: brm(fused, weights))
+    assert peak <= bound, f"brm peak {peak:.2f} MB, bound {bound:.2f} MB"
 
 
 def test_resize_peak_is_bounded_by_channel_blocks():
@@ -123,11 +148,14 @@ def test_forward_peak_at_256():
 
 
 def test_forward_peak_at_64():
-    # 2.31 MB, set by brm's depthwise.  Stage 4's align.w1 (64 x 384 x 3 x 3)
-    # is held in the tap order conv2d reads; reordering a C-ordered copy on
-    # each call puts a fresh 1.77 MB kernel on top and reads 3.06 MB.
+    # 2.08 MB, set by gfa's resize of level 2 (16 x 32 x 32) to 64 x 64.
+    # brm's whole-map context depthwise read 2.31 MB; im2col blocks sized by
+    # their taps alone, 2.31 MB in stage 1's downsample and 2.23 MB in gfa's
+    # fuse conv.  Stage 4's align.w1 (64 x 384 x 3 x 3) is held in the tap
+    # order conv2d reads; reordering a C-ordered copy on each call puts a
+    # fresh 1.77 MB kernel on top.
     peak = warm_forward_peak_mb(64)
-    assert peak <= 2.45, f"forward peak {peak:.2f} MB"
+    assert peak <= 2.15, f"forward peak {peak:.2f} MB"
 
 
 def test_stored_tap_major_kernel_is_read_without_a_copy():

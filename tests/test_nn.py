@@ -41,6 +41,23 @@ def naive_conv(x, w, b, stride=1):
     return out
 
 
+def im2col_block_bytes(c_in, width, kh, kw, stride, rows):
+    """Bytes of one im2col block of output rows: its taps and its padded input rows."""
+    ow = -(-width // stride)
+    return (c_in * kh * kw * rows * ow + c_in * ((rows - 1) * stride + kh) * (width + kw - 1)) * 8
+
+
+def im2col_row_blocks(c_in, h, width, kh, kw, stride):
+    """(first row, rows) of each im2col block: the fewest that fit the budget, near-equal."""
+    oh = -(-h // stride)
+    count = 1
+    while count < oh and im2col_block_bytes(c_in, width, kh, kw, stride,
+                                            -(-oh // count)) > nn._IM2COL_BLOCK_BYTES:
+        count += 1
+    starts = [k * oh // count for k in range(count + 1)]
+    return [(r0, r1 - r0) for r0, r1 in zip(starts, starts[1:])]
+
+
 def full_pad_conv2d(x, w, b=None, stride=1):
     """conv2d's im2col orientation on one edge-padded copy of the whole input, same row blocks."""
     c_in, h, width = x.shape
@@ -49,12 +66,10 @@ def full_pad_conv2d(x, w, b=None, stride=1):
     oh = -(-h // stride)
     ow = -(-width // stride)
     depth = c_in * kh * kw
-    block = max(1, min(oh, nn._IM2COL_BLOCK_BYTES // max(1, depth * ow * 8)))
     wmat = w.reshape(c_out, depth)
     out = np.empty((c_out, oh, ow))
     flat_out = out.reshape(c_out, oh * ow)
-    for r0 in range(0, oh, block):
-        rows = min(block, oh - r0)
+    for r0, rows in im2col_row_blocks(c_in, h, width, kh, kw, stride):
         taps = np.empty((c_in, kh * kw, rows, ow))
         top = r0 * stride
         bottom = top + (rows - 1) * stride + 1
@@ -186,23 +201,66 @@ class TestConv:
 
     @pytest.mark.parametrize("shape,stride", [
         ((64, 41, 43), 1),  # tap-major (64 -> 3): one block
-        ((64, 81, 87), 2),  # im2col: nine row blocks, the last one a single row
+        ((64, 81, 87), 2),  # im2col: 41 rows in 14 blocks of 2 or 3 rows
         ((3, 1, 5), 1),
         ((5, 9, 7), 2),
     ])
-    def test_row_blocks_match_naive_oracle(self, shape, stride):
+    def test_row_blocks_match_naive_oracle(self, monkeypatch, shape, stride):
         c_in, h, width = shape
         oh, ow = -(-h // stride), -(-width // stride)
-        if c_in == 64 and stride == 2:
-            assert c_in * 9 * oh * ow * 8 > nn._IM2COL_BLOCK_BYTES
-            assert oh % (nn._IM2COL_BLOCK_BYTES // (c_in * 9 * ow * 8)) == 1
+        blocks = count_row_blocks(monkeypatch)
         rng = np.random.default_rng(h)
         x = rng.normal(size=shape)
         w = rng.normal(size=(3, c_in, 3, 3))
         b = rng.normal(size=3)
         got = conv2d(x, w, b, stride=stride)
+        if c_in == 64 and stride == 2:
+            # several row blocks of unequal sizes
+            sizes = np.diff([top // stride for top in blocks] + [oh])
+            assert len(blocks) > 1 and sizes.min() < sizes.max()
         assert got.shape == (3, oh, ow)
         assert np.abs(got - naive_conv(x, w, b, stride=stride)).max() <= 1e-10
+
+    @pytest.mark.parametrize("budget", [None, 1, 700, 3000, 40000])
+    @pytest.mark.parametrize("c_in,h,width,k,stride", BLOCK_CASES + [
+        (16, 64, 64, 3, 2), (16, 256, 256, 3, 1), (64, 81, 87, 3, 2), (1, 256, 256, 3, 1)])
+    def test_im2col_blocks_are_near_equal_and_fewest(self, monkeypatch, budget, c_in, h, width,
+                                                     k, stride):
+        # The output rows split into blocks within one row of each other; one
+        # fewer block would hold more rows than the budget takes, counting the
+        # taps and the padded input rows of a block.
+        if budget is not None:
+            monkeypatch.setattr(nn, "_IM2COL_BLOCK_BYTES", budget)
+        kh, kw = _kernel_dims(k)
+        blocks = count_row_blocks(monkeypatch)
+        x = np.random.default_rng(h).normal(size=(c_in, h, width))
+        conv2d(x, np.ones((c_in, c_in, kh, kw)), stride=stride)
+        oh = -(-h // stride)
+        sizes = np.diff([top // stride for top in blocks] + [oh])
+        assert sizes.sum() == oh and sizes.max() - sizes.min() <= 1
+        fits = im2col_block_bytes(c_in, width, kh, kw, stride, sizes.max()) \
+            <= nn._IM2COL_BLOCK_BYTES
+        assert fits or sizes.max() == 1  # a single row that does not fit runs alone
+        if len(blocks) > 1:
+            fewer = -(-oh // (len(blocks) - 1))
+            assert im2col_block_bytes(c_in, width, kh, kw, stride, fewer) > nn._IM2COL_BLOCK_BYTES
+
+    @pytest.mark.parametrize("size", [64, 256])
+    @pytest.mark.parametrize("c_in,c_out,scale,stride", [
+        (1, 16, 0, 1),  # stem
+        (16, 32, 0, 2),  # down1
+        (32, 64, 1, 2),  # down2
+        (64, 128, 2, 2),  # down3
+        (16, 16, 0, 1),  # gfa's fuse
+    ])
+    def test_pipeline_im2col_shapes_bit_identical_to_full_pad(self, size, c_in, c_out, scale,
+                                                              stride):
+        assert not nn._tap_major(c_out, c_in, stride)
+        rng = np.random.default_rng(size + c_out)
+        x = rng.normal(size=(c_in, size >> scale, size >> scale))
+        w = rng.normal(size=(c_out, c_in, 3, 3))
+        b = rng.normal(size=c_out)
+        assert np.array_equal(conv2d(x, w, b, stride=stride), full_pad_conv2d(x, w, b, stride))
 
 
     @pytest.mark.parametrize("budget", [None, 1, 700, 3000])

@@ -342,10 +342,13 @@ def oracle_gfa(features, store):
 
 
 class TestDecoderOracles:
-    @pytest.mark.parametrize("shape", [(8, 6, 6), (8, 9, 13), (8, 1, 7), (8, 5, 1)])
+    @pytest.mark.parametrize("shape", [(8, 6, 6), (8, 9, 13), (8, 1, 7), (8, 5, 1),
+                                       (16, 64, 64), (16, 256, 256)])
     def test_split_projection_brm_matches_concat(self, shape):
-        # The folded logits against the head of both earlier refiners.
-        cfg = PipelineConfig(channels=(8, 16, 32, 64))
+        # The folded logits against the head of both earlier refiners, up to
+        # the pipeline's 256^2 map, whose whole-map depthwise in the oracles
+        # runs in eight row blocks while brm's per-channel one runs in one.
+        cfg = PipelineConfig(channels=tuple(shape[0] << i for i in range(4)))
         spec = [(n, s) for n, s in pipeline_weight_spec(cfg) if n.startswith(("brm.", "head."))]
         store = seeded_init(spec, shape[1])
         fused = FeatureGrid(np.random.default_rng(shape[2]).normal(size=shape))
