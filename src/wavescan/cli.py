@@ -227,6 +227,15 @@ def cmd_forward(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    """Score each pred/gt PGM pair of the same name, then the dataset's ODS and mean clDice.
+
+    Pairs are scored on their 8-bit codes.  ``load_pgm`` reads code v as
+    v / 255, so a float image holds only those 256 values: the hit mask is
+    a 256-entry table of v / 255 >= threshold, the ground truth is v >= 128
+    (v / 255 >= 128 / 255, as division by 255 keeps the order), and the ODS
+    counts bin the 256 values once.  Each count, and so the CSV, equals the
+    float path's exactly, and no float image is built.
+    """
     pred_dir, gt_dir = Path(args.pred_dir), Path(args.gt_dir)
     names = sorted(p.name for p in pred_dir.glob("*.pgm"))
     pairs = [(n, pred_dir / n, gt_dir / n) for n in names if (gt_dir / n).exists()]
@@ -235,14 +244,15 @@ def cmd_eval(args) -> int:
               file=sys.stderr)
         return 1
     # One pass: each pair is read, scored and added to the ODS counts, then dropped.
+    hit_of_code = np.arange(256) / 255.0 >= args.threshold
     tally, rows = _OdsCounts(), []
     for name, ppath, gpath in pairs:
-        pred = fileio.load_pgm(ppath)
-        gt = fileio.load_pgm(gpath) >= (128.0 / 255.0)
-        hit = pred >= args.threshold
+        codes = fileio.load_pgm_codes(ppath)
+        gt = fileio.load_pgm_codes(gpath) >= 128
+        hit = hit_of_code[codes]
         m = region_metrics(hit, gt, args.threshold)
         cd = cldice(hit, gt)
-        tally.add(pred, gt)
+        tally.add_codes(codes, gt)
         rows.append([name, _fmt(args.threshold), _fmt(m.miou), _fmt(m.f1),
                      _fmt(m.precision), _fmt(m.recall), _fmt(cd)])
     best = tally.best()

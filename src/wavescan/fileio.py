@@ -7,7 +7,11 @@ A .fgw bundle is a length-prefixed name table (uint32-LE count, then per
 entry uint32-LE byte length + UTF-8 name) followed by that many FGT1
 tensors in table order.
 
-PGM files are binary P5, maxval 255; gray values map to [0, 1] floats.
+PGM files are binary P5, maxval 255.  ``load_pgm_codes`` returns the
+8-bit codes v themselves; ``load_pgm`` maps them to the floats v / 255.
+Every caller that thresholds or bins a PGM can therefore work on the 256
+codes: a float image holds only the 256 values v / 255, so any test of it
+is a lookup of the same test on those values.
 
 The readers raise ``InputError`` for any malformed or truncated input,
 naming the file (when the stream has a name) and the byte offset.  Header
@@ -149,8 +153,8 @@ def _pgm_int(path, name: str, field: bytes) -> int:
     raise InputError(f"PGM {name} {field[:16]!r} is not an integer in {path}")
 
 
-def load_pgm(path) -> np.ndarray:
-    """Read a binary P5 PGM into a 2-D float array in [0, 1].
+def load_pgm_codes(path) -> np.ndarray:
+    """Read a binary P5 PGM into its 2-D uint8 codes (a read-only view).
 
     A malformed header or short pixel data raises ``InputError`` naming
     the file and the reason.
@@ -184,5 +188,12 @@ def load_pgm(path) -> np.ndarray:
     have = max(len(data) - pos, 0)
     if have < w * h:
         raise InputError(f"PGM pixel data has {have} of {w * h} bytes in {path}")
-    pixels = np.frombuffer(data, dtype=np.uint8, count=h * w, offset=pos)
-    return pixels.reshape(h, w).astype(np.float64) / 255.0
+    return np.frombuffer(data, dtype=np.uint8, count=h * w, offset=pos).reshape(h, w)
+
+
+def load_pgm(path) -> np.ndarray:
+    """Read a binary P5 PGM into a 2-D float array in [0, 1]: its codes / 255.
+
+    Raises as ``load_pgm_codes`` does.
+    """
+    return load_pgm_codes(path).astype(np.float64) / 255.0

@@ -15,7 +15,10 @@ floor(100 p), clamped to [0, 99] with NaN sent to 0, is at most one off,
 so one comparison against the exact threshold on each side corrects it.
 One histogram of (bin, gt) per pair, added to a running count as each
 pair arrives, and reversed cumulative sums give the counts at every
-threshold.
+threshold.  A prediction given as 8-bit PGM codes v is read as v / 255,
+as ``fileio.load_pgm`` reads it: the 256 values v / 255 are binned once,
+by the same arithmetic, so a pair only counts its (code, gt) pairs and
+its counts equal those of its float image exactly.
 
 clDice uses Zhang-Suen thinning for its skeletons.  The deletion test of
 each sub-iteration is a 256-entry table over the 8-neighbour code, built
@@ -136,19 +139,35 @@ class _OdsCounts:
     def __init__(self):
         self.counts = np.zeros(2 * self.n_bins, dtype=np.int64)
 
-    def add(self, pred, gt) -> None:
-        pred, gt = _as_pair(pred, gt)
-        flat = pred.ravel()
+    @classmethod
+    def bins(cls, flat: np.ndarray) -> np.ndarray:
+        """The bin of each value of a flat float64 array."""
         with np.errstate(over="ignore"):  # beyond 1.8e306 the guess is inf, still clamped
             guess = flat * 100.0
         np.fmax(guess, 0.0, out=guess)  # also sends NaN to 0
-        np.fmin(guess, self.n_bins - 1, out=guess)
+        np.fmin(guess, cls.n_bins - 1, out=guess)
         bins = guess.astype(np.intp)  # truncation floors a non-negative guess
         del guess
-        bins += flat >= self.upper.take(bins)
-        bins -= flat < self.lower.take(bins)
+        bins += flat >= cls.upper.take(bins)
+        bins -= flat < cls.lower.take(bins)
+        return bins
+
+    def add(self, pred, gt) -> None:
+        pred, gt = _as_pair(pred, gt)
+        bins = self.bins(pred.ravel())
         np.add(bins, self.n_bins, out=bins, where=gt.ravel())
         self.counts += np.bincount(bins, minlength=2 * self.n_bins)
+
+    def add_codes(self, codes, gt) -> None:
+        """``add(codes / 255.0, gt)`` for 8-bit codes, without a float image."""
+        codes = np.asarray(codes)
+        gt = _as_bool_mask(gt)
+        if codes.shape != gt.shape:
+            raise DimensionError(f"shape mismatch: codes {codes.shape} vs gt {gt.shape}")
+        pos = np.bincount(codes[gt], minlength=256)
+        neg = np.bincount(codes.ravel(), minlength=256) - pos
+        np.add.at(self.counts, _CODE_BINS, neg)
+        np.add.at(self.counts, _CODE_BINS + self.n_bins, pos)
 
     def totals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Dataset-aggregated tp, fp, fn of pred >= t at every ODS threshold t."""
@@ -170,6 +189,11 @@ class _OdsCounts:
             f1 = np.where(denom > 0, 2 * precision * recall / np.maximum(denom, 1e-300), 0.0)
         best = int(np.argmax(f1))
         return OdsResult(f1=float(f1[best]), threshold=float(ODS_THRESHOLDS[best]))
+
+
+# The bin of each 8-bit code v, read as v / 255.
+_CODE_BINS = _OdsCounts.bins(np.arange(256) / 255.0)
+_CODE_BINS.flags.writeable = False
 
 
 def _ods_tally(preds, gts) -> _OdsCounts:
@@ -215,6 +239,16 @@ def _deletion_table(first: bool) -> np.ndarray:
 _DELETE_TABLES = (_deletion_table(True), _deletion_table(False))
 
 
+def _slot_dtype(h: int, w: int) -> type:
+    """int32 when every position ``_first_of_each`` writes for an h x w mask fits it, else intp.
+
+    Each call dedupes either the neighbours of the deleted pixels (8 per
+    deleted pixel) or the two todo sets (each a set of foreground pixels),
+    so it writes fewer than 8 * h * w positions.
+    """
+    return np.int32 if 8 * h * w <= np.iinfo(np.int32).max + 1 else np.intp
+
+
 def _first_of_each(idx: np.ndarray, slot: np.ndarray) -> np.ndarray:
     """``idx`` with repeats dropped, using ``slot`` (one entry per index) as scratch."""
     pos = np.arange(idx.size, dtype=slot.dtype)
@@ -236,7 +270,7 @@ def skeletonize(mask) -> np.ndarray:
     fg = np.flatnonzero(flat)
     codes = np.zeros(flat.size, dtype=np.uint8)
     codes[fg] = np.packbits(flat[ring[:, None] + fg], axis=0, bitorder="little")[0]
-    slot = np.empty(flat.size, dtype=np.intp)
+    slot = np.empty(flat.size, dtype=_slot_dtype(h, w))
     # todo[k]: foreground pixels whose code changed since table k last kept them
     todo = [fg, fg]
     k = 0

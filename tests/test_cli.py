@@ -310,11 +310,14 @@ class TestSubcommands:
         cld_row = [r for r in rows if r[0] == "MEAN_CLDICE"][0]
         assert float(cld_row[6]) == 1.0
 
-    @pytest.mark.parametrize("threshold", [0.5, 0.6])
+    @pytest.mark.parametrize("threshold", [0.5, 0.6, 128 / 255, 0.01, 0.99])
     def test_eval_csv_matches_enumeration_oracles(self, tmp_path, threshold):
-        # Thick, noisy predictions as in the benchmark's eval pairs, and one
-        # pair whose prediction is its mask.  PGM levels 51, 102, 153 and 204
-        # read back as exactly 0.2, 0.4, 0.6 and 0.8, on the ODS thresholds.
+        # Thick, noisy predictions as in the benchmark's eval pairs, one pair
+        # whose prediction is its mask, and one whose prediction holds every
+        # PGM code 0-255, so each code's hit and ODS bin is checked against
+        # its float v / 255.  PGM levels 51, 102, 153 and 204 read back as
+        # exactly 0.2, 0.4, 0.6 and 0.8, on the ODS thresholds.  0.6 and
+        # 128 / 255 are codes' own values; 0.5, 0.01 and 0.99 fall between codes.
         pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
         pred_dir.mkdir()
         gt_dir.mkdir()
@@ -330,6 +333,11 @@ class TestSubcommands:
                 pred = np.clip(0.7 * thick + 0.15 + rng.normal(0.0, 0.2, gt.shape), 0.0, 1.0)
             fileio.save_pgm(pred_dir / f"pair{i}.pgm", pred)
             fileio.save_pgm(gt_dir / f"pair{i}.pgm", gt.astype(float))
+        gt = generate_sample(SynthConfig(height=48, width=40, curves=2, width_max=3,
+                                         orientation="bezier", seed=35)).gt
+        every_code = rng.permutation(np.arange(gt.size) % 256).astype(np.uint8)
+        fileio.save_pgm(pred_dir / "pair5.pgm", every_code.reshape(gt.shape))
+        fileio.save_pgm(gt_dir / "pair5.pgm", gt.astype(float))
         out = tmp_path / "eval.csv"
         assert main(["eval", "--pred-dir", str(pred_dir), "--gt-dir", str(gt_dir),
                      "--out", str(out), "--threshold", str(threshold)]) == 0

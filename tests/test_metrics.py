@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from wavescan import metrics
 from wavescan.errors import DimensionError, InputError
 from wavescan.metrics import (
     ODS_THRESHOLDS,
     _DELETE_TABLES,
     OdsResult,
     _ods_counts,
+    _OdsCounts,
+    _slot_dtype,
     cldice,
     connected_components,
     dice,
@@ -234,6 +237,36 @@ class TestOds:
         preds = [data.draw(hnp.arrays(np.float64, shape, elements=values)) for _ in range(n)]
         gts = [data.draw(hnp.arrays(np.bool_, shape)) for _ in range(n)]
         assert_counts_equal(preds, gts)
+        codes = [data.draw(hnp.arrays(np.uint8, shape)) for _ in range(n)]
+        tally = _OdsCounts()
+        for c, g in zip(codes, gts):
+            tally.add_codes(c, g)
+        want = oracle_ods_counts([c / 255.0 for c in codes], gts)
+        for name, g, w in zip(("tp", "fp", "fn"), tally.totals(), want):
+            assert g.dtype == w.dtype and np.array_equal(g, w), name
+
+    @pytest.mark.parametrize("gt_value", [False, True])
+    def test_code_counts_equal_float_counts_on_every_code(self, gt_value):
+        # Every code once under gt_value, then every code twice with alternate
+        # rows on each ground-truth value, so both histograms are filled.
+        codes = np.arange(256, dtype=np.uint8).reshape(16, 16)
+        gt = np.full(codes.shape, gt_value)
+        mixed_codes = np.tile(codes, (2, 1))
+        mixed_gt = np.zeros(mixed_codes.shape, dtype=bool)
+        mixed_gt[::2] = gt_value
+        mixed_gt[1::2] = not gt_value
+        for c, g in ((codes, gt), (mixed_codes, mixed_gt)):
+            by_codes, by_floats = _OdsCounts(), _OdsCounts()
+            by_codes.add_codes(c, g)
+            by_floats.add(c / 255.0, g)
+            assert by_codes.counts.dtype == np.int64
+            assert np.array_equal(by_codes.counts, by_floats.counts)
+
+    def test_code_counts_reject_a_shape_mismatch(self):
+        tally = _OdsCounts()
+        with pytest.raises(DimensionError):
+            tally.add_codes(np.zeros((4, 4), dtype=np.uint8), np.zeros((4, 5), dtype=bool))
+        assert not tally.counts.any()
 
 
 class TestSkeletonize:
@@ -364,6 +397,36 @@ class TestSkeletonizeExact:
     @given(hnp.arrays(np.bool_, hnp.array_shapes(min_dims=2, max_dims=2, max_side=16)))
     def test_matches_oracle_property(self, mask):
         assert np.array_equal(skeletonize(mask), oracle_skeletonize(mask))
+
+    def test_slot_dtype_at_its_size_boundary(self):
+        # Positions below 8 * h * w fit int32 while 8 * h * w <= 2**31.
+        assert _slot_dtype(1 << 14, 1 << 14) is np.int32
+        assert _slot_dtype(1 << 13, 1 << 15) is np.int32
+        assert _slot_dtype(1 << 14, (1 << 14) + 1) is np.intp
+        assert _slot_dtype((1 << 14) + 1, 1 << 14) is np.intp
+        assert _slot_dtype(1, 1) is np.int32
+
+    @pytest.mark.parametrize("mask", [
+        np.ones((12, 9), dtype=bool),
+        np.indices((11, 14))[0] % 4 != 0,
+        np.random.default_rng(21).uniform(size=(17, 13)) < 0.8,
+    ], ids=["full", "bars", "dense"])
+    def test_dedup_positions_stay_below_eight_per_pixel(self, mask, monkeypatch):
+        sizes = []
+        dedup = metrics._first_of_each
+
+        def recording(idx, slot):
+            sizes.append(idx.size)
+            return dedup(idx, slot)
+
+        monkeypatch.setattr(metrics, "_first_of_each", recording)
+        assert np.array_equal(skeletonize(mask), oracle_skeletonize(mask))
+        assert sizes and max(sizes) <= 8 * mask.size
+
+    def test_intp_slot_gives_the_same_skeletons(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_slot_dtype", lambda h, w: np.intp)
+        for mask in EXACTNESS_MASKS:
+            assert np.array_equal(skeletonize(mask), oracle_skeletonize(mask))
 
 
 class TestClDice:

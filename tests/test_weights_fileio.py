@@ -195,6 +195,28 @@ class TestPgm:
         assert reason in str(exc.value)
         assert str(path) in str(exc.value)
 
+    @pytest.mark.parametrize("data, reason", MALFORMED_PGMS,
+                             ids=[reason for _, reason in MALFORMED_PGMS])
+    def test_code_reader_raises_as_float_reader(self, tmp_path, data, reason):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(data)
+        messages = []
+        for reader in (fileio.load_pgm, fileio.load_pgm_codes):
+            with pytest.raises(InputError) as exc:
+                reader(path)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert reason in messages[1] and str(path) in messages[1]
+
+    def test_float_reader_is_codes_over_255_on_every_code(self, tmp_path):
+        path = tmp_path / "codes.pgm"
+        want = np.arange(256, dtype=np.uint8).reshape(8, 32)
+        fileio.save_pgm(path, want)
+        codes = fileio.load_pgm_codes(path)
+        assert codes.dtype == np.uint8 and np.array_equal(codes, want)
+        assert not codes.flags.writeable
+        assert np.array_equal(fileio.load_pgm(path), codes.astype(np.float64) / 255.0)
+
 
 VALID_PGM = b"P5\n5 7\n255\n" + bytes(range(0, 175, 5))
 VALID_PIXELS = np.arange(0, 175, 5, dtype=np.float64).reshape(7, 5) / 255.0
