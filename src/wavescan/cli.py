@@ -433,6 +433,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # numpy's message names the array it could not allocate
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -30,6 +30,18 @@ all chosen pixels at once, so the pass stays parallel, and adds their
 remaining neighbours to the sets of both tables.  A pixel left out has
 the code it had when the same table last kept it, so the result equals
 full Zhang-Suen passes.
+
+Thinning holds one byte per padded pixel three times (the image, the
+codes and a tag plane), 8 bytes per pixel in a todo set and 64 per pixel
+deleted in the current sub-iteration.  The codes are gathered a fixed block of
+positions at a time, 8 neighbour bytes read as one word per position.
+The tag plane is the only dedup scratch: a repeated fancy assignment
+leaves one of the values written, so after writing each deleted pixel's
+neighbours with their ring column (0-7), a neighbour shared by several
+deleted pixels keeps the one copy whose column it holds; the todo sets
+are merged by writing 0 on one set and 1 on the other.  ``add_codes``
+histograms the 8-bit codes in fixed chunks, so ``np.bincount`` never
+gets an image-sized intp copy of them.
 """
 
 from __future__ import annotations
@@ -41,6 +53,9 @@ import numpy as np
 from .errors import DimensionError, InputError
 
 ODS_THRESHOLDS = np.arange(1, 100) / 100.0
+
+# Codes histogrammed at once by _OdsCounts.add_codes (a 64 KB intp key).
+_COUNT_CHUNK = 8192
 
 
 def _as_float_mask(mask) -> np.ndarray:
@@ -161,11 +176,20 @@ class _OdsCounts:
     def add_codes(self, codes, gt) -> None:
         """``add(codes / 255.0, gt)`` for 8-bit codes, without a float image."""
         codes = np.asarray(codes)
+        if codes.dtype != np.uint8:
+            raise InputError(f"codes must be uint8, got {codes.dtype}")
         gt = _as_bool_mask(gt)
         if codes.shape != gt.shape:
             raise DimensionError(f"shape mismatch: codes {codes.shape} vs gt {gt.shape}")
-        pos = np.bincount(codes[gt], minlength=256)
-        neg = np.bincount(codes.ravel(), minlength=256) - pos
+        codes, gt = codes.ravel(), gt.ravel()
+        # (gt, code) as gt * 256 + code, histogrammed one chunk at a time, so
+        # bincount is handed a chunk-sized intp key, not an image-sized copy
+        hist = np.zeros(512, dtype=np.int64)
+        for start in range(0, codes.size, _COUNT_CHUNK):
+            key = np.left_shift(gt[start:start + _COUNT_CHUNK], 8, dtype=np.intp)
+            key |= codes[start:start + _COUNT_CHUNK]
+            hist += np.bincount(key, minlength=512)
+        neg, pos = hist.reshape(2, 256)
         np.add.at(self.counts, _CODE_BINS, neg)
         np.add.at(self.counts, _CODE_BINS + self.n_bins, pos)
 
@@ -239,22 +263,33 @@ def _deletion_table(first: bool) -> np.ndarray:
 _DELETE_TABLES = (_deletion_table(True), _deletion_table(False))
 
 
-def _slot_dtype(h: int, w: int) -> type:
-    """int32 when every position ``_first_of_each`` writes for an h x w mask fits it, else intp.
+# Positions whose neighbour codes are gathered at once.  A block's index
+# array (8 intp per position, 32 KB) and numpy's buffers for the broadcast
+# sum that builds it stay under 0.1 MB on any mask.  On noisy 256^2
+# masks, 256-position blocks thinned slower and 1024 raised the peak.
+_GATHER_BLOCK = 512
 
-    Each call dedupes either the neighbours of the deleted pixels (8 per
-    deleted pixel) or the two todo sets (each a set of foreground pixels),
-    so it writes fewer than 8 * h * w positions.
-    """
-    return np.int32 if 8 * h * w <= np.iinfo(np.int32).max + 1 else np.intp
+# Ring column of each of a pixel's 8 neighbours, the values the dedup writes.
+_RING_COLUMNS = np.arange(8, dtype=np.uint8)
+_RING_COLUMNS.flags.writeable = False
+
+# A position's 8 neighbour booleans, read as one little-endian uint64 with
+# neighbour k in byte k, times this constant hold its code in their top
+# byte: byte k reaches bit 56 + k through the term 2**(56 - 7k), and while
+# each byte is 0 or 1 no other term or carry reaches bits 56 to 63.
+_CODE_MAGIC = np.uint64(0x0102040810204080)
+_CODE_SHIFT = np.uint64(56)
+_NEIGHBOUR_WORD = np.dtype("<u8")
 
 
-def _first_of_each(idx: np.ndarray, slot: np.ndarray) -> np.ndarray:
-    """``idx`` with repeats dropped, using ``slot`` (one entry per index) as scratch."""
-    pos = np.arange(idx.size, dtype=slot.dtype)
-    slot[idx] = pos
-    # whichever repeat wrote last owns the slot; exactly one repeat matches it
-    return idx[slot[idx] == pos]
+def _recode(codes: np.ndarray, flat: np.ndarray, ring: np.ndarray, pos: np.ndarray) -> None:
+    """Write the 8-neighbour code of each position in ``pos`` into ``codes``, a block at a time."""
+    for start in range(0, pos.size, _GATHER_BLOCK):
+        block = pos[start:start + _GATHER_BLOCK]
+        words = flat[block[:, None] + ring].view(_NEIGHBOUR_WORD)
+        words *= _CODE_MAGIC
+        words >>= _CODE_SHIFT
+        codes[block] = words[:, 0]
 
 
 def skeletonize(mask) -> np.ndarray:
@@ -269,8 +304,11 @@ def skeletonize(mask) -> np.ndarray:
     ring = np.array([-stride, -stride + 1, 1, stride + 1, stride, stride - 1, -1, -stride - 1])
     fg = np.flatnonzero(flat)
     codes = np.zeros(flat.size, dtype=np.uint8)
-    codes[fg] = np.packbits(flat[ring[:, None] + fg], axis=0, bitorder="little")[0]
-    slot = np.empty(flat.size, dtype=_slot_dtype(h, w))
+    _recode(codes, flat, ring, fg)
+    # Dedup scratch, one byte per padded pixel.  A repeated fancy assignment
+    # leaves one of the values written, so when each copy of a position
+    # writes a different value, exactly one copy reads its own value back.
+    tag = np.empty(flat.size, dtype=np.uint8)
     # todo[k]: foreground pixels whose code changed since table k last kept them
     todo = [fg, fg]
     k = 0
@@ -279,11 +317,24 @@ def skeletonize(mask) -> np.ndarray:
         gone = looked[_DELETE_TABLES[k][codes[looked]]]
         if gone.size:
             flat[gone] = False
-            near = (gone[:, None] + ring).ravel()
-            near = _first_of_each(near[flat[near]], slot)
-            codes[near] = np.packbits(flat[ring[:, None] + near], axis=0, bitorder="little")[0]
+            # repeat, then add in place: the broadcast sum gone[:, None] + ring
+            # has numpy buffer both operands, up to 128 KB beside the result
+            near = gone.repeat(8).reshape(-1, 8)
+            near += ring
+            # gone has no repeats, so the copies of one neighbour lie in
+            # distinct ring columns, and only one has the column left in tag
+            keep = flat[near]
+            tag[near] = _RING_COLUMNS
+            keep &= tag[near] == _RING_COLUMNS
+            near = near[keep]
+            _recode(codes, flat, ring, near)
+            # keep the pixels of the other set that are still foreground and
+            # that near does not list
             other = todo[1 - k]
-            todo[1 - k] = _first_of_each(np.concatenate([other[flat[other]], near]), slot)
+            tag[other] = 0
+            tag[near] = 1
+            other = other[flat[other] & (tag[other] == 0)]
+            todo[1 - k] = np.concatenate([other, near])
             todo[k] = near
         k = 1 - k
     return padded[1:-1, 1:-1].copy()

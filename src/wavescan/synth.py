@@ -9,6 +9,7 @@ Everything is a pure function of the config (seed included).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +39,20 @@ class SynthConfig:
             raise ConfigError("need at least one curve")
         if self.width_min < 1 or self.width_max < self.width_min:
             raise ConfigError("widths must satisfy 1 <= width_min <= width_max")
+        for name in ("contrast", "texture"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if not 0.0 < self.contrast <= 1.0:
             raise ConfigError("contrast must lie in (0, 1]")
         if self.texture < 0.0:
             raise ConfigError("texture amplitude must be >= 0")
         if self.orientation not in ORIENTATIONS:
             raise ConfigError(f"orientation must be one of {ORIENTATIONS}")
+        # a bezier curve starts in the leftmost 15% of the columns and ends in
+        # [0.85 w, w - 1], an empty range below 7 columns
+        if self.orientation == "bezier" and self.width < 7:
+            raise ConfigError(f"a bezier canvas must be at least 7 wide, got width {self.width}")
 
 
 @dataclass(frozen=True, eq=False)

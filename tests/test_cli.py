@@ -1,8 +1,10 @@
+import contextlib
 import csv
 import io
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -438,7 +440,64 @@ class TestSubcommands:
         assert main(["dwt-roundtrip", "--size", "6"]) == 7
         assert [a.size for a in calls] == [4, 6]
 
+    @pytest.mark.parametrize("message", [
+        "Unable to allocate 74.5 GiB for an array with shape (100000, 100000) and data type float64",
+        "",
+    ])
+    def test_memory_error_is_one_error_line(self, monkeypatch, capsys, message):
+        def exhausted(args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "cmd_synth_gen", exhausted)
+        assert main(["synth-gen", "--size", "100000"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert message in err
+
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+# Edge values for the numeric flags of synth-gen and probe-demo.  A value that
+# passes validation keeps the run small (a canvas of at most 16x16, at most
+# 3 samples, curves or steps), so no case allocates more than a few MB; the
+# large integers are seeds, or widths that validation rejects, and a large
+# texture only darkens the background.
+_INTS = [-1, 0, 1, 3]
+_FLOATS = [-1.0, 0.0, 1.0, 0.5, float("nan"), float("inf"), float("-inf"), 1e308]
+_EDGE_FLAGS = {
+    "synth-gen": {
+        "seed": _INTS + [7, 2**63], "size": [-1, 0, 1, 5, 7, 9, 16], "count": _INTS,
+        "curves": _INTS, "width-min": _INTS + [2**63], "width-max": _INTS + [5],
+        "contrast": _FLOATS, "texture": _FLOATS,
+    },
+    "probe-demo": {
+        "seed": _INTS + [7, 2**63], "size": [-1, 0, 1, 5, 7, 9, 16], "steps": _INTS,
+        "probes": _INTS,
+    },
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_numeric_flag_edge_values_end_in_one_error_line_at_most(data):
+    command = data.draw(st.sampled_from(sorted(_EDGE_FLAGS)))
+    flags = _EDGE_FLAGS[command]
+    chosen = data.draw(st.lists(st.sampled_from(sorted(flags)), min_size=1, max_size=3,
+                                unique=True))
+    values = {flag: data.draw(st.sampled_from(flags[flag]), label=flag) for flag in chosen}
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command, "--out-dir", tmp, "--size", "16"]
+        argv += [f"--{flag}={value}" for flag, value in values.items()]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    assert err.count("\n") <= 1 and "Traceback" not in err, (argv, err)
+    assert (code == 0) == (err == ""), (argv, code, err)

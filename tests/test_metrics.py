@@ -10,11 +10,11 @@ from wavescan import metrics
 from wavescan.errors import DimensionError, InputError
 from wavescan.metrics import (
     ODS_THRESHOLDS,
+    _COUNT_CHUNK,
     _DELETE_TABLES,
     OdsResult,
     _ods_counts,
     _OdsCounts,
-    _slot_dtype,
     cldice,
     connected_components,
     dice,
@@ -262,6 +262,27 @@ class TestOds:
             assert by_codes.counts.dtype == np.int64
             assert np.array_equal(by_codes.counts, by_floats.counts)
 
+    @pytest.mark.parametrize("shape", [
+        (1, 1), (1, _COUNT_CHUNK), (64, _COUNT_CHUNK // 64), (3, _COUNT_CHUNK // 2 + 1), (97, 89),
+    ], ids=["one-pixel", "one-chunk-row", "one-chunk", "chunk-and-a-half", "odd"])
+    def test_code_counts_in_chunks_equal_float_counts(self, shape):
+        # The codes are histogrammed in chunks of _COUNT_CHUNK; sizes that
+        # are one chunk exactly, less than one, and not a multiple of one.
+        rng = np.random.default_rng(shape[0] * shape[1])
+        codes = rng.integers(0, 256, shape).astype(np.uint8)
+        gt = rng.uniform(size=shape) < 0.3
+        by_codes, by_floats = _OdsCounts(), _OdsCounts()
+        by_codes.add_codes(codes, gt)
+        by_floats.add(codes / 255.0, gt)
+        assert np.array_equal(by_codes.counts, by_floats.counts)
+        assert by_codes.counts.sum() == codes.size
+
+    def test_code_counts_reject_codes_that_are_not_uint8(self):
+        tally = _OdsCounts()
+        with pytest.raises(InputError, match="uint8"):
+            tally.add_codes(np.full((2, 2), 300), np.zeros((2, 2), dtype=bool))
+        assert not tally.counts.any()
+
     def test_code_counts_reject_a_shape_mismatch(self):
         tally = _OdsCounts()
         with pytest.raises(DimensionError):
@@ -398,35 +419,38 @@ class TestSkeletonizeExact:
     def test_matches_oracle_property(self, mask):
         assert np.array_equal(skeletonize(mask), oracle_skeletonize(mask))
 
-    def test_slot_dtype_at_its_size_boundary(self):
-        # Positions below 8 * h * w fit int32 while 8 * h * w <= 2**31.
-        assert _slot_dtype(1 << 14, 1 << 14) is np.int32
-        assert _slot_dtype(1 << 13, 1 << 15) is np.int32
-        assert _slot_dtype(1 << 14, (1 << 14) + 1) is np.intp
-        assert _slot_dtype((1 << 14) + 1, 1 << 14) is np.intp
-        assert _slot_dtype(1, 1) is np.int32
-
     @pytest.mark.parametrize("mask", [
         np.ones((12, 9), dtype=bool),
-        np.indices((11, 14))[0] % 4 != 0,
         np.random.default_rng(21).uniform(size=(17, 13)) < 0.8,
-    ], ids=["full", "bars", "dense"])
-    def test_dedup_positions_stay_below_eight_per_pixel(self, mask, monkeypatch):
-        sizes = []
-        dedup = metrics._first_of_each
+        np.indices((11, 14))[0] % 3 < 2,
+        np.indices((14, 11))[1] % 3 < 2,
+        np.ones((2, 17), dtype=bool),
+        np.ones((17, 2), dtype=bool),
+        np.indices((13, 13)).min(axis=0) % 4 < 2,
+    ], ids=["full", "dense", "rows", "columns", "two-rows", "two-columns", "frames"])
+    def test_recoded_neighbours_are_each_listed_once(self, mask, monkeypatch):
+        # After each pass, every foreground pixel next to a deleted one is
+        # recoded exactly once: the tag plane keeps one copy of a neighbour
+        # shared by several deleted pixels.  All masks touch the border; the
+        # 2-pixel rows, columns and frames thin to 1-pixel lines, so their
+        # deleted pixels share neighbours along those lines and across gaps.
+        calls = []
+        recode = metrics._recode
 
-        def recording(idx, slot):
-            sizes.append(idx.size)
-            return dedup(idx, slot)
+        def recording(codes, flat, ring, pos):
+            calls.append((pos.copy(), flat.copy(), ring))
+            recode(codes, flat, ring, pos)
 
-        monkeypatch.setattr(metrics, "_first_of_each", recording)
+        monkeypatch.setattr(metrics, "_recode", recording)
         assert np.array_equal(skeletonize(mask), oracle_skeletonize(mask))
-        assert sizes and max(sizes) <= 8 * mask.size
-
-    def test_intp_slot_gives_the_same_skeletons(self, monkeypatch):
-        monkeypatch.setattr(metrics, "_slot_dtype", lambda h, w: np.intp)
-        for mask in EXACTNESS_MASKS:
-            assert np.array_equal(skeletonize(mask), oracle_skeletonize(mask))
+        assert len(calls) > 1
+        first, flat, _ = calls[0]
+        assert np.array_equal(first, np.flatnonzero(flat))
+        for (_, before, _), (pos, after, ring) in zip(calls, calls[1:]):
+            deleted = np.flatnonzero(before & ~after)
+            assert deleted.size
+            beside = np.unique(deleted[:, None] + ring)
+            assert np.array_equal(np.sort(pos), beside[after[beside]])
 
 
 class TestClDice:

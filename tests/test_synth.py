@@ -45,6 +45,24 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SynthConfig(orientation="spiral")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["contrast", "texture"])
+    def test_non_finite_setting_rejected_by_name(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be finite, got {value}"):
+            SynthConfig(**{name: value})
+
+    @pytest.mark.parametrize("width", [4, 5, 6])
+    def test_bezier_canvas_too_narrow_for_its_endpoints(self, width):
+        # the end column is drawn from [0.85 w, w - 1], empty below 7 columns
+        with pytest.raises(ConfigError, match=f"width {width}"):
+            SynthConfig(height=32, width=width, orientation="bezier")
+        assert generate_sample(SynthConfig(height=32, width=width)).gt.any()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_narrowest_bezier_canvas_renders(self, seed):
+        sample = generate_sample(SynthConfig(height=7, width=7, orientation="bezier", seed=seed))
+        assert sample.gt.any()
+
 
 class TestGeneration:
     def test_deterministic_per_seed(self):
