@@ -33,6 +33,9 @@ class BenchReport:
     flops: int
 
 
+# The fewest timed iterations a median is reported over.
+_MIN_RUNS = 10
+
 _OPS = ("dwt_haar", "idwt_haar", "hilbert_build", "serialize_roundtrip",
        "ssm_scan_parallel", "fa_scan", "cross_scan", "forward")
 
@@ -49,7 +52,6 @@ def _time(fn, iterations: int, warmup: int = 3) -> tuple[float, float]:
 
 
 def _report(op: str, shape: tuple, fn, iterations: int, elems: int, macs: int = 0) -> BenchReport:
-    iterations = max(10, iterations)
     lo, med = _time(fn, iterations)
     return BenchReport(
         op=op,
@@ -67,8 +69,12 @@ def run_benchmarks(size: int = 256, forward_runs: int = 100, kernel_runs: int = 
     """Benchmark the hot operations at the given input size.
 
     ``ops`` holds op-name prefixes; a prefix that names no op in ``_OPS``
-    raises ``ValueError`` before anything runs.
+    raises ``ValueError`` before anything runs, as do fewer than 10
+    forward or kernel runs.
     """
+    for name, runs in (("forward_runs", forward_runs), ("kernel_runs", kernel_runs)):
+        if runs < _MIN_RUNS:
+            raise ValueError(f"{name} must be at least {_MIN_RUNS}, got {runs}")
     if ops is not None:
         unmatched = [o for o in ops if not any(name.startswith(o) for name in _OPS)]
         if unmatched:

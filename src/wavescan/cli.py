@@ -27,7 +27,7 @@ from .asgp import (
     init_probes,
     refine_mask,
 )
-from .bench import run_benchmarks
+from .bench import _MIN_RUNS, run_benchmarks
 from .errors import ConfigError
 from .fablock import ScanAssignment, fa_scan
 from .grid import FeatureGrid
@@ -53,10 +53,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _check_at_least(flag: str, value: int, least: int) -> None:
+    """Raise a ValueError naming ``flag`` and its value when it is below ``least``."""
+    if value < least:
+        raise ValueError(f"{flag} must be at least {least}, got {value}")
+
+
 # ---------------------------------------------------------------- subcommands
 
 
 def cmd_dwt_roundtrip(args) -> int:
+    _check_at_least("--size", args.size, 2)  # the transform splits pairs of rows and columns
+    _check_at_least("--channels", args.channels, 1)
     rng = np.random.default_rng(args.seed)
     grid = FeatureGrid(rng.normal(size=(args.channels, args.size, args.size)))
     bands = dwt_haar(grid)
@@ -81,8 +89,12 @@ def cmd_dwt_roundtrip(args) -> int:
 def cmd_scan_bench(args) -> int:
     try:
         sizes = [int(s) for s in args.sizes.split(",")]
+        valid = min(sizes) >= 1
     except ValueError:
-        raise ValueError(f"--sizes wants comma-separated integers, got {args.sizes!r}") from None
+        valid = False
+    if not valid:
+        raise ValueError(f"--sizes wants comma-separated integers of at least 1, "
+                         f"got {args.sizes!r}")
     rows = []
     for size in sizes:
         grid = FeatureGrid(np.random.default_rng(0).normal(size=(4, size, size)))
@@ -234,7 +246,9 @@ def cmd_eval(args) -> int:
     a 256-entry table of v / 255 >= threshold, the ground truth is v >= 128
     (v / 255 >= 128 / 255, as division by 255 keeps the order), and the ODS
     counts bin the 256 values once.  Each count, and so the CSV, equals the
-    float path's exactly, and no float image is built.
+    float path's exactly, and no float image is built.  A pair's codes go
+    into the ODS counts first and are dropped once the hit mask is built,
+    so scoring holds one copy of each mask.
     """
     pred_dir, gt_dir = Path(args.pred_dir), Path(args.gt_dir)
     names = sorted(p.name for p in pred_dir.glob("*.pgm"))
@@ -243,16 +257,17 @@ def cmd_eval(args) -> int:
         print(f"error: no matching .pgm pairs under {pred_dir} and {gt_dir}",
               file=sys.stderr)
         return 1
-    # One pass: each pair is read, scored and added to the ODS counts, then dropped.
+    # One pass: each pair is read, added to the ODS counts, scored, then dropped.
     hit_of_code = np.arange(256) / 255.0 >= args.threshold
     tally, rows = _OdsCounts(), []
     for name, ppath, gpath in pairs:
         codes = fileio.load_pgm_codes(ppath)
         gt = fileio.load_pgm_codes(gpath) >= 128
+        tally.add_codes(codes, gt)
         hit = hit_of_code[codes]
+        del codes
         m = region_metrics(hit, gt, args.threshold)
         cd = cldice(hit, gt)
-        tally.add_codes(codes, gt)
         rows.append([name, _fmt(args.threshold), _fmt(m.miou), _fmt(m.f1),
                      _fmt(m.precision), _fmt(m.recall), _fmt(cd)])
     best = tally.best()
@@ -267,8 +282,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth_gen(args) -> int:
-    if args.count < 1:
-        raise ValueError(f"--count must be at least 1, got {args.count}")
+    _check_at_least("--count", args.count, 1)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -322,6 +336,7 @@ def cmd_mismatch_demo(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    _check_at_least("--runs", args.runs, _MIN_RUNS)
     ops = args.ops.split(",") if args.ops else None
     reports = run_benchmarks(size=args.size, forward_runs=args.runs, ops=ops,
                              seed=args.seed)
@@ -407,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="median-timing benchmark of core kernels")
     p.add_argument("--size", type=int, default=256)
-    p.add_argument("--runs", type=int, default=100, help="forward-pass iterations")
+    p.add_argument("--runs", type=int, default=100, help="forward-pass iterations (at least 10)")
     p.add_argument("--ops", default=None, help="comma-separated op-name prefixes")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="bench.csv")

@@ -25,15 +25,17 @@ each sub-iteration is a 256-entry table over the 8-neighbour code, built
 once at import.  A pixel's code is computed once and again only after a
 neighbour is deleted.  Each table keeps the set of foreground pixels
 whose neighbourhood changed since that table last looked them up (all
-of them at the start); a sub-iteration looks up only that set, deletes
-all chosen pixels at once, so the pass stays parallel, and adds their
-remaining neighbours to the sets of both tables.  A pixel left out has
-the code it had when the same table last kept it, so the result equals
-full Zhang-Suen passes.
+of them at the start), each with its code; a sub-iteration looks up only
+that set, deletes all chosen pixels at once, so the pass stays parallel,
+and adds their remaining neighbours, freshly coded, to the sets of both
+tables, in place of their older entries.  A pixel left out has the code
+it had when the same table last kept it, so the result equals full
+Zhang-Suen passes.
 
-Thinning holds one byte per padded pixel three times (the image, the
-codes and a tag plane), 8 bytes per pixel in a todo set and 64 per pixel
-deleted in the current sub-iteration.  The codes are gathered a fixed block of
+Thinning holds two planes of one byte per padded pixel (the image and a
+tag plane), 9 bytes for each entry of a todo set (its position and its
+code) and 64 per pixel deleted in the current sub-iteration; each list
+is dropped after its last read.  The codes are gathered a fixed block of
 positions at a time, 8 neighbour bytes read as one word per position.
 The tag plane is the only dedup scratch: a repeated fancy assignment
 leaves one of the values written, so after writing each deleted pixel's
@@ -282,14 +284,16 @@ _CODE_SHIFT = np.uint64(56)
 _NEIGHBOUR_WORD = np.dtype("<u8")
 
 
-def _recode(codes: np.ndarray, flat: np.ndarray, ring: np.ndarray, pos: np.ndarray) -> None:
-    """Write the 8-neighbour code of each position in ``pos`` into ``codes``, a block at a time."""
+def _neighbour_codes(flat: np.ndarray, ring: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """The 8-neighbour code of each position in ``pos``, gathered a block at a time."""
+    codes = np.empty(pos.size, dtype=np.uint8)
     for start in range(0, pos.size, _GATHER_BLOCK):
-        block = pos[start:start + _GATHER_BLOCK]
-        words = flat[block[:, None] + ring].view(_NEIGHBOUR_WORD)
+        block = slice(start, start + _GATHER_BLOCK)
+        words = flat[pos[block, None] + ring].view(_NEIGHBOUR_WORD)
         words *= _CODE_MAGIC
         words >>= _CODE_SHIFT
         codes[block] = words[:, 0]
+    return codes
 
 
 def skeletonize(mask) -> np.ndarray:
@@ -303,23 +307,28 @@ def skeletonize(mask) -> np.ndarray:
     # flat offsets of p2 .. p9 in a row-major padded image
     ring = np.array([-stride, -stride + 1, 1, stride + 1, stride, stride - 1, -1, -stride - 1])
     fg = np.flatnonzero(flat)
-    codes = np.zeros(flat.size, dtype=np.uint8)
-    _recode(codes, flat, ring, fg)
+    # todo[k]: the foreground pixels whose code changed since table k last
+    # kept them, and their codes.  A code changes only when a neighbour is
+    # deleted, and then the pixel is in near, which replaces its entry in
+    # both sets, so a stored code is always the pixel's current code.
+    todo = [(fg, _neighbour_codes(flat, ring, fg))] * 2
+    del fg
+    none = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.uint8))
     # Dedup scratch, one byte per padded pixel.  A repeated fancy assignment
     # leaves one of the values written, so when each copy of a position
     # writes a different value, exactly one copy reads its own value back.
     tag = np.empty(flat.size, dtype=np.uint8)
-    # todo[k]: foreground pixels whose code changed since table k last kept them
-    todo = [fg, fg]
     k = 0
-    while todo[0].size or todo[1].size:
-        looked, todo[k] = todo[k], fg[:0]
-        gone = looked[_DELETE_TABLES[k][codes[looked]]]
+    while todo[0][0].size or todo[1][0].size:
+        (looked, codes), todo[k] = todo[k], none
+        gone = looked[_DELETE_TABLES[k][codes]]
+        del looked, codes
         if gone.size:
             flat[gone] = False
             # repeat, then add in place: the broadcast sum gone[:, None] + ring
             # has numpy buffer both operands, up to 128 KB beside the result
             near = gone.repeat(8).reshape(-1, 8)
+            del gone
             near += ring
             # gone has no repeats, so the copies of one neighbour lie in
             # distinct ring columns, and only one has the column left in tag
@@ -327,16 +336,23 @@ def skeletonize(mask) -> np.ndarray:
             tag[near] = _RING_COLUMNS
             keep &= tag[near] == _RING_COLUMNS
             near = near[keep]
-            _recode(codes, flat, ring, near)
+            del keep
+            near_codes = _neighbour_codes(flat, ring, near)
             # keep the pixels of the other set that are still foreground and
-            # that near does not list
-            other = todo[1 - k]
+            # that near does not list; the set leaves todo first, so that
+            # the cut frees the uncut arrays
+            (other, other_codes), todo[1 - k] = todo[1 - k], none
             tag[other] = 0
             tag[near] = 1
-            other = other[flat[other] & (tag[other] == 0)]
-            todo[1 - k] = np.concatenate([other, near])
-            todo[k] = near
+            keep = flat[other] & (tag[other] == 0)
+            other, other_codes = other[keep], other_codes[keep]
+            del keep
+            todo[1 - k] = (np.concatenate([other, near]),
+                           np.concatenate([other_codes, near_codes]))
+            todo[k] = (near, near_codes)
+            del other, other_codes, near, near_codes
         k = 1 - k
+    del tag
     return padded[1:-1, 1:-1].copy()
 
 
@@ -363,15 +379,18 @@ def cldice(pred, gt) -> float:
     gt = _as_bool_mask(gt)
     if pred.shape != gt.shape:
         raise DimensionError(f"shape mismatch: pred {pred.shape} vs gt {gt.shape}")
-    skel_p = skeletonize(pred)
-    skel_g = skeletonize(gt)
-    np_, ng = int(skel_p.sum()), int(skel_g.sum())
+    # the prediction's skeleton is counted and dropped before gt is thinned
+    skel = skeletonize(pred)
+    np_, np_in_gt = int(skel.sum()), int((skel & gt).sum())
+    del skel
+    skel = skeletonize(gt)
+    ng, ng_in_pred = int(skel.sum()), int((skel & pred).sum())
     if np_ == 0 and ng == 0:
         return 1.0
     if np_ == 0 or ng == 0:
         return 0.0
-    tprec = int((skel_p & gt).sum()) / np_
-    tsens = int((skel_g & pred).sum()) / ng
+    tprec = np_in_gt / np_
+    tsens = ng_in_pred / ng
     if tprec + tsens == 0.0:
         return 0.0
     return 2.0 * tprec * tsens / (tprec + tsens)

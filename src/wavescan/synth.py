@@ -120,8 +120,12 @@ def _dilate(skeleton: np.ndarray, width: int) -> np.ndarray:
     out = np.zeros_like(skeleton)
     rows, cols = np.nonzero(skeleton)
     h, w = skeleton.shape
-    for dr in range(-span, span + 1):
-        for dc in range(-span, span + 1):
+    # An offset of h - 1 rows or more clips every cell to the same border
+    # row, and so does h - 1 itself, which is nearer the centre and so also
+    # in the disc; likewise for columns.  The loop stops there.
+    span_r, span_c = min(span, h - 1), min(span, w - 1)
+    for dr in range(-span_r, span_r + 1):
+        for dc in range(-span_c, span_c + 1):
             if dr * dr + dc * dc > radius * radius + 1e-9:
                 continue
             rr = np.clip(rows + dr, 0, h - 1)

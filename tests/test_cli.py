@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_metrics import oracle_ods_counts, oracle_region, oracle_skeletonize
-from wavescan import cli, fileio
+from wavescan import bench, cli, fileio
 from wavescan.cli import _CONFIG_KEYS, build_parser, main, parse_config_text
 from wavescan.errors import ConfigError
 from wavescan.metrics import ODS_THRESHOLDS
@@ -399,6 +399,17 @@ class TestSubcommands:
         for row in rows:
             assert int(row[2]) >= 10
 
+    @pytest.mark.parametrize("runs", [{"forward_runs": 9}, {"kernel_runs": 0},
+                                      {"forward_runs": -1, "kernel_runs": 25}])
+    def test_run_benchmarks_rejects_fewer_than_ten_runs_by_name(self, runs, monkeypatch):
+        def timed(*args):
+            raise AssertionError("timed an op before checking the run counts")
+
+        monkeypatch.setattr(bench, "_time", timed)
+        name = next(iter(runs))
+        with pytest.raises(ValueError, match=f"{name} must be at least 10, got {runs[name]}"):
+            bench.run_benchmarks(size=32, **runs)
+
     def test_bench_ops_match_full_names_as_prefixes(self, tmp_path):
         out = tmp_path / "bench.csv"
         assert main(["bench", "--size", "32", "--runs", "10", "--out", str(out),
@@ -408,7 +419,7 @@ class TestSubcommands:
 
     # One malformed input per subcommand; {tmp} is the test's scratch directory.
     @pytest.mark.parametrize("argv, says", [
-        (["dwt-roundtrip", "--size", "0", "--out", "{tmp}/d.csv"], "dimensions must be positive"),
+        (["dwt-roundtrip", "--size", "0", "--out", "{tmp}/d.csv"], "--size"),
         (["scan-bench", "--sizes", "8,x", "--out", "{tmp}/s.csv"], "--sizes"),
         (["probe-demo", "--probes", "0", "--out-dir", "{tmp}/p"], "at least one probe"),
         (["forward", "--image", "{tmp}/missing.pgm", "--out", "{tmp}/m.pgm"],
@@ -420,6 +431,20 @@ class TestSubcommands:
         (["bench", "--size", "0", "--out", "{tmp}/b.csv"], "dimensions must be positive"),
         (["bench", "--size", "32", "--ops", "scan,nothing", "--out", "{tmp}/b.csv"],
          "no benchmark op starts with 'scan', 'nothing'"),
+        # Flags checked against their lower bound, named with the value given.
+        (["dwt-roundtrip", "--size", "-4", "--out", "{tmp}/d.csv"],
+         "--size must be at least 2, got -4"),
+        (["dwt-roundtrip", "--size", "1", "--out", "{tmp}/d.csv"],
+         "--size must be at least 2, got 1"),
+        (["dwt-roundtrip", "--channels", "0", "--out", "{tmp}/d.csv"],
+         "--channels must be at least 1, got 0"),
+        (["scan-bench", "--sizes", "0", "--out", "{tmp}/s.csv"],
+         "--sizes wants comma-separated integers of at least 1, got '0'"),
+        (["scan-bench", "--sizes", "8,-4", "--out", "{tmp}/s.csv"], "got '8,-4'"),
+        (["bench", "--size", "32", "--runs", "0", "--out", "{tmp}/b.csv"],
+         "--runs must be at least 10, got 0"),
+        (["bench", "--size", "32", "--runs", "9", "--out", "{tmp}/b.csv"],
+         "--runs must be at least 10, got 9"),
     ])
     def test_malformed_input_is_one_error_line(self, tmp_path, argv, says):
         code, err = run_cli(*(a.format(tmp=tmp_path) for a in argv))
@@ -460,11 +485,13 @@ class TestSubcommands:
         assert exc.value.code == 2
 
 
-# Edge values for the numeric flags of synth-gen and probe-demo.  A value that
-# passes validation keeps the run small (a canvas of at most 16x16, at most
-# 3 samples, curves or steps), so no case allocates more than a few MB; the
-# large integers are seeds, or widths that validation rejects, and a large
-# texture only darkens the background.
+# Edge values for the numeric flags of synth-gen, probe-demo, dwt-roundtrip
+# and scan-bench.  A value that passes validation keeps the run small (a
+# canvas of at most 16x16, at most 3 samples, curves, steps or channels,
+# scan sizes of 16 or 32), so no case allocates more than a few MB; the large
+# integers are seeds, or widths that validation rejects, and a large texture
+# only darkens the background.  Small scan sizes are left out although they
+# pass: scan-bench serializes a size-s grid 2e6 / s^2 times.
 _INTS = [-1, 0, 1, 3]
 _FLOATS = [-1.0, 0.0, 1.0, 0.5, float("nan"), float("inf"), float("-inf"), 1e308]
 _EDGE_FLAGS = {
@@ -477,6 +504,19 @@ _EDGE_FLAGS = {
         "seed": _INTS + [7, 2**63], "size": [-1, 0, 1, 5, 7, 9, 16], "steps": _INTS,
         "probes": _INTS,
     },
+    "dwt-roundtrip": {
+        "seed": _INTS + [7, 2**63], "size": [-4, -1, 0, 1, 2, 3, 16], "channels": _INTS,
+    },
+    "scan-bench": {
+        "sizes": ["-4", "0", "x", "", "16", "32", "16,0", "8,-1", "16,x"],
+    },
+}
+# Each command's output flag, and the size flag every case sets before its draws.
+_BASE_ARGV = {
+    "synth-gen": ["--out-dir", "{tmp}", "--size", "16"],
+    "probe-demo": ["--out-dir", "{tmp}", "--size", "16"],
+    "dwt-roundtrip": ["--out", "{tmp}/d.csv", "--size", "16"],
+    "scan-bench": ["--out", "{tmp}/s.csv", "--sizes", "16"],
 }
 
 
@@ -489,7 +529,7 @@ def test_numeric_flag_edge_values_end_in_one_error_line_at_most(data):
                                 unique=True))
     values = {flag: data.draw(st.sampled_from(flags[flag]), label=flag) for flag in chosen}
     with tempfile.TemporaryDirectory() as tmp:
-        argv = [command, "--out-dir", tmp, "--size", "16"]
+        argv = [command] + [a.format(tmp=tmp) for a in _BASE_ARGV[command]]
         argv += [f"--{flag}={value}" for flag, value in values.items()]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

@@ -288,37 +288,47 @@ def test_ods_peak_over_eight_pairs_at_256():
 
 
 def test_skeletonize_peak_at_256():
-    # 0.27 MB, at the copy of the result out of the padded image, beside the
-    # padded image, the neighbour codes and the 1-byte tag plane (66.6 KB
-    # each for 258^2 positions) and the foreground positions.  The int32
-    # dedup slot it replaced read 0.47 MB, an intp one 0.74 MB.
+    # 0.14 MB, at the first table lookup: the padded image and the 1-byte
+    # tag plane (66.6 KB each for 258^2 positions) beside the foreground
+    # positions with their codes (9 B each).  A full-image codes plane put
+    # 66.6 KB more beside the copy of the result out of the padded image,
+    # 0.27 MB; keeping the tag plane through that copy reads 0.20 MB.  The
+    # int32 dedup slot the tag plane replaced read 0.47 MB, an intp one
+    # 0.74 MB.
     mask = generate_sample(SynthConfig(height=256, width=256, seed=0)).gt
     peak = traced_peak_mb(lambda: skeletonize(mask))
-    assert peak < 0.3, f"skeletonize peak {peak:.2f} MB"
+    assert peak < 0.17, f"skeletonize peak {peak:.2f} MB"
 
 
-@pytest.mark.parametrize("shape, bound", [((256, 256), 2.2), ((384, 544), 6.6)],
+@pytest.mark.parametrize("shape, bound", [((256, 256), 1.5), ((384, 544), 4.7)],
                          ids=["256x256", "544x384"])
 def test_skeletonize_peak_on_a_full_mask(shape, bound):
-    # 1.97 and 6.13 MB, at the second sub-iteration's lookup, where three
-    # position arrays of nearly every foreground pixel (8 B each) are live:
-    # the first lookup's list, the other set cut by the first merge, and
-    # the merged set.  Cutting the other set in two steps put the peak in
-    # the merge at 2.29 and 7.31 MB; one (8, n) index array over every
-    # foreground pixel for the first codes, at 5.38 and 17.13 MB.  544x384
-    # is DeepCrack's image size.
+    # 1.38 and 4.38 MB, in the first merge, as the other set (nearly every
+    # foreground pixel, 8 B of position and 1 B of code each) is cut: the
+    # set, its cut and the cut's mask are live.  The set leaves todo before
+    # the cut and nothing else holds the foreground list, so the uncut set
+    # is freed before the merged one is built.  Holding the foreground list
+    # and the cut set into the second sub-iteration, beside a full-image
+    # codes plane, read 1.97 and 6.13 MB; cutting the other set in two
+    # steps put the peak in the merge at 2.29 and 7.31 MB; one (8, n) index
+    # array over every foreground pixel for the first codes, 5.38 and
+    # 17.13 MB.  544x384 is DeepCrack's image size.
     mask = np.ones(shape, dtype=bool)
     peak = traced_peak_mb(lambda: skeletonize(mask))
     assert peak < bound, f"skeletonize peak {peak:.2f} MB on a full {shape} mask"
 
 
 def test_eval_peak_over_eight_pairs_at_256(tmp_path):
-    # eval scores each pair on its 8-bit codes as it is read.  The peak,
-    # 0.67 MB, is in skeletonize on a noisy prediction, where a pass recodes
-    # the deleted pixels' neighbours one block of positions at a time.  With
-    # an int32 dedup slot, whole-mask neighbour gathers and an
-    # image-sized intp copy of the codes in the ODS counts it read 0.89 MB;
-    # reading each prediction as float64, 1.85 MB.  Keeping the eight float
+    # eval scores each pair on its 8-bit codes as it is read, adds the codes
+    # to the ODS counts, then drops them before scoring the hit mask.  The
+    # peak, 0.49 MB, is in skeletonize on a noisy prediction, where a pass
+    # gathers the codes of the deleted pixels' neighbours one block of
+    # positions at a time, beside the hit and gt masks.  With a full-image
+    # codes plane in skeletonize, the prediction's codes kept through
+    # clDice and its skeleton kept while gt was thinned it read 0.67 MB;
+    # with an int32 dedup slot, whole-mask neighbour gathers and an
+    # image-sized intp copy of the codes in the ODS counts, 0.89 MB; reading
+    # each prediction as float64, 1.85 MB.  Keeping the eight float
     # predictions for the ODS sweep would hold 8*256*256*8 B = 4.2 MB more.
     rng = np.random.default_rng(5)
     for sub in ("pred", "gt"):
@@ -333,4 +343,4 @@ def test_eval_peak_over_eight_pairs_at_256(tmp_path):
             "--out", str(tmp_path / "eval.csv")]
     with contextlib.redirect_stdout(io.StringIO()):
         peak = traced_peak_mb(lambda: main(argv))
-    assert peak < 0.72, f"eval peak {peak:.2f} MB"
+    assert peak < 0.52, f"eval peak {peak:.2f} MB"

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -356,6 +357,19 @@ def _exactness_masks():
 
 EXACTNESS_MASKS = _exactness_masks()
 
+# Masks that touch the border, dense ones, and 2-pixel-wide lines whose
+# deleted pixels share neighbours.
+RECODE_MASKS = [
+    np.ones((12, 9), dtype=bool),
+    np.random.default_rng(21).uniform(size=(17, 13)) < 0.8,
+    np.indices((11, 14))[0] % 3 < 2,
+    np.indices((14, 11))[1] % 3 < 2,
+    np.ones((2, 17), dtype=bool),
+    np.ones((17, 2), dtype=bool),
+    np.indices((13, 13)).min(axis=0) % 4 < 2,
+]
+RECODE_IDS = ["full", "dense", "rows", "columns", "two-rows", "two-columns", "frames"]
+
 
 class TestSkeletonizeExact:
     @pytest.mark.parametrize("mask", EXACTNESS_MASKS)
@@ -419,15 +433,7 @@ class TestSkeletonizeExact:
     def test_matches_oracle_property(self, mask):
         assert np.array_equal(skeletonize(mask), oracle_skeletonize(mask))
 
-    @pytest.mark.parametrize("mask", [
-        np.ones((12, 9), dtype=bool),
-        np.random.default_rng(21).uniform(size=(17, 13)) < 0.8,
-        np.indices((11, 14))[0] % 3 < 2,
-        np.indices((14, 11))[1] % 3 < 2,
-        np.ones((2, 17), dtype=bool),
-        np.ones((17, 2), dtype=bool),
-        np.indices((13, 13)).min(axis=0) % 4 < 2,
-    ], ids=["full", "dense", "rows", "columns", "two-rows", "two-columns", "frames"])
+    @pytest.mark.parametrize("mask", RECODE_MASKS, ids=RECODE_IDS)
     def test_recoded_neighbours_are_each_listed_once(self, mask, monkeypatch):
         # After each pass, every foreground pixel next to a deleted one is
         # recoded exactly once: the tag plane keeps one copy of a neighbour
@@ -435,13 +441,13 @@ class TestSkeletonizeExact:
         # 2-pixel rows, columns and frames thin to 1-pixel lines, so their
         # deleted pixels share neighbours along those lines and across gaps.
         calls = []
-        recode = metrics._recode
+        gather = metrics._neighbour_codes
 
-        def recording(codes, flat, ring, pos):
+        def recording(flat, ring, pos):
             calls.append((pos.copy(), flat.copy(), ring))
-            recode(codes, flat, ring, pos)
+            return gather(flat, ring, pos)
 
-        monkeypatch.setattr(metrics, "_recode", recording)
+        monkeypatch.setattr(metrics, "_neighbour_codes", recording)
         assert np.array_equal(skeletonize(mask), oracle_skeletonize(mask))
         assert len(calls) > 1
         first, flat, _ = calls[0]
@@ -451,6 +457,33 @@ class TestSkeletonizeExact:
             assert deleted.size
             beside = np.unique(deleted[:, None] + ring)
             assert np.array_equal(np.sort(pos), beside[after[beside]])
+
+    @pytest.mark.parametrize("mask", RECODE_MASKS, ids=RECODE_IDS)
+    def test_stored_codes_are_current_at_every_lookup(self, mask, monkeypatch):
+        # Each todo entry carries its pixel's code from the gather that listed
+        # it.  At every table lookup, each looked-up pixel must still be
+        # foreground and its stored code must equal the code recomputed, bit
+        # by bit, from the image as it is then.
+        lookups = []
+
+        class Recording:
+            def __init__(self, table):
+                self.table = table
+
+            def __getitem__(self, codes):
+                state = sys._getframe(1).f_locals
+                flat, ring, looked = state["flat"], state["ring"], state["looked"]
+                assert flat[looked].all()
+                want = np.zeros(looked.size, dtype=np.uint8)
+                for bit, offset in enumerate(ring):
+                    want |= flat[looked + offset].astype(np.uint8) << bit
+                assert np.array_equal(codes, want)
+                lookups.append(looked.size)
+                return self.table[codes]
+
+        monkeypatch.setattr(metrics, "_DELETE_TABLES", tuple(map(Recording, _DELETE_TABLES)))
+        assert np.array_equal(skeletonize(mask), oracle_skeletonize(mask))
+        assert len(lookups) > 2 and lookups[0] == np.count_nonzero(mask)
 
 
 class TestClDice:

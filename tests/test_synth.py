@@ -1,10 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 
 from wavescan.errors import ConfigError
 from wavescan.grid import FeatureGrid
 from wavescan.scanorder import ScanKind, along_structure_gaps, build_scan_order
-from wavescan.synth import SynthConfig, _line_cells, _value_noise, generate_sample
+from wavescan.synth import SynthConfig, _dilate, _line_cells, _value_noise, generate_sample
 
 
 def reference_bezier_cells(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:
@@ -17,6 +19,22 @@ def reference_bezier_cells(cfg: SynthConfig, rng: np.random.Generator) -> np.nda
     cells = np.rint((1 - t) ** 2 * p0 + 2 * (1 - t) * t * p1 + t ** 2 * p2).astype(int)
     keep = (cells[:, 0] >= 0) & (cells[:, 0] < h) & (cells[:, 1] >= 0) & (cells[:, 1] < w)
     return np.unique(cells[keep], axis=0)
+
+
+def reference_dilate(skeleton: np.ndarray, width: int) -> np.ndarray:
+    """Stamp every offset of the width's disc, clipped to the canvas, however far it reaches."""
+    if width <= 1:
+        return skeleton.copy()
+    radius = (width - 1) / 2.0
+    span = int(np.ceil(radius))
+    out = np.zeros_like(skeleton)
+    rows, cols = np.nonzero(skeleton)
+    h, w = skeleton.shape
+    for dr in range(-span, span + 1):
+        for dc in range(-span, span + 1):
+            if dr * dr + dc * dc <= radius * radius + 1e-9:
+                out[np.clip(rows + dr, 0, h - 1), np.clip(cols + dc, 0, w - 1)] = True
+    return out
 
 
 def reference_value_noise(h: int, w: int, rng: np.random.Generator, cell: int = 8) -> np.ndarray:
@@ -134,3 +152,27 @@ class TestGeneration:
                                              orientation="vertical", width_max=2))
         img = sample.image.data[0]
         assert img[sample.gt].mean() < img[~sample.gt].mean()
+
+
+class TestDilate:
+    def test_matches_the_uncapped_loop(self):
+        # Widths up to well past the canvas, on sparse and dense skeletons of
+        # canvases from 1 x 1 up; beyond the canvas the loop stops at h - 1
+        # rows and w - 1 columns.
+        rng = np.random.default_rng(17)
+        for _ in range(150):
+            h, w = (int(n) for n in rng.integers(1, 13, size=2))
+            skeleton = rng.uniform(size=(h, w)) < rng.choice([0.05, 0.3, 0.9])
+            width = int(rng.integers(1, 3 * max(h, w) + 4))
+            assert np.array_equal(_dilate(skeleton, width), reference_dilate(skeleton, width)), \
+                (h, w, width)
+
+    def test_width_far_beyond_the_canvas_renders_fast(self):
+        # A 1001-wide stroke on a 16 x 16 canvas walks 31 x 31 offsets, not
+        # 1001 x 1001; the uncapped loop took seconds.
+        cfg = SynthConfig(height=16, width=16, width_min=1001, width_max=1001,
+                          orientation="bezier", seed=0)
+        start = time.perf_counter()
+        sample = generate_sample(cfg)
+        assert time.perf_counter() - start < 1.0
+        assert sample.gt.all()
