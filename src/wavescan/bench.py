@@ -64,13 +64,26 @@ def _report(op: str, shape: tuple, fn, iterations: int, elems: int, macs: int = 
     )
 
 
+def _wanted(ops: list[str] | None, name: str) -> bool:
+    return ops is None or any(name.startswith(o) for o in ops)
+
+
+def _check_size(size: int, ops: list[str] | None, flag: str = "size") -> None:
+    """Raise a ValueError naming ``flag`` when an op of ``ops`` cannot run at ``size``."""
+    if size < 4:  # the kernel ops' half-size grids split once more
+        raise ValueError(f"{flag} must be at least 4, got {size}")
+    if _wanted(ops, "forward") and (size < 32 or size % 16):  # forward's rule at stride 1
+        raise ValueError(f"{flag} must be a multiple of 16 and at least 32 for the "
+                         f"forward op, got {size}")
+
+
 def run_benchmarks(size: int = 256, forward_runs: int = 100, kernel_runs: int = 25,
                    ops: list[str] | None = None, seed: int = 0) -> list[BenchReport]:
     """Benchmark the hot operations at the given input size.
 
     ``ops`` holds op-name prefixes; a prefix that names no op in ``_OPS``
     raises ``ValueError`` before anything runs, as do fewer than 10
-    forward or kernel runs.
+    forward or kernel runs and a ``size`` that ``_check_size`` rejects.
     """
     for name, runs in (("forward_runs", forward_runs), ("kernel_runs", kernel_runs)):
         if runs < _MIN_RUNS:
@@ -80,28 +93,26 @@ def run_benchmarks(size: int = 256, forward_runs: int = 100, kernel_runs: int = 
         if unmatched:
             raise ValueError(f"no benchmark op starts with {', '.join(map(repr, unmatched))}"
                              f" (ops: {', '.join(_OPS)})")
+    _check_size(size, ops)
     rng = np.random.default_rng(seed)
     reports: list[BenchReport] = []
     half = size // 2
 
-    def wanted(name: str) -> bool:
-        return ops is None or any(name.startswith(o) for o in ops)
-
     grid = FeatureGrid(rng.normal(size=(16, size, size)))
-    if wanted("dwt_haar"):
+    if _wanted(ops, "dwt_haar"):
         reports.append(_report("dwt_haar", grid.shape, lambda: dwt_haar(grid),
                                kernel_runs, grid.data.size))
     bands = dwt_haar(grid)
-    if wanted("idwt_haar"):
+    if _wanted(ops, "idwt_haar"):
         reports.append(_report("idwt_haar", grid.shape, lambda: idwt_haar(bands),
                                kernel_runs, grid.data.size))
 
-    if wanted("hilbert_build"):
+    if _wanted(ops, "hilbert_build"):
         uncached = build_scan_order.__wrapped__
         reports.append(_report("hilbert_build", (half, half),
                                lambda: uncached(ScanKind.HILBERT, half, half),
                                kernel_runs, half * half))
-    if wanted("serialize_roundtrip"):
+    if _wanted(ops, "serialize_roundtrip"):
         order = build_scan_order(ScanKind.HILBERT, half, half)
         sub = FeatureGrid(rng.normal(size=(16, half, half)))
         reports.append(_report("serialize_roundtrip", sub.shape,
@@ -111,25 +122,25 @@ def run_benchmarks(size: int = 256, forward_runs: int = 100, kernel_runs: int = 
     length, channels, states = (half // 2) ** 2, 16, 8
     psi = SsmParams.random(channels, states, seed=seed)
     tokens = rng.normal(size=(length, channels))
-    if wanted("ssm_scan_parallel"):
+    if _wanted(ops, "ssm_scan_parallel"):
         reports.append(_report("ssm_scan_parallel", (length, channels),
                                lambda: ssm_scan_parallel(psi, tokens),
                                kernel_runs, tokens.size,
                                flops.scan_macs(length, channels, states, True)))
 
     carrier = FeatureGrid(rng.normal(size=(16, half, half)))
-    if wanted("fa_scan"):
+    if _wanted(ops, "fa_scan"):
         reports.append(_report("fa_scan", carrier.shape,
                                lambda: fa_scan(carrier, psi),
                                kernel_runs, carrier.data.size,
                                flops.fa_scan_macs(16, half, half, states)))
-    if wanted("cross_scan"):
+    if _wanted(ops, "cross_scan"):
         reports.append(_report("cross_scan", carrier.shape,
                                lambda: cross_scan(carrier, psi),
                                kernel_runs, carrier.data.size,
                                flops.cross_scan_macs(16, half, half, states)))
 
-    if wanted("forward"):
+    if _wanted(ops, "forward"):
         cfg = PipelineConfig(seed=seed)
         weights = default_weights(cfg)
         image = FeatureGrid(rng.uniform(size=(1, size, size)))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import math
 import sys
 import time
 from pathlib import Path
@@ -27,7 +28,7 @@ from .asgp import (
     init_probes,
     refine_mask,
 )
-from .bench import _MIN_RUNS, run_benchmarks
+from .bench import _MIN_RUNS, _check_size, run_benchmarks
 from .errors import ConfigError
 from .fablock import ScanAssignment, fa_scan
 from .grid import FeatureGrid
@@ -35,7 +36,7 @@ from .metrics import _OdsCounts, cldice, region_metrics
 from .pipeline import PipelineConfig, default_weights, forward
 from .scanorder import ScanKind, build_scan_order, locality_cost, serialize
 from .ssm import SsmParams
-from .synth import SynthConfig, generate_sample
+from .synth import _MIN_BEZIER_WIDTH, _MIN_SIDE, SynthConfig, generate_sample
 from .wavelet import dwt_haar, idwt_haar
 from .weights import WeightStore, seeded_init
 
@@ -89,11 +90,11 @@ def cmd_dwt_roundtrip(args) -> int:
 def cmd_scan_bench(args) -> int:
     try:
         sizes = [int(s) for s in args.sizes.split(",")]
-        valid = min(sizes) >= 1
+        valid = min(sizes) >= 2  # the locality cost needs a neighbour on each axis
     except ValueError:
         valid = False
     if not valid:
-        raise ValueError(f"--sizes wants comma-separated integers of at least 1, "
+        raise ValueError(f"--sizes wants comma-separated integers of at least 2, "
                          f"got {args.sizes!r}")
     rows = []
     for size in sizes:
@@ -102,7 +103,7 @@ def cmd_scan_bench(args) -> int:
             start = time.perf_counter_ns()
             order = build_scan_order.__wrapped__(kind, size, size)
             build_ns = time.perf_counter_ns() - start
-            reps = max(3, 2_000_000 // (size * size))
+            reps = min(20_000, max(3, 2_000_000 // (size * size)))
             start = time.perf_counter()
             for _ in range(reps):
                 serialize(grid, order)
@@ -117,6 +118,7 @@ def cmd_scan_bench(args) -> int:
 
 
 def cmd_probe_demo(args) -> int:
+    _check_at_least("--size", args.size, _MIN_BEZIER_WIDTH)  # a bezier canvas
     sample = generate_sample(SynthConfig(
         height=args.size, width=args.size, curves=2, orientation="bezier",
         contrast=0.8, texture=0.3, seed=args.seed,
@@ -283,6 +285,11 @@ def cmd_eval(args) -> int:
 
 def cmd_synth_gen(args) -> int:
     _check_at_least("--count", args.count, 1)
+    _check_at_least("--size", args.size,
+                    _MIN_BEZIER_WIDTH if args.orientation == "bezier" else _MIN_SIDE)
+    for flag, value in (("--contrast", args.contrast), ("--texture", args.texture)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -310,6 +317,7 @@ def cmd_synth_gen(args) -> int:
 
 
 def cmd_mismatch_demo(args) -> int:
+    _check_at_least("--size", args.size, _MIN_SIDE)
     sample = generate_sample(SynthConfig(
         height=args.size, width=args.size, curves=1, orientation=args.orientation,
         contrast=1.0, texture=0.0, seed=args.seed,
@@ -338,6 +346,7 @@ def cmd_mismatch_demo(args) -> int:
 def cmd_bench(args) -> int:
     _check_at_least("--runs", args.runs, _MIN_RUNS)
     ops = args.ops.split(",") if args.ops else None
+    _check_size(args.size, ops, "--size")
     reports = run_benchmarks(size=args.size, forward_runs=args.runs, ops=ops,
                              seed=args.seed)
     rows = [[r.op, r.shape, r.iterations, _fmt(r.min_s), _fmt(r.median_s),

@@ -65,36 +65,31 @@ class ScanAssignment:
         return f"ll={self.ll.value},lh={self.lh.value},hl={self.hl.value},hh={self.hh.value}"
 
 
+# The bottleneck's C -> C / ratio, the ECA kernel and the squeeze/excite reduction.
+_LGB_RATIO, _ECA_KERNEL, _GSE_REDUCTION = 4, 3, 4
+
+
 @dataclass(frozen=True)
 class LgbConfig:
-    """Stage-adaptive gating policy and bottleneck geometry."""
+    """Stage-adaptive gating policy."""
 
     stage: int = 1
     policy: str = "EEGG"
-    ratio: int = 4
-    eca_kernel: int = 3
-    gse_reduction: int = 4
 
     def __post_init__(self):
         if not 1 <= self.stage <= 4:
             raise ValueError(f"stage must be 1..4, got {self.stage}")
         if len(self.policy) != 4 or any(ch not in "EG" for ch in self.policy):
             raise ValueError(f"policy must be 4 letters from E/G, got {self.policy!r}")
-        if self.eca_kernel % 2 == 0 or self.eca_kernel < 1:
-            raise ValueError(f"eca_kernel must be odd and positive, got {self.eca_kernel}")
-        if self.ratio < 1 or self.gse_reduction < 1:
-            raise ValueError("ratio and gse_reduction must be >= 1")
 
     @property
     def letter(self) -> str:
         return self.policy[self.stage - 1]
 
 
-def _check_scan_input(x: FeatureGrid, minimum: int) -> None:
-    if x.height < minimum or x.width < minimum:
-        raise DimensionError(
-            f"scan blocks need dims >= {minimum}, got {x.height}x{x.width}"
-        )
+def _check_scan_input(x: FeatureGrid) -> None:
+    if x.height < 2 or x.width < 2:
+        raise DimensionError(f"scan blocks need dims >= 2, got {x.height}x{x.width}")
 
 
 def _scan_band(band: FeatureGrid, kind: ScanKind, psi: SsmParams) -> FeatureGrid:
@@ -114,7 +109,7 @@ def fa_scan(x_ll_aligned: FeatureGrid, psi: SsmParams,
     caller that keeps it gets the same output and finds it unchanged.
     """
     assign = assign or ScanAssignment()
-    _check_scan_input(x_ll_aligned, minimum=2)
+    _check_scan_input(x_ll_aligned)
     height, width = x_ll_aligned.height, x_ll_aligned.width
     bands = dwt_haar(x_ll_aligned)
     del x_ll_aligned
@@ -156,7 +151,7 @@ def _scan_four_directions(band: FeatureGrid, psi: SsmParams) -> FeatureGrid:
 def cross_scan(x: FeatureGrid, psi: SsmParams) -> FeatureGrid:
     """Isotropic comparison baseline: four raster propagation directions
     per sub-band through the same shared operator, outputs averaged."""
-    _check_scan_input(x, minimum=2)
+    _check_scan_input(x)
     bands = dwt_haar(x)
     out = SubbandSet(
         ll=_scan_four_directions(bands.ll, psi),
@@ -167,10 +162,14 @@ def cross_scan(x: FeatureGrid, psi: SsmParams) -> FeatureGrid:
     return idwt_haar(out, x.height, x.width)
 
 
+def _lgb_inner(channels: int) -> int:
+    if channels % _LGB_RATIO:
+        raise DimensionError(f"mixer needs channels divisible by {_LGB_RATIO}, got {channels}")
+    return channels // _LGB_RATIO
+
+
 def lgb_weight_spec(channels: int, cfg: LgbConfig, prefix: str = "") -> list[tuple[str, tuple]]:
-    if channels % 4:
-        raise DimensionError(f"mixer needs channels divisible by 4, got {channels}")
-    inner = channels // cfg.ratio
+    inner = _lgb_inner(channels)
     spec = [
         (prefix + "lgb.down_w", (inner, channels)),
         (prefix + "lgb.down_b", (inner,)),
@@ -180,9 +179,9 @@ def lgb_weight_spec(channels: int, cfg: LgbConfig, prefix: str = "") -> list[tup
         (prefix + "lgb.up_b", (channels,)),
     ]
     if cfg.letter == "E":
-        spec += [(prefix + "lgb.eca_w", (cfg.eca_kernel,)), (prefix + "lgb.eca_b", (1,))]
+        spec += [(prefix + "lgb.eca_w", (_ECA_KERNEL,)), (prefix + "lgb.eca_b", (1,))]
     else:
-        hidden = max(1, channels // cfg.gse_reduction)
+        hidden = max(1, channels // _GSE_REDUCTION)
         spec += [
             (prefix + "lgb.gse_w1", (hidden, channels)),
             (prefix + "lgb.gse_b1", (hidden,)),
@@ -197,11 +196,11 @@ def lgb_gate(y: FeatureGrid, cfg: LgbConfig, w: WeightStore, prefix: str = "") -
     pooled = global_avg_pool(y.data)
     channels = y.channels
     if cfg.letter == "E":
-        kernel = w.get(prefix + "lgb.eca_w", (cfg.eca_kernel,))
+        kernel = w.get(prefix + "lgb.eca_w", (_ECA_KERNEL,))
         bias = w.get(prefix + "lgb.eca_b", (1,))
         pre = np.correlate(pooled, kernel, mode="same") + bias[0]
     else:
-        hidden = max(1, channels // cfg.gse_reduction)
+        hidden = max(1, channels // _GSE_REDUCTION)
         w1 = w.get(prefix + "lgb.gse_w1", (hidden, channels))
         b1 = w.get(prefix + "lgb.gse_b1", (hidden,))
         w2 = w.get(prefix + "lgb.gse_w2", (channels, hidden))
@@ -213,9 +212,7 @@ def lgb_gate(y: FeatureGrid, cfg: LgbConfig, w: WeightStore, prefix: str = "") -
 def lgb(y: FeatureGrid, cfg: LgbConfig, w: WeightStore, prefix: str = "") -> FeatureGrid:
     """Residual gated bottleneck: y + gate(y) * bottleneck(y)."""
     channels = y.channels
-    if channels % 4:
-        raise DimensionError(f"mixer needs channels divisible by 4, got {channels}")
-    inner = channels // cfg.ratio
+    inner = _lgb_inner(channels)
     down_w = w.get(prefix + "lgb.down_w", (inner, channels))
     down_b = w.get(prefix + "lgb.down_b", (inner,))
     dw_w = w.get(prefix + "lgb.dw_w", (inner, 3, 3))

@@ -36,9 +36,6 @@ class NormCoord(NamedTuple):
     x: float
     y: float
 
-    def clamped(self) -> "NormCoord":
-        return NormCoord(min(max(self.x, -1.0), 1.0), min(max(self.y, -1.0), 1.0))
-
 
 @dataclass(frozen=True, eq=False)
 class FeatureGrid:

@@ -128,8 +128,7 @@ def align(x_ll: FeatureGrid, x_hf, w: WeightStore, prefix: str = "",
         if (band.height, band.width) != shape:
             raise DimensionError("detail bands must match the carrier's spatial shape")
     stacked = _stack_bands([band.data for band in bands])
-    channels = x_ll.channels
-    hidden = align_hidden(channels)
+    hidden = align_hidden(x_ll.channels)
     w1 = w.get(prefix + "align.w1", (hidden, stacked.shape[0], 3, 3))
     b1 = w.get(prefix + "align.b1", (hidden,))
     w2 = w.get(prefix + "align.w2", (2, hidden, 3, 3))
@@ -225,10 +224,8 @@ def encoder_block(x: FeatureGrid, cfg: PipelineConfig, w: WeightStore,
     freed during the block; a caller that keeps ``x`` gets the same
     output and finds ``x`` unchanged.
     """
-    if x.height % 2 or x.width % 2:
-        raise DimensionError(f"block needs even dims, got {x.height}x{x.width}")
-    if x.height < 4 or x.width < 4:
-        raise DimensionError(f"block needs dims >= 4, got {x.height}x{x.width}")
+    if x.height % 2 or x.width % 2 or min(x.height, x.width) < 4:
+        raise DimensionError(f"block needs even dims >= 4, got {x.height}x{x.width}")
     height, width, channels = x.height, x.width, x.channels
     prefix = f"s{stage}."
     bands = dwt_haar(x)
@@ -401,13 +398,7 @@ def forward(image: FeatureGrid, cfg: PipelineConfig | None = None,
         taps.append(x)
         if stage < STAGES:
             held.append(downsample(x, cfg, w, stage))
-    base_h, base_w = taps[0].height, taps[0].width
-    for idx, tap in enumerate(taps):
-        if (tap.height, tap.width) != (base_h >> idx, base_w >> idx):
-            raise DimensionError("stage resolutions must halve between stages")
-        if tap.channels != cfg.channels[idx]:
-            raise DimensionError("stage widths must follow the configured plan")
-    del tap, x
+    del x
     # hand the stage outputs over one by one, so gfa frees each once it is projected
     fused = gfa((taps.pop(0) for _ in range(STAGES)), w)
     logits = brm(fused, w)

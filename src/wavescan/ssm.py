@@ -91,34 +91,22 @@ class SsmParams:
         object.__setattr__(self, "d_skip", d_skip)
         c_dim, n = a_log.shape
         if self.selective:
-            for name, want in (
-                ("delta_w", (c_dim, c_dim)),
-                ("delta_b", (c_dim,)),
-                ("b_w", (n, c_dim)),
-                ("c_w", (n, c_dim)),
-            ):
-                arr = getattr(self, name)
-                if arr is None:
-                    raise DimensionError(f"selective mode requires {name}")
-                arr = np.asarray(arr, dtype=np.float64)
-                if arr.shape != want:
-                    raise DimensionError(f"{name} must be {want}, got {arr.shape}")
-                if not np.all(np.isfinite(arr)):
-                    raise ValueError(f"{name} must be finite")
-                object.__setattr__(self, name, arr)
+            mode, blocks = "selective", (("delta_w", (c_dim, c_dim)), ("delta_b", (c_dim,)),
+                                         ("b_w", (n, c_dim)), ("c_w", (n, c_dim)))
         else:
-            for name, want in (("delta", (c_dim,)), ("b", (n,)), ("c", (n,))):
-                arr = getattr(self, name)
-                if arr is None:
-                    raise DimensionError(f"static mode requires {name}")
-                arr = np.asarray(arr, dtype=np.float64)
-                if arr.shape != want:
-                    raise DimensionError(f"{name} must be {want}, got {arr.shape}")
-                if not np.all(np.isfinite(arr)):
-                    raise ValueError(f"{name} must be finite")
-                object.__setattr__(self, name, arr)
-            if np.any(self.delta <= 0):
-                raise ValueError("static step sizes must be positive")
+            mode, blocks = "static", (("delta", (c_dim,)), ("b", (n,)), ("c", (n,)))
+        for name, want in blocks:
+            arr = getattr(self, name)
+            if arr is None:
+                raise DimensionError(f"{mode} mode requires {name}")
+            arr = np.asarray(arr, dtype=np.float64)
+            if arr.shape != want:
+                raise DimensionError(f"{name} must be {want}, got {arr.shape}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, arr)
+        if not self.selective and np.any(self.delta <= 0):
+            raise ValueError("static step sizes must be positive")
 
     @property
     def channels(self) -> int:

@@ -18,6 +18,9 @@ from .errors import ConfigError
 from .grid import FeatureGrid
 
 ORIENTATIONS = ("horizontal", "vertical", "axis-aligned", "diagonal", "bezier")
+# The smallest canvas side; a bezier curve starts in the leftmost 15% of the
+# columns and ends in [0.85 w, w - 1], an empty range below 7 columns.
+_MIN_SIDE, _MIN_BEZIER_WIDTH = 4, 7
 
 
 @dataclass(frozen=True)
@@ -33,8 +36,8 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.height < 4 or self.width < 4:
-            raise ConfigError("canvas must be at least 4x4")
+        if self.height < _MIN_SIDE or self.width < _MIN_SIDE:
+            raise ConfigError(f"canvas must be at least {_MIN_SIDE}x{_MIN_SIDE}")
         if self.curves < 1:
             raise ConfigError("need at least one curve")
         if self.width_min < 1 or self.width_max < self.width_min:
@@ -49,10 +52,9 @@ class SynthConfig:
             raise ConfigError("texture amplitude must be >= 0")
         if self.orientation not in ORIENTATIONS:
             raise ConfigError(f"orientation must be one of {ORIENTATIONS}")
-        # a bezier curve starts in the leftmost 15% of the columns and ends in
-        # [0.85 w, w - 1], an empty range below 7 columns
-        if self.orientation == "bezier" and self.width < 7:
-            raise ConfigError(f"a bezier canvas must be at least 7 wide, got width {self.width}")
+        if self.orientation == "bezier" and self.width < _MIN_BEZIER_WIDTH:
+            raise ConfigError(f"a bezier canvas must be at least {_MIN_BEZIER_WIDTH} wide, "
+                              f"got width {self.width}")
 
 
 @dataclass(frozen=True, eq=False)

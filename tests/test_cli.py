@@ -410,6 +410,27 @@ class TestSubcommands:
         with pytest.raises(ValueError, match=f"{name} must be at least 10, got {runs[name]}"):
             bench.run_benchmarks(size=32, **runs)
 
+    @pytest.mark.parametrize("size, ops, says", [
+        (3, ["dwt_haar"], "size must be at least 4, got 3"),
+        (-16, None, "size must be at least 4, got -16"),
+        (56, None, "size must be a multiple of 16 and at least 32 for the forward op, got 56"),
+        (16, ["forward"], "size must be a multiple of 16 and at least 32 for the forward op"),
+    ])
+    def test_run_benchmarks_rejects_sizes_by_name(self, size, ops, says, monkeypatch):
+        def timed(*args):
+            raise AssertionError("timed an op before checking the size")
+
+        monkeypatch.setattr(bench, "_time", timed)
+        with pytest.raises(ValueError, match=f"^{says}"):
+            bench.run_benchmarks(size=size, ops=ops)
+
+    def test_bench_kernel_ops_run_at_the_smallest_size(self, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert main(["bench", "--size", "4", "--runs", "10", "--out", str(out), "--ops",
+                     "dwt,idwt,hilbert,serialize,ssm,fa_scan,cross_scan"]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 7
+
     def test_bench_ops_match_full_names_as_prefixes(self, tmp_path):
         out = tmp_path / "bench.csv"
         assert main(["bench", "--size", "32", "--runs", "10", "--out", str(out),
@@ -427,8 +448,9 @@ class TestSubcommands:
         (["eval", "--pred-dir", "{tmp}", "--gt-dir", "{tmp}", "--out", "{tmp}/e.csv"],
          "no matching .pgm pairs"),
         (["synth-gen", "--count", "0", "--out-dir", "{tmp}/g"], "--count"),
-        (["mismatch-demo", "--size", "2", "--out", "{tmp}/x.csv"], "at least 4x4"),
-        (["bench", "--size", "0", "--out", "{tmp}/b.csv"], "dimensions must be positive"),
+        (["mismatch-demo", "--size", "2", "--out", "{tmp}/x.csv"],
+         "--size must be at least 4, got 2"),
+        (["bench", "--size", "0", "--out", "{tmp}/b.csv"], "--size must be at least 4, got 0"),
         (["bench", "--size", "32", "--ops", "scan,nothing", "--out", "{tmp}/b.csv"],
          "no benchmark op starts with 'scan', 'nothing'"),
         # Flags checked against their lower bound, named with the value given.
@@ -439,12 +461,25 @@ class TestSubcommands:
         (["dwt-roundtrip", "--channels", "0", "--out", "{tmp}/d.csv"],
          "--channels must be at least 1, got 0"),
         (["scan-bench", "--sizes", "0", "--out", "{tmp}/s.csv"],
-         "--sizes wants comma-separated integers of at least 1, got '0'"),
+         "--sizes wants comma-separated integers of at least 2, got '0'"),
         (["scan-bench", "--sizes", "8,-4", "--out", "{tmp}/s.csv"], "got '8,-4'"),
         (["bench", "--size", "32", "--runs", "0", "--out", "{tmp}/b.csv"],
          "--runs must be at least 10, got 0"),
         (["bench", "--size", "32", "--runs", "9", "--out", "{tmp}/b.csv"],
          "--runs must be at least 10, got 9"),
+        (["scan-bench", "--sizes", "8,1", "--out", "{tmp}/s.csv"], "got '8,1'"),
+        (["bench", "--size", "20", "--ops", "forward", "--out", "{tmp}/b.csv"],
+         "--size must be a multiple of 16 and at least 32 for the forward op, got 20"),
+        (["bench", "--size", "16", "--out", "{tmp}/b.csv"],
+         "--size must be a multiple of 16 and at least 32 for the forward op, got 16"),
+        (["probe-demo", "--size", "5", "--out-dir", "{tmp}/p"],
+         "--size must be at least 7, got 5"),
+        (["synth-gen", "--size", "3", "--orientation", "vertical", "--out-dir", "{tmp}/g"],
+         "--size must be at least 4, got 3"),
+        (["synth-gen", "--texture", "inf", "--out-dir", "{tmp}/g"],
+         "--texture must be finite, got inf"),
+        (["synth-gen", "--contrast", "nan", "--out-dir", "{tmp}/g"],
+         "--contrast must be finite, got nan"),
     ])
     def test_malformed_input_is_one_error_line(self, tmp_path, argv, says):
         code, err = run_cli(*(a.format(tmp=tmp_path) for a in argv))
@@ -488,10 +523,9 @@ class TestSubcommands:
 # Edge values for the numeric flags of synth-gen, probe-demo, dwt-roundtrip
 # and scan-bench.  A value that passes validation keeps the run small (a
 # canvas of at most 16x16, at most 3 samples, curves, steps or channels,
-# scan sizes of 16 or 32), so no case allocates more than a few MB; the large
-# integers are seeds, or widths that validation rejects, and a large texture
-# only darkens the background.  Small scan sizes are left out although they
-# pass: scan-bench serializes a size-s grid 2e6 / s^2 times.
+# scan sizes of at most 32), so no case allocates more than a few MB; the
+# large integers are seeds, or widths that validation rejects, and a large
+# texture only darkens the background.
 _INTS = [-1, 0, 1, 3]
 _FLOATS = [-1.0, 0.0, 1.0, 0.5, float("nan"), float("inf"), float("-inf"), 1e308]
 _EDGE_FLAGS = {
@@ -508,7 +542,7 @@ _EDGE_FLAGS = {
         "seed": _INTS + [7, 2**63], "size": [-4, -1, 0, 1, 2, 3, 16], "channels": _INTS,
     },
     "scan-bench": {
-        "sizes": ["-4", "0", "x", "", "16", "32", "16,0", "8,-1", "16,x"],
+        "sizes": ["-4", "0", "1", "2", "3", "x", "", "16", "32", "16,0", "8,-1", "16,x"],
     },
 }
 # Each command's output flag, and the size flag every case sets before its draws.

@@ -238,8 +238,6 @@ class TestLgb:
             LgbConfig(stage=1, policy="EEXX")
         with pytest.raises(ValueError):
             LgbConfig(stage=5)
-        with pytest.raises(ValueError):
-            LgbConfig(eca_kernel=4)
 
     def test_default_policy_letters(self):
         assert LgbConfig(stage=1).letter == "E"

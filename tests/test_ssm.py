@@ -177,6 +177,25 @@ class TestValidationAndStore:
         u = np.random.default_rng(4).normal(size=(40, 3))
         assert np.array_equal(ssm_scan_sequential(p, u), ssm_scan_sequential(q, u))
 
+    @pytest.mark.parametrize("mode, name", [
+        ("selective", "delta_w"), ("selective", "delta_b"), ("selective", "b_w"),
+        ("selective", "c_w"), ("static", "delta"), ("static", "b"), ("static", "c"),
+    ])
+    def test_each_mode_block_is_required_shaped_and_finite(self, mode, name):
+        p = SsmParams.random(3, 2, seed=5, selective=mode == "selective")
+        base = {field: getattr(p, field)
+                for field in ("state_dim", "a_log", "d_skip", "selective",
+                              "delta_w", "delta_b", "b_w", "c_w", "delta", "b", "c")}
+        with pytest.raises(DimensionError, match=f"^{mode} mode requires {name}$"):
+            SsmParams(**{**base, name: None})
+        block = np.asarray(base[name])
+        with pytest.raises(DimensionError, match=f"^{name} must be "):
+            SsmParams(**{**base, name: np.zeros(block.shape + (1,))})
+        bad = block.copy()
+        bad.flat[-1] = np.nan
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            SsmParams(**{**base, name: bad})
+
     def test_store_block_names(self):
         p = SsmParams.random(2, 2, seed=0)
         names = set(p.to_store().names())
