@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flops
+from .errors import DimensionError
 from .fablock import cross_scan, fa_scan
 from .grid import FeatureGrid
-from .pipeline import PipelineConfig, default_weights, forward
+from .pipeline import PipelineConfig, _check_input, default_weights, forward
 from .scanorder import ScanKind, build_scan_order, deserialize, serialize
 from .ssm import SsmParams, ssm_scan_parallel
 from .wavelet import dwt_haar, idwt_haar
@@ -72,9 +73,11 @@ def _check_size(size: int, ops: list[str] | None, flag: str = "size") -> None:
     """Raise a ValueError naming ``flag`` when an op of ``ops`` cannot run at ``size``."""
     if size < 4:  # the kernel ops' half-size grids split once more
         raise ValueError(f"{flag} must be at least 4, got {size}")
-    if _wanted(ops, "forward") and (size < 32 or size % 16):  # forward's rule at stride 1
-        raise ValueError(f"{flag} must be a multiple of 16 and at least 32 for the "
-                         f"forward op, got {size}")
+    if _wanted(ops, "forward"):
+        try:
+            _check_input(PipelineConfig(), size, size)  # the config the forward op runs
+        except DimensionError as exc:
+            raise ValueError(f"{flag} for the forward op: {exc}") from None
 
 
 def run_benchmarks(size: int = 256, forward_runs: int = 100, kernel_runs: int = 25,

@@ -29,11 +29,11 @@ from .asgp import (
     refine_mask,
 )
 from .bench import _MIN_RUNS, _check_size, run_benchmarks
-from .errors import ConfigError
+from .errors import ConfigError, DimensionError
 from .fablock import ScanAssignment, fa_scan
 from .grid import FeatureGrid
 from .metrics import _OdsCounts, cldice, region_metrics
-from .pipeline import PipelineConfig, default_weights, forward
+from .pipeline import PipelineConfig, _check_input, default_weights, forward
 from .scanorder import ScanKind, build_scan_order, locality_cost, serialize
 from .ssm import SsmParams
 from .synth import _MIN_BEZIER_WIDTH, _MIN_SIDE, SynthConfig, generate_sample
@@ -225,6 +225,10 @@ def cmd_forward(args) -> int:
     if args.assign:
         lines.append(f"assign = {args.assign}")
     cfg = parse_config_text(lines, seed_override=args.seed)
+    try:
+        _check_input(cfg, *image.shape)
+    except DimensionError as exc:
+        raise ValueError(f"--image {args.image}: {exc}") from None
     if args.weights:
         try:
             weights = WeightStore.load(args.weights)
@@ -287,6 +291,9 @@ def cmd_synth_gen(args) -> int:
     _check_at_least("--count", args.count, 1)
     _check_at_least("--size", args.size,
                     _MIN_BEZIER_WIDTH if args.orientation == "bezier" else _MIN_SIDE)
+    _check_at_least("--curves", args.curves, 1)
+    _check_at_least("--width-min", args.width_min, 1)
+    _check_at_least("--width-max", args.width_max, args.width_min)
     for flag, value in (("--contrast", args.contrast), ("--texture", args.texture)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
@@ -374,12 +381,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--channels", type=int, default=3)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", default="dwt_roundtrip.csv")
-    p.set_defaults(fn=cmd_dwt_roundtrip)
 
     p = sub.add_parser("scan-bench", help="locality and throughput of scan orders")
     p.add_argument("--sizes", default="8,16,32,64")
     p.add_argument("--out", default="scan_bench.csv")
-    p.set_defaults(fn=cmd_scan_bench)
 
     p = sub.add_parser("probe-demo", help="probe evolution trajectories and masks")
     p.add_argument("--size", type=int, default=64)
@@ -387,7 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=3)
     p.add_argument("--probes", type=int, default=64)
     p.add_argument("--out-dir", default="probe_demo")
-    p.set_defaults(fn=cmd_probe_demo)
 
     p = sub.add_parser("forward", help="run the forward pipeline on a PGM image")
     p.add_argument("--image", required=True)
@@ -397,14 +401,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assign", default=None,
                    help="band traversals, e.g. ll=hilbert,lh=h,hl=v,hh=hilbert")
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(fn=cmd_forward)
 
     p = sub.add_parser("eval", help="region/ODS/clDice metrics over mask directories")
     p.add_argument("--pred-dir", required=True)
     p.add_argument("--gt-dir", required=True)
     p.add_argument("--out", default="eval.csv")
     p.add_argument("--threshold", type=float, default=0.5)
-    p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("synth-gen", help="generate synthetic thin-structure samples")
     p.add_argument("--seed", type=int, default=0)
@@ -418,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["horizontal", "vertical", "axis-aligned", "diagonal", "bezier"])
     p.add_argument("--contrast", type=float, default=0.8)
     p.add_argument("--texture", type=float, default=0.3)
-    p.set_defaults(fn=cmd_synth_gen)
 
     p = sub.add_parser("mismatch-demo",
                        help="on-structure response: aligned vs swapped traversal")
@@ -427,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="mismatch.csv")
-    p.set_defaults(fn=cmd_mismatch_demo)
 
     p = sub.add_parser("bench", help="median-timing benchmark of core kernels")
     p.add_argument("--size", type=int, default=256)
@@ -435,7 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ops", default=None, help="comma-separated op-name prefixes")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="bench.csv")
-    p.set_defaults(fn=cmd_bench)
 
     return parser
 
@@ -448,9 +447,7 @@ def _main_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _main_parser().parse_args(argv)
-    # Look the command up by name at call time rather than through args.fn,
-    # which holds the function bound when the cached parser was built, so a
-    # module attribute rebound since (as a tracer does) is the one that runs.
+    # Look the command up at call time, so a rebound module attribute is the one that runs.
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)

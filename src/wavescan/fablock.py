@@ -168,6 +168,10 @@ def _lgb_inner(channels: int) -> int:
     return channels // _LGB_RATIO
 
 
+def _gse_hidden(channels: int) -> int:
+    return max(1, channels // _GSE_REDUCTION)
+
+
 def lgb_weight_spec(channels: int, cfg: LgbConfig, prefix: str = "") -> list[tuple[str, tuple]]:
     inner = _lgb_inner(channels)
     spec = [
@@ -181,7 +185,7 @@ def lgb_weight_spec(channels: int, cfg: LgbConfig, prefix: str = "") -> list[tup
     if cfg.letter == "E":
         spec += [(prefix + "lgb.eca_w", (_ECA_KERNEL,)), (prefix + "lgb.eca_b", (1,))]
     else:
-        hidden = max(1, channels // _GSE_REDUCTION)
+        hidden = _gse_hidden(channels)
         spec += [
             (prefix + "lgb.gse_w1", (hidden, channels)),
             (prefix + "lgb.gse_b1", (hidden,)),
@@ -200,7 +204,7 @@ def lgb_gate(y: FeatureGrid, cfg: LgbConfig, w: WeightStore, prefix: str = "") -
         bias = w.get(prefix + "lgb.eca_b", (1,))
         pre = np.correlate(pooled, kernel, mode="same") + bias[0]
     else:
-        hidden = max(1, channels // _GSE_REDUCTION)
+        hidden = _gse_hidden(channels)
         w1 = w.get(prefix + "lgb.gse_w1", (hidden, channels))
         b1 = w.get(prefix + "lgb.gse_b1", (hidden,))
         w2 = w.get(prefix + "lgb.gse_w2", (channels, hidden))

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from .errors import DimensionError
-from .pipeline import STAGES, PipelineConfig, pipeline_weight_spec
+from .pipeline import STAGES, PipelineConfig, _check_input, pipeline_weight_spec
 
 
 def conv_macs(h: int, w: int, c_in: int, c_out: int, k: int, stride: int = 1) -> int:
@@ -63,16 +63,15 @@ def flop_estimate(cfg: PipelineConfig | None = None,
                   input_shape: tuple[int, int] = (256, 256)) -> dict[str, int]:
     """Per-component MAC counts for a full forward pass, plus 'total'."""
     cfg = cfg or PipelineConfig()
-    size = {name: math.prod(shape) for name, shape in pipeline_weight_spec(cfg)}
     h, w = input_shape
-    sh, sw = -(-h // cfg.stem_stride), -(-w // cfg.stem_stride)
+    _check_input(cfg, h, w)
+    size = {name: math.prod(shape) for name, shape in pipeline_weight_spec(cfg)}
+    sh, sw = h // cfg.stem_stride, w // cfg.stem_stride  # _check_input keeps every side even
     report: dict[str, int] = {"stem": size["stem.w"] * sh * sw}
     taps = []
     for stage, ch in enumerate(cfg.channels, start=1):
         p = f"s{stage}."
         bh, bw = sh // 2, sw // 2
-        if min(bh, bw) < 1:
-            raise DimensionError(f"input {h}x{w} leaves stage {stage} no pixels")
         hw, n = bh * bw, cfg.asgp.probes
         report[p + "align"] = ((size[p + "align.w1"] + size[p + "align.w2"]) * hw
                                + resize_macs(ch, bh, bw))
@@ -97,7 +96,7 @@ def flop_estimate(cfg: PipelineConfig | None = None,
         report[p + "merge"] = 2 * haar_macs(ch, sh, sw)
         taps.append((sh, sw))
         if stage < STAGES:
-            report[f"down{stage}"] = size[f"down{stage}.w"] * -(-sh // 2) * -(-sw // 2)
+            report[f"down{stage}"] = size[f"down{stage}.w"] * hw  # the next stage's pixels
             sh, sw = sh // 2, sw // 2
     ce = cfg.decoder_channels
     out_h, out_w = taps[0]

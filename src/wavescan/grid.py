@@ -24,9 +24,8 @@ import numpy as np
 
 from .errors import DimensionError
 
-# Bytes per channel block of _resize_axis's output and of resize_bilinear's
-# row-pass and output planes, as nn._DEPTHWISE_BLOCK_BYTES: about 1 MB keeps
-# the block's scratch near L2.
+# Bytes per channel block of resize_bilinear's row-pass and output planes,
+# as nn._DEPTHWISE_BLOCK_BYTES: about 1 MB keeps the block's scratch near L2.
 _RESIZE_BLOCK_BYTES = 1 << 20
 
 
@@ -236,11 +235,10 @@ def _resize_axis(data: np.ndarray, axis: int, out_size: int,
                  out: np.ndarray | None = None) -> np.ndarray:
     """Corner-aligned linear resize of a (C, H, W) array along axis 1 or 2.
 
-    Blends blocks of whole channels, as many as fit _RESIZE_BLOCK_BYTES of
-    output (at least one), into a preallocated output, so the only
-    temporary is one block's upper-neighbour gather.  The output is
-    ``out`` when given; otherwise a new array, or ``data`` itself when the
-    size is unchanged.
+    Gathers the lower neighbours into the output and blends the upper
+    neighbours' gather, the only temporary, into it.  The output is ``out``
+    when given; otherwise a new array, or ``data`` itself when the size is
+    unchanged.
     """
     size = data.shape[axis]
     if out_size == size and out is None:
@@ -252,25 +250,14 @@ def _resize_axis(data: np.ndarray, axis: int, out_size: int,
     if out_size == size or size == 1:
         out[...] = data  # a size-1 axis broadcasts to every output position
         return out
-    pos = np.linspace(0.0, size - 1.0, out_size)
-    i0 = np.minimum(np.floor(pos).astype(np.intp), size - 2)
-    i1 = i0 + 1
-    frac = pos - i0
-    shape = [1] * data.ndim
-    shape[axis] = out_size
-    frac = frac.reshape(shape)
-    wlo = 1.0 - frac
-    block = max(1, _RESIZE_BLOCK_BYTES // out[0].nbytes)
-    hi = np.empty([min(block, len(out))] + out_shape[1:])
-    for start in range(0, len(out), block):
-        lo = out[start:start + block]
-        up = hi[:len(lo)]
-        src = data[start:start + block]
-        np.take(src, i0, axis=axis, out=lo, mode="clip")
-        np.take(src, i1, axis=axis, out=up, mode="clip")
-        lo *= wlo
-        up *= frac
-        lo += up
+    i0, i1, frac, _ = _lerp_indices(np.linspace(0.0, size - 1.0, out_size), size)
+    if axis == 1:
+        frac = frac[:, None]  # broadcast over the columns
+    np.take(data, i0, axis=axis, out=out, mode="clip")
+    up = np.take(data, i1, axis=axis, mode="clip")
+    out *= 1.0 - frac
+    up *= frac
+    out += up
     return out
 
 

@@ -31,7 +31,7 @@ from .asgp import (
     refine_mask,
 )
 from .errors import ConfigError, DimensionError
-from .fablock import LgbConfig, ScanAssignment, fa_scan, lgb, lgb_weight_spec
+from .fablock import _LGB_RATIO, LgbConfig, ScanAssignment, fa_scan, lgb, lgb_weight_spec
 from .grid import FeatureGrid, Mask, resize_bilinear, sample_px
 from .nn import conv1x1, conv2d, depthwise_conv2d, global_avg_pool, relu, rms_normalize, sigmoid
 from .ssm import SsmParams
@@ -57,8 +57,9 @@ class PipelineConfig:
     def __post_init__(self):
         if len(self.channels) != STAGES:
             raise ConfigError(f"need {STAGES} stage widths, got {len(self.channels)}")
-        if any(c < 4 or c % 4 for c in self.channels):
-            raise ConfigError(f"stage widths must be positive multiples of 4, got {self.channels}")
+        if any(c < _LGB_RATIO or c % _LGB_RATIO for c in self.channels):
+            raise ConfigError(f"stage widths must be positive multiples of {_LGB_RATIO}, "
+                              f"got {self.channels}")
         if self.stem_kernel % 2 == 0 or self.stem_kernel < 1:
             raise ConfigError("stem kernel must be odd and positive")
         if self.stem_stride not in (1, 2):
@@ -81,8 +82,21 @@ class PipelineConfig:
         return self.channels[0]
 
 
+def _check_input(cfg: PipelineConfig, height: int, width: int) -> None:
+    """Raise DimensionError unless every encoder block would get even sides of at least 4."""
+    step = 2 ** STAGES * cfg.stem_stride  # the last block's sides are side / (step / 2)
+    if height < 2 * step or width < 2 * step:
+        raise DimensionError(f"input must be at least {2 * step}x{2 * step}, got {height}x{width}")
+    if height % step or width % step:
+        raise DimensionError(f"input dims must be multiples of {step}, got {height}x{width}")
+
+
 def align_hidden(channels: int) -> int:
     return max(4, channels // 2)
+
+
+def _gate_hidden(ce: int) -> int:  # the squeeze width of gfa's per-level channel gates
+    return max(1, ce // 4)
 
 
 def align_weight_spec(channels: int, prefix: str = "") -> list[tuple[str, tuple]]:
@@ -113,7 +127,7 @@ def _stack_bands(bands: list[np.ndarray]) -> np.ndarray:
 
 
 def align(x_ll: FeatureGrid, x_hf, w: WeightStore, prefix: str = "",
-          max_offset: float = 0.25) -> FeatureGrid:
+          max_offset: float = PipelineConfig.max_offset) -> FeatureGrid:
     """Resample the carrier along offsets predicted from the detail bands.
 
     The two-layer 3x3 predictor sees the channel-concatenated high bands;
@@ -170,13 +184,14 @@ def pipeline_weight_spec(cfg: PipelineConfig) -> list[tuple[str, tuple]]:
             nxt = cfg.channels[stage]
             spec += [(f"down{stage}.w", (nxt, ch, 3, 3)), (f"down{stage}.b", (nxt,))]
     ce = cfg.decoder_channels
+    hidden = _gate_hidden(ce)
     for level, ch in enumerate(cfg.channels, start=1):
         spec += [
             (f"gfa.phi{level}_w", (ce, ch)),
             (f"gfa.phi{level}_b", (ce,)),
-            (f"gfa.gate{level}_w1", (max(1, ce // 4), ce)),
-            (f"gfa.gate{level}_b1", (max(1, ce // 4),)),
-            (f"gfa.gate{level}_w2", (ce, max(1, ce // 4))),
+            (f"gfa.gate{level}_w1", (hidden, ce)),
+            (f"gfa.gate{level}_b1", (hidden,)),
+            (f"gfa.gate{level}_w2", (ce, hidden)),
             (f"gfa.gate{level}_b2", (ce,)),
         ]
     spec += [
@@ -294,7 +309,7 @@ def gfa(features, w: WeightStore) -> FeatureGrid:
     if len(levels) != STAGES:
         raise ConfigError(f"fusion expects {STAGES} levels, got {len(levels)}")
     ce = w["gfa.phi1_w"].shape[0]
-    hidden = max(1, ce // 4)
+    hidden = _gate_hidden(ce)
     out_h, out_w = levels[0].height, levels[0].width
     projs = [None] * STAGES
     for idx in (1, 2, 3, 0):
@@ -369,7 +384,8 @@ def forward(image: FeatureGrid, cfg: PipelineConfig | None = None,
     """Full pass: stem -> 4 x (block, downsample) -> fusion -> refine -> mask.
 
     The input must be single-channel with H and W multiples of
-    16 * stem_stride and >= 32, so every stage grid stays even.
+    16 * stem_stride and at least 32 * stem_stride, so every encoder
+    block gets even sides of at least 4 (``_check_input``).
     Deterministic for a fixed OpenBLAS thread count: identical (image,
     cfg, weights) give bit-identical masks.  Another thread count may
     split a GEMM differently and move the masks by a few ulps (3.9e-15
@@ -381,13 +397,7 @@ def forward(image: FeatureGrid, cfg: PipelineConfig | None = None,
     cfg = cfg or PipelineConfig()
     if image.channels != 1:
         raise DimensionError(f"expected a single-channel image, got {image.channels}")
-    step = 16 * cfg.stem_stride
-    if image.height < 32 or image.width < 32:
-        raise DimensionError(f"input must be at least 32x32, got {image.height}x{image.width}")
-    if image.height % step or image.width % step:
-        raise DimensionError(
-            f"input dims must be multiples of {step}, got {image.height}x{image.width}"
-        )
+    _check_input(cfg, image.height, image.width)
     w = w if w is not None else default_weights(cfg)
     # held owns each stage input alone and pops it into the block, which
     # frees it once it is split

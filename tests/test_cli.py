@@ -31,6 +31,16 @@ def read_csv(path):
     return rows[0], rows[1:]
 
 
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A directory of inputs that malformed-input cases read: small PGMs and a config."""
+    path = tmp_path_factory.mktemp("inputs")
+    for side in (20, 32):
+        fileio.save_pgm(path / f"{side}x{side}.pgm", np.zeros((side, side)))
+    (path / "stride2.cfg").write_text("stem_stride = 2\n")
+    return path
+
+
 def run_cli(*argv):
     """``python -m wavescan argv`` in a fresh interpreter; returns (exit code, stderr)."""
     path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
@@ -413,8 +423,8 @@ class TestSubcommands:
     @pytest.mark.parametrize("size, ops, says", [
         (3, ["dwt_haar"], "size must be at least 4, got 3"),
         (-16, None, "size must be at least 4, got -16"),
-        (56, None, "size must be a multiple of 16 and at least 32 for the forward op, got 56"),
-        (16, ["forward"], "size must be a multiple of 16 and at least 32 for the forward op"),
+        (56, None, "size for the forward op: input dims must be multiples of 16, got 56x56"),
+        (16, ["forward"], "size for the forward op: input must be at least 32x32, got 16x16"),
     ])
     def test_run_benchmarks_rejects_sizes_by_name(self, size, ops, says, monkeypatch):
         def timed(*args):
@@ -469,9 +479,9 @@ class TestSubcommands:
          "--runs must be at least 10, got 9"),
         (["scan-bench", "--sizes", "8,1", "--out", "{tmp}/s.csv"], "got '8,1'"),
         (["bench", "--size", "20", "--ops", "forward", "--out", "{tmp}/b.csv"],
-         "--size must be a multiple of 16 and at least 32 for the forward op, got 20"),
+         "--size for the forward op: input must be at least 32x32, got 20x20"),
         (["bench", "--size", "16", "--out", "{tmp}/b.csv"],
-         "--size must be a multiple of 16 and at least 32 for the forward op, got 16"),
+         "--size for the forward op: input must be at least 32x32, got 16x16"),
         (["probe-demo", "--size", "5", "--out-dir", "{tmp}/p"],
          "--size must be at least 7, got 5"),
         (["synth-gen", "--size", "3", "--orientation", "vertical", "--out-dir", "{tmp}/g"],
@@ -480,13 +490,25 @@ class TestSubcommands:
          "--texture must be finite, got inf"),
         (["synth-gen", "--contrast", "nan", "--out-dir", "{tmp}/g"],
          "--contrast must be finite, got nan"),
+        # Images forward cannot run, at stem stride 1 and 2 ({inputs} holds them).
+        (["forward", "--image", "{inputs}/20x20.pgm", "--out", "{tmp}/m.pgm"],
+         "--image {inputs}/20x20.pgm: input must be at least 32x32, got 20x20"),
+        (["forward", "--image", "{inputs}/32x32.pgm", "--config", "{inputs}/stride2.cfg",
+          "--out", "{tmp}/m.pgm"],
+         "--image {inputs}/32x32.pgm: input must be at least 64x64, got 32x32"),
+        (["synth-gen", "--curves", "0", "--out-dir", "{tmp}/g"],
+         "--curves must be at least 1, got 0"),
+        (["synth-gen", "--width-min", "0", "--out-dir", "{tmp}/g"],
+         "--width-min must be at least 1, got 0"),
+        (["synth-gen", "--width-min", "3", "--width-max", "2", "--out-dir", "{tmp}/g"],
+         "--width-max must be at least 3, got 2"),
     ])
-    def test_malformed_input_is_one_error_line(self, tmp_path, argv, says):
-        code, err = run_cli(*(a.format(tmp=tmp_path) for a in argv))
+    def test_malformed_input_is_one_error_line(self, tmp_path, inputs, argv, says):
+        code, err = run_cli(*(a.format(tmp=tmp_path, inputs=inputs) for a in argv))
         assert code == 1
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert says in err
+        assert says.format(inputs=inputs) in err
         assert [p.name for p in tmp_path.iterdir()] == []
 
     def test_main_parser_is_reused_and_build_parser_is_fresh(self, monkeypatch):

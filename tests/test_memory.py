@@ -21,7 +21,7 @@ from wavescan.asgp import (
     refine_mask,
 )
 from wavescan.cli import main
-from wavescan.grid import _RESIZE_BLOCK_BYTES, FeatureGrid, _resize_axis, resize_bilinear
+from wavescan.grid import _RESIZE_BLOCK_BYTES, FeatureGrid, resize_bilinear
 from wavescan.metrics import ods, skeletonize
 from wavescan.fablock import fa_scan
 from wavescan.nn import _IM2COL_BLOCK_BYTES, _TAP_BLOCK_BYTES, conv2d
@@ -89,18 +89,6 @@ def test_brm_peak_holds_no_context_map():
     bound = 2 * plane + tap_mb + 0.25
     peak = traced_peak_mb(lambda: brm(fused, weights))
     assert peak <= bound, f"brm peak {peak:.2f} MB, bound {bound:.2f} MB"
-
-
-def test_resize_peak_is_bounded_by_channel_blocks():
-    # (16, 128, 128) -> 256 x 256 in its two passes.  Each pass holds its
-    # output and one block's upper-neighbour gather, at most the budget;
-    # a whole-array gather would add a second output.
-    x = np.random.default_rng(6).normal(size=(16, 128, 128))
-    rows = _resize_axis(x, 1, 256)
-    for data, axis, out_mb in ((x, 1, 16 * 256 * 128 * 8 / MB), (rows, 2, 16 * 256 * 256 * 8 / MB)):
-        peak = traced_peak_mb(lambda: _resize_axis(data, axis, 256))
-        assert peak <= out_mb + _RESIZE_BLOCK_BYTES / MB + 0.25, \
-            f"axis {axis} resize peak {peak:.2f} MB for a {out_mb:.2f} MB output"
 
 
 def test_resize_bilinear_peak_holds_one_channel_block():

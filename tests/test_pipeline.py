@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wavescan import pipeline
 from wavescan.asgp import asgp_gate, coarse_potential, evolve_probes, refine_mask
 from wavescan.errors import ConfigError, DimensionError
 from wavescan.fablock import fa_scan, lgb
@@ -8,6 +9,7 @@ from wavescan.flops import conv_macs, cross_scan_macs, fa_scan_macs, flop_estima
 from wavescan.grid import FeatureGrid
 from wavescan.pipeline import (
     PipelineConfig,
+    _check_input,
     _stack_bands,
     _stage_probes,
     align,
@@ -431,6 +433,46 @@ class TestForward:
             forward(FeatureGrid.zeros(1, 40, 40), cfg)
         with pytest.raises(DimensionError):
             forward(FeatureGrid.zeros(2, 32, 32), cfg)
+
+    def test_stem_stride_two_rejects_32x32_before_the_stem(self, monkeypatch):
+        # The stem halves 32 to 16, so the fourth block would get 2x2.
+        def no_stem(*args):
+            raise AssertionError("ran the stem before checking the input")
+
+        monkeypatch.setattr(pipeline, "stem", no_stem)
+        with pytest.raises(DimensionError, match="at least 64x64, got 32x32"):
+            forward(FeatureGrid.zeros(1, 32, 32), PipelineConfig(stem_stride=2))
+
+    def test_input_rule_is_the_block_rule_and_flop_estimate_follows_it(self, monkeypatch):
+        def no_stem(*args):
+            raise AssertionError("ran the stem on a rejected input")
+
+        def blocks_run(side, stride):
+            # stem (padded, so ceil), then each block needs even sides >= 4
+            # and each downsample halves them
+            side = -(-side // stride)
+            for _ in range(4):
+                if side % 2 or side < 4:
+                    return False
+                side //= 2
+            return True
+
+        monkeypatch.setattr(pipeline, "stem", no_stem)
+        sides = range(16, 129, 8)
+        for stride in (1, 2):
+            cfg = PipelineConfig(stem_stride=stride)
+            for h in sides:
+                for w in sides:
+                    if blocks_run(h, stride) and blocks_run(w, stride):
+                        _check_input(cfg, h, w)
+                        assert flop_estimate(cfg, (h, w))["total"] > 0
+                        continue
+                    for reject in (lambda: _check_input(cfg, h, w),
+                                   lambda: flop_estimate(cfg, (h, w)),
+                                   lambda: forward(FeatureGrid.zeros(1, h, w), cfg)):
+                        with pytest.raises(DimensionError):
+                            reject()
+        # test_stem_stride_two_upsamples_back runs the smallest accepted stride-2 input
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
