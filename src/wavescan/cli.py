@@ -1,8 +1,8 @@
-"""Unified command line: diagnostics, generation, evaluation, benchmarks.
+"""Unified command line: diagnostics, generation and evaluation.
 
 Outputs are diffable text artifacts only: CSV with a header row, binary
 P5 PGM images, FGT1 tensors and .fgw weight bundles.  Every subcommand
-is deterministic given its seed flags (bench timings excepted), and the
+is deterministic given its seed flags (scan-bench timings excepted), and the
 exit status is 0 exactly when all requested checks pass.
 """
 
@@ -28,7 +28,6 @@ from .asgp import (
     init_probes,
     refine_mask,
 )
-from .bench import _MIN_RUNS, _check_size, run_benchmarks
 from .errors import ConfigError, DimensionError
 from .fablock import ScanAssignment, fa_scan
 from .grid import FeatureGrid
@@ -119,6 +118,8 @@ def cmd_scan_bench(args) -> int:
 
 def cmd_probe_demo(args) -> int:
     _check_at_least("--size", args.size, _MIN_BEZIER_WIDTH)  # a bezier canvas
+    _check_at_least("--steps", args.steps, 0)
+    _check_at_least("--probes", args.probes, 1)
     sample = generate_sample(SynthConfig(
         height=args.size, width=args.size, curves=2, orientation="bezier",
         contrast=0.8, texture=0.3, seed=args.seed,
@@ -350,29 +351,14 @@ def cmd_mismatch_demo(args) -> int:
     return 0 if mean_aligned > mean_swapped else 1
 
 
-def cmd_bench(args) -> int:
-    _check_at_least("--runs", args.runs, _MIN_RUNS)
-    ops = args.ops.split(",") if args.ops else None
-    _check_size(args.size, ops, "--size")
-    reports = run_benchmarks(size=args.size, forward_runs=args.runs, ops=ops,
-                             seed=args.seed)
-    rows = [[r.op, r.shape, r.iterations, _fmt(r.min_s), _fmt(r.median_s),
-             _fmt(r.throughput), r.flops] for r in reports]
-    _write_csv(args.out, ["op", "shape", "iterations", "min_s", "median_s",
-                          "throughput_elems_per_s", "flops_macs"], rows)
-    for row in rows:
-        print(" ".join(str(v) for v in row))
-    return 0
-
-
 # --------------------------------------------------------------------- parser
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wavescan",
-        description="Frequency-geometric scan toolkit: diagnostics, generation, "
-                    "evaluation and benchmarks.",
+        description="Frequency-geometric scan toolkit: diagnostics, generation "
+                    "and evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -428,13 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=32)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="mismatch.csv")
-
-    p = sub.add_parser("bench", help="median-timing benchmark of core kernels")
-    p.add_argument("--size", type=int, default=256)
-    p.add_argument("--runs", type=int, default=100, help="forward-pass iterations (at least 10)")
-    p.add_argument("--ops", default=None, help="comma-separated op-name prefixes")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="bench.csv")
 
     return parser
 

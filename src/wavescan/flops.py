@@ -37,26 +37,22 @@ def resize_macs(c: int, out_h: int, out_w: int) -> int:
     return 4 * c * out_h * out_w
 
 
-def scan_macs(length: int, channels: int, state_dim: int, selective: bool) -> int:
-    total = 4 * length * channels * state_dim + length * channels
-    if selective:
-        total += length * channels * (channels + 2 * state_dim)
-    return total
+def scan_macs(length: int, channels: int, state_dim: int) -> int:
+    return (4 * length * channels * state_dim + length * channels
+            + length * channels * (channels + 2 * state_dim))
 
 
-def fa_scan_macs(channels: int, h: int, w: int, state_dim: int,
-                 selective: bool = True) -> int:
+def fa_scan_macs(channels: int, h: int, w: int, state_dim: int) -> int:
     """One split, one scan per sub-band, one merge."""
     length = (h // 2) * (w // 2)
-    return 2 * haar_macs(channels, h, w) + 4 * scan_macs(length, channels, state_dim, selective)
+    return 2 * haar_macs(channels, h, w) + 4 * scan_macs(length, channels, state_dim)
 
 
-def cross_scan_macs(channels: int, h: int, w: int, state_dim: int,
-                    selective: bool = True) -> int:
+def cross_scan_macs(channels: int, h: int, w: int, state_dim: int) -> int:
     """Four directional scans per sub-band instead of one."""
     length = (h // 2) * (w // 2)
-    return (fa_scan_macs(channels, h, w, state_dim, selective)
-            + 4 * 3 * scan_macs(length, channels, state_dim, selective))
+    return (fa_scan_macs(channels, h, w, state_dim)
+            + 4 * 3 * scan_macs(length, channels, state_dim))
 
 
 def flop_estimate(cfg: PipelineConfig | None = None,

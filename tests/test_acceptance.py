@@ -13,8 +13,7 @@ import pytest
 
 import wavescan
 from wavescan.asgp import AsgpConfig, ProbeSet, asgp_weight_spec, evolve_probes
-from wavescan.bench import run_benchmarks
-from wavescan.fablock import LgbConfig, ScanAssignment, fa_scan, lgb, lgb_weight_spec
+from wavescan.fablock import LgbConfig, ScanAssignment, cross_scan, fa_scan, lgb, lgb_weight_spec
 from wavescan.flops import conv_macs, cross_scan_macs, fa_scan_macs
 from wavescan.grid import FeatureGrid, bilinear_gradient, bilinear_sample
 from wavescan.metrics import ODS_THRESHOLDS, cldice, dice, ods, region_metrics
@@ -24,6 +23,7 @@ from wavescan.pipeline import (
     align,
     align_weight_spec,
     brm,
+    default_weights,
     encoder_block,
     pipeline_weight_spec,
 )
@@ -385,16 +385,42 @@ def test_criterion_09_metric_oracles():
     crit.finish(ok, f"ODS {got.f1:.4f} @ {got.threshold:.2f}; broken-line clDice matched")
 
 
-def test_criterion_10_efficiency_ordering(tmp_path):
-    crit = Criterion(10, "efficiency ordering + 256x256 bench", 120.0)
+def _seconds(fn, *args) -> float:
+    start = time.perf_counter()
+    fn(*args)
+    return time.perf_counter() - start
+
+
+def test_criterion_10_efficiency_ordering():
+    crit = Criterion(10, "efficiency ordering: MAC model + fa_scan/cross_scan timing", 15.0)
     ok = cross_scan_macs(16, 64, 64, 8) > fa_scan_macs(16, 64, 64, 8)
     ok &= conv_macs(64, 64, 16, 32, 3) == 64 * 64 * 16 * 32 * 9
     ok &= conv_macs(128, 128, 16, 32, 3) == 4 * conv_macs(64, 64, 16, 32, 3)
-    reports = run_benchmarks(size=256, forward_runs=100, ops=["forward"])
-    forward_report = [r for r in reports if r.op == "forward"][0]
-    ok &= forward_report.iterations >= 100
-    ok &= forward_report.median_s > 0.0
-    ok &= forward_report.shape == "1x256x256"
-    ok &= forward_report.flops > 0
-    crit.finish(ok, f"forward median {forward_report.median_s * 1e3:.1f} ms over "
-                    f"{forward_report.iterations} runs, {forward_report.flops / 1e9:.2f} GMAC")
+    # The paper's claim, timed on the stage carriers of a 256x256 forward:
+    # the median fa_scan/cross_scan time ratio over 15 alternating pairs is
+    # below 1.  Single pairs read up to 1.94, and with two BLAS threads a
+    # host stall has slowed the first 4 pairs of a stage in a row, so only
+    # the median of many pairs is judged.
+    cfg = PipelineConfig()
+    weights = default_weights(cfg)
+    rng = np.random.default_rng(10)
+    medians = []
+    for stage, channels in enumerate(cfg.channels, start=1):
+        side = 128 >> (stage - 1)
+        carrier = FeatureGrid(rng.normal(size=(channels, side, side)))
+        psi = SsmParams.from_store(weights, f"s{stage}.")
+        fa_scan(carrier, psi)
+        cross_scan(carrier, psi)
+        ratios = []
+        for pair in range(15):
+            if pair % 2 == 0:  # cross_scan first in the odd pairs, counting from 1
+                cross_s = _seconds(cross_scan, carrier, psi)
+                fa_s = _seconds(fa_scan, carrier, psi)
+            else:
+                fa_s = _seconds(fa_scan, carrier, psi)
+                cross_s = _seconds(cross_scan, carrier, psi)
+            ratios.append(fa_s / cross_s)
+        medians.append(float(np.median(ratios)))
+    ok &= all(m < 1.0 for m in medians)
+    crit.finish(ok, "median fa/cross time " + ", ".join(
+        f"s{stage} {m:.2f}" for stage, m in enumerate(medians, start=1)))

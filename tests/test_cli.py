@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_metrics import oracle_ods_counts, oracle_region, oracle_skeletonize
-from wavescan import bench, cli, fileio
+from wavescan import cli, fileio
 from wavescan.cli import _CONFIG_KEYS, build_parser, main, parse_config_text
 from wavescan.errors import ConfigError
 from wavescan.metrics import ODS_THRESHOLDS
@@ -397,62 +398,12 @@ class TestSubcommands:
         swapped = np.mean([float(r[4]) for r in rows])
         assert aligned > swapped
 
-    def test_bench_small(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        assert main(["bench", "--size", "32", "--runs", "10", "--out", str(out),
-                     "--ops", "dwt,ssm_scan_parallel"]) == 0
-        header, rows = read_csv(out)
-        assert header[0] == "op"
-        ops = [r[0] for r in rows]
-        assert "dwt_haar" in ops
-        assert "ssm_scan_parallel" in ops
-        for row in rows:
-            assert int(row[2]) >= 10
-
-    @pytest.mark.parametrize("runs", [{"forward_runs": 9}, {"kernel_runs": 0},
-                                      {"forward_runs": -1, "kernel_runs": 25}])
-    def test_run_benchmarks_rejects_fewer_than_ten_runs_by_name(self, runs, monkeypatch):
-        def timed(*args):
-            raise AssertionError("timed an op before checking the run counts")
-
-        monkeypatch.setattr(bench, "_time", timed)
-        name = next(iter(runs))
-        with pytest.raises(ValueError, match=f"{name} must be at least 10, got {runs[name]}"):
-            bench.run_benchmarks(size=32, **runs)
-
-    @pytest.mark.parametrize("size, ops, says", [
-        (3, ["dwt_haar"], "size must be at least 4, got 3"),
-        (-16, None, "size must be at least 4, got -16"),
-        (56, None, "size for the forward op: input dims must be multiples of 16, got 56x56"),
-        (16, ["forward"], "size for the forward op: input must be at least 32x32, got 16x16"),
-    ])
-    def test_run_benchmarks_rejects_sizes_by_name(self, size, ops, says, monkeypatch):
-        def timed(*args):
-            raise AssertionError("timed an op before checking the size")
-
-        monkeypatch.setattr(bench, "_time", timed)
-        with pytest.raises(ValueError, match=f"^{says}"):
-            bench.run_benchmarks(size=size, ops=ops)
-
-    def test_bench_kernel_ops_run_at_the_smallest_size(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        assert main(["bench", "--size", "4", "--runs", "10", "--out", str(out), "--ops",
-                     "dwt,idwt,hilbert,serialize,ssm,fa_scan,cross_scan"]) == 0
-        _, rows = read_csv(out)
-        assert len(rows) == 7
-
-    def test_bench_ops_match_full_names_as_prefixes(self, tmp_path):
-        out = tmp_path / "bench.csv"
-        assert main(["bench", "--size", "32", "--runs", "10", "--out", str(out),
-                     "--ops", "dwt_haar,serialize_roundtrip"]) == 0
-        _, rows = read_csv(out)
-        assert [r[0] for r in rows] == ["dwt_haar", "serialize_roundtrip"]
-
     # One malformed input per subcommand; {tmp} is the test's scratch directory.
     @pytest.mark.parametrize("argv, says", [
         (["dwt-roundtrip", "--size", "0", "--out", "{tmp}/d.csv"], "--size"),
         (["scan-bench", "--sizes", "8,x", "--out", "{tmp}/s.csv"], "--sizes"),
-        (["probe-demo", "--probes", "0", "--out-dir", "{tmp}/p"], "at least one probe"),
+        (["probe-demo", "--probes", "0", "--out-dir", "{tmp}/p"],
+         "--probes must be at least 1, got 0"),
         (["forward", "--image", "{tmp}/missing.pgm", "--out", "{tmp}/m.pgm"],
          "cannot read image"),
         (["eval", "--pred-dir", "{tmp}", "--gt-dir", "{tmp}", "--out", "{tmp}/e.csv"],
@@ -460,9 +411,10 @@ class TestSubcommands:
         (["synth-gen", "--count", "0", "--out-dir", "{tmp}/g"], "--count"),
         (["mismatch-demo", "--size", "2", "--out", "{tmp}/x.csv"],
          "--size must be at least 4, got 2"),
-        (["bench", "--size", "0", "--out", "{tmp}/b.csv"], "--size must be at least 4, got 0"),
-        (["bench", "--size", "32", "--ops", "scan,nothing", "--out", "{tmp}/b.csv"],
-         "no benchmark op starts with 'scan', 'nothing'"),
+        (["forward", "--image", "{inputs}/32x32.pgm", "--config", "{tmp}/missing.cfg",
+          "--out", "{tmp}/m.pgm"], "cannot read config"),
+        (["forward", "--image", "{inputs}/32x32.pgm", "--weights", "{tmp}/missing.fgw",
+          "--out", "{tmp}/m.pgm"], "cannot read weights"),
         # Flags checked against their lower bound, named with the value given.
         (["dwt-roundtrip", "--size", "-4", "--out", "{tmp}/d.csv"],
          "--size must be at least 2, got -4"),
@@ -473,15 +425,15 @@ class TestSubcommands:
         (["scan-bench", "--sizes", "0", "--out", "{tmp}/s.csv"],
          "--sizes wants comma-separated integers of at least 2, got '0'"),
         (["scan-bench", "--sizes", "8,-4", "--out", "{tmp}/s.csv"], "got '8,-4'"),
-        (["bench", "--size", "32", "--runs", "0", "--out", "{tmp}/b.csv"],
-         "--runs must be at least 10, got 0"),
-        (["bench", "--size", "32", "--runs", "9", "--out", "{tmp}/b.csv"],
-         "--runs must be at least 10, got 9"),
+        (["probe-demo", "--steps", "-1", "--out-dir", "{tmp}/p"],
+         "--steps must be at least 0, got -1"),
+        (["probe-demo", "--probes", "-3", "--out-dir", "{tmp}/p"],
+         "--probes must be at least 1, got -3"),
         (["scan-bench", "--sizes", "8,1", "--out", "{tmp}/s.csv"], "got '8,1'"),
-        (["bench", "--size", "20", "--ops", "forward", "--out", "{tmp}/b.csv"],
-         "--size for the forward op: input must be at least 32x32, got 20x20"),
-        (["bench", "--size", "16", "--out", "{tmp}/b.csv"],
-         "--size for the forward op: input must be at least 32x32, got 16x16"),
+        (["scan-bench", "--sizes", "", "--out", "{tmp}/s.csv"],
+         "--sizes wants comma-separated integers of at least 2, got ''"),
+        (["synth-gen", "--size", "6", "--out-dir", "{tmp}/g"],
+         "--size must be at least 7, got 6"),
         (["probe-demo", "--size", "5", "--out-dir", "{tmp}/p"],
          "--size must be at least 7, got 5"),
         (["synth-gen", "--size", "3", "--orientation", "vertical", "--out-dir", "{tmp}/g"],
@@ -535,6 +487,14 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory") and err.count("\n") == 1
         assert message in err
+
+    def test_every_subcommand_has_its_command(self):
+        # main looks cmd_<name> up by name, so a subparser without one would end in a KeyError.
+        (subparsers,) = [a for a in build_parser()._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        names = subparsers.choices
+        commands = {name[len("cmd_"):] for name in vars(cli) if name.startswith("cmd_")}
+        assert {name.replace("-", "_") for name in names} == commands
 
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -508,7 +508,7 @@ class TestFlops:
         fa = fa_scan_macs(channels, h, w, n)
         cross = cross_scan_macs(channels, h, w, n)
         assert cross > fa
-        scan_term = scan_macs((h // 2) * (w // 2), channels, n, True)
+        scan_term = scan_macs((h // 2) * (w // 2), channels, n)
         assert cross - fa == 3 * 4 * scan_term
 
     def test_forward_breakdown_contains_every_component(self):
