@@ -55,12 +55,12 @@ class AsgpConfig:
             raise ValueError("steps must be >= 0")
         if self.probes < 1:
             raise ValueError("need at least one probe")
-        if min(self.radius, self.grad_gain, self.repulsion_gain, self.eps) <= 0:
-            raise ValueError("radius, gains and eps must be positive")
+        for name in ("radius", "grad_gain", "repulsion_gain", "eps", "splat_sigma"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not 0.0 <= self.blend <= 1.0:
             raise ValueError("blend must lie in [0, 1]")
-        if self.splat_sigma <= 0:
-            raise ValueError("splat_sigma must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +167,7 @@ def coarse_potential(probes: ProbeSet, x_ll: FeatureGrid, w: WeightStore,
     weights = (h * width) / (probes.count * logits.sum(axis=1))
     field = weights @ logits
     del logits, keys, buf
-    return FeatureGrid(sigmoid(field).reshape(1, h, width))
+    return FeatureGrid._of(sigmoid(field).reshape(1, h, width))
 
 
 def repulsion_forces(coords: np.ndarray, cfg: AsgpConfig) -> np.ndarray:
@@ -196,7 +196,7 @@ def repulsion_forces(coords: np.ndarray, cfg: AsgpConfig) -> np.ndarray:
 
 def _offset_weights(w: WeightStore, prefix: str, channels: int) -> tuple[np.ndarray, ...]:
     """The offset head's (w1, b1, w2, b2), checked against ``channels`` input features."""
-    w1 = w[prefix + "asgp.sem_w1"]
+    w1 = w.get(prefix + "asgp.sem_w1", w[prefix + "asgp.sem_w1"].shape)  # values; shape below
     if w1.ndim != 2 or w1.shape[1] != channels:
         raise DimensionError(f"offset head expects (d, {channels}) weights, got {w1.shape}")
     b1 = w.get(prefix + "asgp.sem_b1", (w1.shape[0],))
@@ -270,7 +270,7 @@ def refine_mask(probes: ProbeSet, shape: tuple[int, int],
     gx = np.exp(scale * (xs[None, :] - probes.coords[:, 0, None]) ** 2)  # (N, W)
     gy = np.exp(scale * (ys[None, :] - probes.coords[:, 1, None]) ** 2)  # (N, H)
     field = (gy.T * probes.scores) @ gx
-    return FeatureGrid(sigmoid(field)[None, :, :])
+    return FeatureGrid._of(sigmoid(field)[None, :, :])
 
 
 def _match_band_shape(mask: Mask, band_h: int, band_w: int) -> np.ndarray:
@@ -299,4 +299,4 @@ def asgp_gate(m0: Mask, m1: Mask, bands: Sequence[FeatureGrid],
     coarse = _match_band_shape(m0, band_h, band_w)
     fine = _match_band_shape(m1, band_h, band_w)
     gate = sigmoid(cfg.blend * fine + (1.0 - cfg.blend) * coarse)
-    return [FeatureGrid(band.data * gate) for band in bands]
+    return [FeatureGrid._of(band.data * gate) for band in bands]

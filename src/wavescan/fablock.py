@@ -87,11 +87,6 @@ class LgbConfig:
         return self.policy[self.stage - 1]
 
 
-def _check_scan_input(x: FeatureGrid) -> None:
-    if x.height < 2 or x.width < 2:
-        raise DimensionError(f"scan blocks need dims >= 2, got {x.height}x{x.width}")
-
-
 def _scan_band(band: FeatureGrid, kind: ScanKind, psi: SsmParams) -> FeatureGrid:
     order = build_scan_order(kind, band.height, band.width)
     seq = serialize(band, order).T  # (L, C) tokens
@@ -109,7 +104,6 @@ def fa_scan(x_ll_aligned: FeatureGrid, psi: SsmParams,
     caller that keeps it gets the same output and finds it unchanged.
     """
     assign = assign or ScanAssignment()
-    _check_scan_input(x_ll_aligned)
     height, width = x_ll_aligned.height, x_ll_aligned.width
     bands = dwt_haar(x_ll_aligned)
     del x_ll_aligned
@@ -145,13 +139,12 @@ def _scan_four_directions(band: FeatureGrid, psi: SsmParams) -> FeatureGrid:
             _affine_recurrence(a[step], b[step], states[step])
             acc += np.einsum("hwcn,hwn->hwc", hs, c_grid)
     out = acc / 4.0 + psi.d_skip * tokens.reshape(h, w, c)
-    return FeatureGrid(np.ascontiguousarray(out.transpose(2, 0, 1)))
+    return FeatureGrid._of(np.ascontiguousarray(out.transpose(2, 0, 1)))
 
 
 def cross_scan(x: FeatureGrid, psi: SsmParams) -> FeatureGrid:
     """Isotropic comparison baseline: four raster propagation directions
     per sub-band through the same shared operator, outputs averaged."""
-    _check_scan_input(x)
     bands = dwt_haar(x)
     out = SubbandSet(
         ll=_scan_four_directions(bands.ll, psi),
@@ -227,4 +220,4 @@ def lgb(y: FeatureGrid, cfg: LgbConfig, w: WeightStore, prefix: str = "") -> Fea
     branch = relu(depthwise_conv2d(branch, dw_w, dw_b))
     branch = conv1x1(branch, up_w, up_b)
     gate = lgb_gate(y, cfg, w, prefix)
-    return FeatureGrid(y.data + gate[:, None, None] * branch)
+    return FeatureGrid._of(y.data + gate[:, None, None] * branch)

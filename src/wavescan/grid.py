@@ -41,11 +41,19 @@ class FeatureGrid:
     """A C x H x W grid of finite real values (channel-major, row-major).
 
     The universal carrier for features, masks and wavelet sub-bands.
-    ``data`` is held as float64 and is not copied defensively; treat
-    grids as immutable.
+    ``FeatureGrid(data)`` checks a caller's array: float64, rank 3,
+    positive sides, finite values.  Layers wrap the grids they compute
+    with ``_of``, unchecked.  ``data`` is not copied; treat grids as immutable.
     """
 
     data: np.ndarray
+
+    @classmethod
+    def _of(cls, arr: np.ndarray) -> "FeatureGrid":
+        """Wrap a (C,H,W) array the package computed: no cast, copy or check."""
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "data", arr)
+        return grid
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.float64)
@@ -279,4 +287,4 @@ def resize_bilinear(grid: FeatureGrid, out_h: int, out_w: int) -> FeatureGrid:
     for start in range(0, channels, block):
         part = slice(start, start + block)
         _resize_axis(_resize_axis(data[part], 1, out_h), 2, out_w, out=out[part])
-    return FeatureGrid(out)
+    return FeatureGrid._of(out)

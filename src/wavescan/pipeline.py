@@ -152,8 +152,8 @@ def align(x_ll: FeatureGrid, x_hf, w: WeightStore, prefix: str = "",
     h, width = shape
     cols = np.arange(width, dtype=np.float64)[None, :] + offsets[0] * ((width - 1) / 2.0)
     rows = np.arange(h, dtype=np.float64)[:, None] + offsets[1] * ((h - 1) / 2.0)
-    return FeatureGrid(sample_px(x_ll.data, np.broadcast_to(cols, (h, width)),
-                                 np.broadcast_to(rows, (h, width))))
+    return FeatureGrid._of(sample_px(x_ll.data, np.broadcast_to(cols, (h, width)),
+                                     np.broadcast_to(rows, (h, width))))
 
 
 def stage_weight_spec(channels: int, cfg: PipelineConfig, stage: int) -> list[tuple[str, tuple]]:
@@ -277,14 +277,14 @@ def stem(image: FeatureGrid, cfg: PipelineConfig, w: WeightStore) -> FeatureGrid
     k = cfg.stem_kernel
     sw = w.get("stem.w", (c1, image.channels, k, k))
     sb = w.get("stem.b", (c1,))
-    return FeatureGrid(rms_normalize(relu(conv2d(image.data, sw, sb, stride=cfg.stem_stride))))
+    return FeatureGrid._of(rms_normalize(relu(conv2d(image.data, sw, sb, stride=cfg.stem_stride))))
 
 
 def downsample(x: FeatureGrid, cfg: PipelineConfig, w: WeightStore, stage: int) -> FeatureGrid:
     nxt = cfg.channels[stage]
     dw = w.get(f"down{stage}.w", (nxt, x.channels, 3, 3))
     db = w.get(f"down{stage}.b", (nxt,))
-    return FeatureGrid(rms_normalize(relu(conv2d(x.data, dw, db, stride=2))))
+    return FeatureGrid._of(rms_normalize(relu(conv2d(x.data, dw, db, stride=2))))
 
 
 def gfa(features, w: WeightStore) -> FeatureGrid:
@@ -321,7 +321,7 @@ def gfa(features, w: WeightStore) -> FeatureGrid:
     for level in range(1, STAGES + 1):
         proj = projs.pop(0)
         if proj.shape[1:] != (out_h, out_w):
-            proj = resize_bilinear(FeatureGrid(proj), out_h, out_w).data
+            proj = resize_bilinear(FeatureGrid._of(proj), out_h, out_w).data
         g1 = w.get(f"gfa.gate{level}_w1", (hidden, ce))
         gb1 = w.get(f"gfa.gate{level}_b1", (hidden,))
         g2 = w.get(f"gfa.gate{level}_w2", (ce, hidden))
@@ -335,7 +335,7 @@ def gfa(features, w: WeightStore) -> FeatureGrid:
         del proj
     fw = w.get("gfa.fuse_w", (ce, ce, 3, 3))
     fb = w.get("gfa.fuse_b", (ce,))
-    return FeatureGrid(conv2d(total, fw, fb))
+    return FeatureGrid._of(conv2d(total, fw, fb))
 
 
 def brm(fused: FeatureGrid, w: WeightStore) -> FeatureGrid:
@@ -376,7 +376,7 @@ def brm(fused: FeatureGrid, w: WeightStore) -> FeatureGrid:
     del ctx
     edge_w = v.reshape(1, ce, 1, 1) * w.get("brm.edge_dw_w", (ce, 3, 3))[None]
     logits += conv2d(fused.data, edge_w, c)
-    return FeatureGrid(logits)
+    return FeatureGrid._of(logits)
 
 
 def forward(image: FeatureGrid, cfg: PipelineConfig | None = None,
@@ -393,12 +393,18 @@ def forward(image: FeatureGrid, cfg: PipelineConfig | None = None,
     Each stage input is handed over to its encoder block, and each stage
     output to gfa, without a second reference, so every full-resolution
     buffer is freed once its last reader is done.
+
+    Values are checked where they enter: ``image`` when built, each block at
+    its ``WeightStore.get`` (``sN.ssm.a_log`` against ``cfg.state_dim``; other
+    scan blocks in SsmParams), the logits before the sigmoid maps inf to 0 or 1.
     """
     cfg = cfg or PipelineConfig()
     if image.channels != 1:
         raise DimensionError(f"expected a single-channel image, got {image.channels}")
     _check_input(cfg, image.height, image.width)
     w = w if w is not None else default_weights(cfg)
+    for stage, channels in enumerate(cfg.channels, start=1):
+        w.get(f"s{stage}.ssm.a_log", (channels, cfg.state_dim))
     # held owns each stage input alone and pops it into the block, which
     # frees it once it is split
     held = [stem(image, cfg, w)]
@@ -411,8 +417,10 @@ def forward(image: FeatureGrid, cfg: PipelineConfig | None = None,
     del x
     # hand the stage outputs over one by one, so gfa frees each once it is projected
     fused = gfa((taps.pop(0) for _ in range(STAGES)), w)
-    logits = brm(fused, w)
-    mask = FeatureGrid(sigmoid(logits.data))
+    logits = brm(fused, w).data
+    if not np.isfinite(logits).all():
+        raise ValueError(f"logits hold {np.count_nonzero(~np.isfinite(logits))} non-finite values")
+    mask = FeatureGrid._of(sigmoid(logits))
     if (mask.height, mask.width) != (image.height, image.width):
         mask = resize_bilinear(mask, image.height, image.width)
     return mask

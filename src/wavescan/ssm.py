@@ -87,6 +87,8 @@ class SsmParams:
             raise DimensionError(f"d_skip must be (C,), got {d_skip.shape}")
         if np.any(np.isposinf(a_log)) or np.any(np.isnan(a_log)):
             raise ValueError("a_log must be finite or -inf")
+        if not np.all(np.isfinite(d_skip)):
+            raise ValueError("d_skip must be finite")
         object.__setattr__(self, "a_log", a_log)
         object.__setattr__(self, "d_skip", d_skip)
         c_dim, n = a_log.shape

@@ -90,9 +90,8 @@ def dwt_haar(x: FeatureGrid) -> SubbandSet:
         np.subtract(s[:, :, 0::2], s[:, :, 1::2], out=hl[start:stop])
         np.add(t[:, :, 0::2], t[:, :, 1::2], out=lh[start:stop])
         np.subtract(t[:, :, 0::2], t[:, :, 1::2], out=hh[start:stop])
-    del rows_sum, rows_diff, s, t  # freed before the bands' finiteness checks
-    return SubbandSet(ll=FeatureGrid(ll), lh=FeatureGrid(lh),
-                      hl=FeatureGrid(hl), hh=FeatureGrid(hh))
+    return SubbandSet(ll=FeatureGrid._of(ll), lh=FeatureGrid._of(lh),
+                      hl=FeatureGrid._of(hl), hh=FeatureGrid._of(hh))
 
 
 def idwt_haar(s: SubbandSet, target_h: int | None = None, target_w: int | None = None) -> FeatureGrid:
@@ -122,5 +121,4 @@ def idwt_haar(s: SubbandSet, target_h: int | None = None, target_w: int | None =
         q *= 0.5
         np.add(p, q, out=out[sl, 0::2])
         np.subtract(p, q, out=out[sl, 1::2])
-    del rows_sum, rows_diff, p, q  # freed before the output's finiteness check
-    return FeatureGrid(out[:, :target_h, :target_w])
+    return FeatureGrid._of(out[:, :target_h, :target_w])

@@ -62,12 +62,13 @@ class WeightStore:
         return self._blocks.items()
 
     def get(self, name: str, shape: Sequence[int]) -> np.ndarray:
-        """Fetch a block, validating its declared shape."""
+        """Fetch a block, checking that it has ``shape`` and ``_check_finite``'s values."""
         arr = self[name]
         if arr.shape != tuple(shape):
             raise DimensionError(
                 f"block {name!r} has shape {arr.shape}, consumer expects {tuple(shape)}"
             )
+        _check_finite(name, arr)
         return arr
 
     def save(self, path) -> None:
@@ -75,19 +76,23 @@ class WeightStore:
 
     @classmethod
     def load(cls, path) -> "WeightStore":
-        """Read a .fgw bundle, rejecting by name any block with NaN or an infinity.
-
-        An ``ssm.a_log`` block may hold -inf, the integrator limit SsmParams accepts.
-        """
+        """Read a .fgw bundle, rejecting by name a block ``_check_finite`` rejects."""
         blocks = fileio.read_store(path)
         for name, arr in blocks.items():
-            bad = ~np.isfinite(arr)
-            if ("." + name).endswith(".ssm.a_log"):
-                bad &= ~np.isneginf(arr)
-            if bad.any():
-                raise InputError(f"weight block {name!r} in {path} holds "
-                                 f"{np.count_nonzero(bad)} non-finite value(s)")
+            _check_finite(name, arr, f" in {path}")
         return cls(blocks)
+
+
+def _check_finite(name: str, arr: np.ndarray, where: str = "") -> None:
+    """Raise InputError naming block ``name`` on NaN or an infinity (ssm.a_log may hold -inf)."""
+    if np.isfinite(arr).all():
+        return
+    bad = ~np.isfinite(arr)
+    if ("." + name).endswith(".ssm.a_log"):
+        bad &= ~np.isneginf(arr)
+    if bad.any():
+        raise InputError(f"weight block {name!r}{where} holds "
+                         f"{np.count_nonzero(bad)} non-finite value(s)")
 
 
 def seeded_init(spec: Iterable[tuple[str, Sequence[int]]], seed: int) -> WeightStore:

@@ -70,6 +70,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             AsgpConfig(probes=0)
 
+    @pytest.mark.parametrize("name", ["radius", "grad_gain", "repulsion_gain", "eps",
+                                      "splat_sigma"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value}$"):
+            AsgpConfig(**{name: value})
+
 
 class TestProbeSet:
     def test_init_probes_grid_jitter(self):
@@ -551,14 +558,25 @@ class TestProbeStepOracle:
         assert np.abs(got - oracle_repulsion(coords, cfg)).max() <= 1e-15
 
     def test_inf_offset_weight_still_raises(self):
-        # A zero carrier meets the inf weight as inf * 0: the offsets turn NaN,
-        # and the next step's coordinate check stops the loop.
+        # A zero carrier would meet the inf weight as inf * 0 and turn the
+        # offsets NaN; the weight check at the lookup names the block first.
         m0, _, probes, cfg, store = small_case("steps-0")
         store["asgp.sem_w1"] = store["asgp.sem_w1"].copy()
         store["asgp.sem_w1"][0, 0] = np.inf
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(ValueError, match="'asgp.sem_w1' holds 1 non-finite"):
             evolve_probes(m0, FeatureGrid.zeros(3, 16, 16), probes, AsgpConfig(steps=1, probes=16),
                           store)
+
+    def test_overflowing_offsets_stop_at_the_coordinate_check(self):
+        # Finite weights whose hidden layer overflows: inf - inf turns the
+        # offsets NaN, and the second step's coordinate check stops the loop.
+        m0, _, probes, cfg, store = small_case("steps-0")
+        store["asgp.sem_w1"] = np.full((4, 3), 1e308)
+        store["asgp.sem_w2"] = np.array([[1.0, -1.0, 0.0, 0.0]] * 2)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="coordinates must be"):
+            evolve_probes(m0, FeatureGrid.full(3, 16, 16, 1.0), probes,
+                          AsgpConfig(steps=2, probes=16), store)
 
     def test_offset_head_shape_still_checked(self):
         m0, x, probes, cfg, store = small_case("steps-0")

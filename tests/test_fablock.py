@@ -104,8 +104,11 @@ class TestFaScan:
         assert np.abs(out.data - x.data).max() <= 1e-5
 
     def test_too_small_rejected(self):
+        # dwt_haar's own size check stops both scans.
         with pytest.raises(DimensionError):
             fa_scan(FeatureGrid.zeros(1, 1, 8), SsmParams.identity(1))
+        with pytest.raises(DimensionError):
+            cross_scan(FeatureGrid.zeros(1, 8, 1), SsmParams.identity(1))
 
     @pytest.mark.parametrize("shape", [(3, 8, 8), (2, 7, 9)])
     def test_kept_carrier_matches_handed_over_and_is_unchanged(self, shape):

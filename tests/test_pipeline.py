@@ -3,7 +3,7 @@ import pytest
 
 from wavescan import pipeline
 from wavescan.asgp import asgp_gate, coarse_potential, evolve_probes, refine_mask
-from wavescan.errors import ConfigError, DimensionError
+from wavescan.errors import ConfigError, DimensionError, InputError
 from wavescan.fablock import fa_scan, lgb
 from wavescan.flops import conv_macs, cross_scan_macs, fa_scan_macs, flop_estimate
 from wavescan.grid import FeatureGrid
@@ -424,6 +424,49 @@ class TestForward:
         img = FeatureGrid(np.random.default_rng(4).uniform(size=(1, 64, 64)))
         mask = forward(img, cfg)
         assert mask.shape == (1, 64, 64)
+
+    def test_64x64_forward_checks_only_the_scan_outputs(self, monkeypatch):
+        # Layers wrap what they compute unchecked; only deserialize, whose
+        # sequence may come from a caller, checks: 4 stages x 4 bands.
+        img = FeatureGrid(np.random.default_rng(6).uniform(size=(1, 64, 64)))
+        w = default_weights(PipelineConfig())
+        checked = []
+        check = FeatureGrid.__post_init__
+
+        def counting(grid):
+            checked.append(grid.shape)
+            check(grid)
+
+        monkeypatch.setattr(FeatureGrid, "__post_init__", counting)
+        forward(img, PipelineConfig(), w)
+        assert len(checked) == 16
+
+    @pytest.mark.parametrize("name", ["stem.b", "s2.align.w1", "s3.lgb.up_w", "s4.asgp.key_w",
+                                      "gfa.fuse_w", "brm.edge_dw_w", "s2.asgp.sem_w1"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_block_built_in_code_rejected_by_name(self, name, value):
+        w = default_weights(PipelineConfig())
+        bad = w[name].copy()
+        bad.flat[-1] = value
+        w[name] = bad
+        img = FeatureGrid(np.random.default_rng(7).uniform(size=(1, 32, 32)))
+        with pytest.raises(InputError, match=f"block '{name}' holds 1 non-finite"):
+            forward(img, PipelineConfig(), w)
+
+    def test_integrator_limit_in_a_log_runs(self):
+        w = default_weights(PipelineConfig())
+        a_log = w["s1.ssm.a_log"].copy()
+        a_log[0] = -np.inf
+        w["s1.ssm.a_log"] = a_log
+        img = FeatureGrid(np.random.default_rng(7).uniform(size=(1, 32, 32)))
+        assert np.isfinite(forward(img, PipelineConfig(), w).data).all()
+
+    def test_store_scan_width_must_match_state_dim(self):
+        w = default_weights(PipelineConfig())
+        img = FeatureGrid(np.random.default_rng(8).uniform(size=(1, 32, 32)))
+        with pytest.raises(DimensionError, match="block 's1.ssm.a_log' has shape \\(16, 8\\), "
+                                                 "consumer expects \\(16, 4\\)"):
+            forward(img, PipelineConfig(state_dim=4), w)
 
     def test_input_constraints(self):
         cfg = PipelineConfig()

@@ -164,6 +164,14 @@ class TestValidationAndStore:
             SsmParams(state_dim=1, a_log=np.full((1, 1), np.inf), d_skip=np.zeros(1),
                       selective=False, delta=np.ones(1), b=np.ones(1), c=np.ones(1))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_d_skip(self, bad):
+        d_skip = np.zeros(2)
+        d_skip[1] = bad
+        with pytest.raises(ValueError, match="^d_skip must be finite$"):
+            SsmParams(state_dim=1, a_log=np.zeros((2, 1)), d_skip=d_skip,
+                      selective=False, delta=np.ones(2), b=np.ones(1), c=np.ones(1))
+
     def test_static_requires_positive_step(self):
         with pytest.raises(ValueError):
             SsmParams(state_dim=1, a_log=np.zeros((1, 1)), d_skip=np.zeros(1),
