@@ -41,7 +41,7 @@ from .asgp import (
     init_probes,
     refine_mask,
 )
-from .fablock import LgbConfig, ScanAssignment, cross_scan, fa_scan, lgb
+from .fablock import ScanAssignment, cross_scan, fa_scan, lgb
 from .flops import cross_scan_macs, fa_scan_macs, flop_estimate
 from .metrics import (
     OdsResult,

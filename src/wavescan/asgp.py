@@ -13,6 +13,11 @@ matrices.  The refined probes are splatted back to pixel space as M1
 (separable Gaussians, one small matrix product), and the blended gate
 sigmoid(w*M1 + (1-w)*M0) multiplies the high-frequency bands so only
 structure-consistent detail survives.
+
+The probe step is a fixed design.  Module constants hold its separation
+radius _RADIUS, gradient and repulsion gains _GRAD_GAIN and
+_REPULSION_GAIN, distance floor _EPS, splat width _SPLAT_SIGMA and gate
+blend _BLEND (M1's weight w); AsgpConfig holds only the step and probe counts.
 """
 
 from __future__ import annotations
@@ -32,35 +37,25 @@ from .grid import (
     as_coord_array,
     require_single_channel,
 )
-from .nn import avg_pool_2x2, relu, sigmoid
+from .nn import relu, sigmoid
 from .weights import WeightStore
 
 # Column-block budget, in bytes, of the keys coarse_potential holds at once.
 _KEY_BLOCK_BYTES = 1 << 20
+_RADIUS, _GRAD_GAIN, _REPULSION_GAIN, _EPS = 0.15, 0.1, 0.05, 1e-5
+_SPLAT_SIGMA, _BLEND = 0.1, 0.5
 
 
 @dataclass(frozen=True)
 class AsgpConfig:
     steps: int = 3
     probes: int = 64
-    radius: float = 0.15
-    grad_gain: float = 0.1
-    repulsion_gain: float = 0.05
-    eps: float = 1e-5
-    blend: float = 0.5
-    splat_sigma: float = 0.1
 
     def __post_init__(self):
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
         if self.probes < 1:
             raise ValueError("need at least one probe")
-        for name in ("radius", "grad_gain", "repulsion_gain", "eps", "splat_sigma"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-        if not 0.0 <= self.blend <= 1.0:
-            raise ValueError("blend must lie in [0, 1]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,20 +95,21 @@ class ProbeSet:
         return self.embeddings.shape[1]
 
 
-def init_probes(n: int, embeddings: np.ndarray, seed: int, jitter: float = 0.5) -> ProbeSet:
+def init_probes(n: int, embeddings: np.ndarray, seed: int) -> ProbeSet:
     """Probes on a uniformly jittered grid over [-1, 1]^2 (deterministic per seed)."""
-    grid_coords = probe_grid_coords(n, seed, jitter)
+    grid_coords = probe_grid_coords(n, seed)
     return ProbeSet(coords=grid_coords, embeddings=np.asarray(embeddings), scores=np.full(n, 0.5))
 
 
-def probe_grid_coords(n: int, seed: int, jitter: float = 0.5) -> np.ndarray:
+def probe_grid_coords(n: int, seed: int) -> np.ndarray:
+    """n cell centres of a square grid over [-1, 1]^2, each moved by up to a quarter cell."""
     side = int(np.ceil(np.sqrt(n)))
     cell = 2.0 / side
     centers = -1.0 + cell * (np.arange(side) + 0.5)
     xx, yy = np.meshgrid(centers, centers)
     coords = np.stack([xx.ravel(), yy.ravel()], axis=1)[:n]
     rng = np.random.default_rng(seed)
-    coords = coords + rng.uniform(-0.5, 0.5, coords.shape) * cell * jitter
+    coords = coords + rng.uniform(-0.5, 0.5, coords.shape) * cell * 0.5
     return np.clip(coords, -1.0, 1.0)
 
 
@@ -170,7 +166,7 @@ def coarse_potential(probes: ProbeSet, x_ll: FeatureGrid, w: WeightStore,
     return FeatureGrid._of(sigmoid(field).reshape(1, h, width))
 
 
-def repulsion_forces(coords: np.ndarray, cfg: AsgpConfig) -> np.ndarray:
+def repulsion_forces(coords: np.ndarray) -> np.ndarray:
     """Truncated pairwise repulsion, active only below the separation radius.
 
     The pairwise offsets are two N x N matrices, one per axis, each reduced
@@ -184,9 +180,9 @@ def repulsion_forces(coords: np.ndarray, cfg: AsgpConfig) -> np.ndarray:
     dist = dx * dx
     dist += dy * dy
     np.sqrt(dist, out=dist)
-    weight = 1.0 - dist / cfg.radius
+    weight = 1.0 - dist / _RADIUS
     np.maximum(weight, 0.0, out=weight)
-    dist += cfg.eps
+    dist += _EPS
     weight /= dist
     # A probe's offset from itself is 0, so the diagonal adds nothing.
     dx *= weight
@@ -240,10 +236,10 @@ def evolve_probes(m0: Mask, x_ll: FeatureGrid, probes: ProbeSet, cfg: AsgpConfig
         at = _norm_corners(as_coord_array(coords), h, width)
         sem = _offsets(_blend(x_ll.data, at).T, *head)
         grad = _slope(field, at if shared else _norm_corners(coords, *field.shape))
-        force = repulsion_forces(coords, cfg)
+        force = repulsion_forces(coords)
         coords += sem
-        coords += cfg.grad_gain * grad
-        coords += cfg.repulsion_gain * force
+        coords += _GRAD_GAIN * grad
+        coords += _REPULSION_GAIN * force
         np.clip(coords, -1.0, 1.0, out=coords)
         if trajectory is not None:
             trajectory.append(coords.copy())
@@ -252,51 +248,36 @@ def evolve_probes(m0: Mask, x_ll: FeatureGrid, probes: ProbeSet, cfg: AsgpConfig
     return ProbeSet(coords=coords, embeddings=probes.embeddings, scores=scores)
 
 
-def refine_mask(probes: ProbeSet, shape: tuple[int, int],
-                cfg: AsgpConfig | None = None) -> Mask:
+def refine_mask(probes: ProbeSet, shape: tuple[int, int]) -> Mask:
     """Score-weighted Gaussian splats of the probes, through a logistic.
 
     The isotropic splat factors as exp(-dx^2/2s^2) * exp(-dy^2/2s^2), so
     the field is one (H, N) @ (N, W) product of per-probe row and column
     profiles; no probes x H x W stack is built.
     """
-    cfg = cfg or AsgpConfig()
     h, width = shape
     if h < 1 or width < 1:
         raise DimensionError(f"mask shape must be positive, got {shape}")
     xs = np.linspace(-1.0, 1.0, width) if width > 1 else np.zeros(1)
     ys = np.linspace(-1.0, 1.0, h) if h > 1 else np.zeros(1)
-    scale = -1.0 / (2.0 * cfg.splat_sigma ** 2)
+    scale = -1.0 / (2.0 * _SPLAT_SIGMA ** 2)
     gx = np.exp(scale * (xs[None, :] - probes.coords[:, 0, None]) ** 2)  # (N, W)
     gy = np.exp(scale * (ys[None, :] - probes.coords[:, 1, None]) ** 2)  # (N, H)
     field = (gy.T * probes.scores) @ gx
     return FeatureGrid._of(sigmoid(field)[None, :, :])
 
 
-def _match_band_shape(mask: Mask, band_h: int, band_w: int) -> np.ndarray:
-    if (mask.height, mask.width) == (band_h, band_w):
-        return mask.data[0]
-    if (mask.height, mask.width) == (2 * band_h, 2 * band_w):
-        return avg_pool_2x2(mask.data)[0]
-    raise DimensionError(
-        f"mask {mask.height}x{mask.width} does not match bands {band_h}x{band_w}"
-    )
-
-
-def asgp_gate(m0: Mask, m1: Mask, bands: Sequence[FeatureGrid],
-              cfg: AsgpConfig | None = None) -> list[FeatureGrid]:
-    """Blend the two masks into a gate and multiply the high bands by it."""
-    cfg = cfg or AsgpConfig()
+def asgp_gate(m0: Mask, m1: Mask, bands: Sequence[FeatureGrid]) -> list[FeatureGrid]:
+    """Multiply the high bands by a gate blended from two masks of the bands' shape."""
     require_single_channel(m0, "coarse mask")
     require_single_channel(m1, "refined mask")
     bands = list(bands)
     if not bands:
         raise DimensionError("need at least one band to gate")
-    band_h, band_w = bands[0].height, bands[0].width
-    for band in bands[1:]:
-        if (band.height, band.width) != (band_h, band_w):
-            raise DimensionError("bands must share one spatial shape")
-    coarse = _match_band_shape(m0, band_h, band_w)
-    fine = _match_band_shape(m1, band_h, band_w)
-    gate = sigmoid(cfg.blend * fine + (1.0 - cfg.blend) * coarse)
+    shape = (bands[0].height, bands[0].width)
+    for grid in (m0, m1, *bands[1:]):
+        if (grid.height, grid.width) != shape:
+            raise DimensionError(f"masks and bands must share one spatial shape, got "
+                                 f"{grid.height}x{grid.width} and {shape[0]}x{shape[1]}")
+    gate = sigmoid(_BLEND * m1.data[0] + (1.0 - _BLEND) * m0.data[0])
     return [FeatureGrid._of(band.data * gate) for band in bands]

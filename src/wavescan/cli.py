@@ -53,7 +53,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _check_at_least(flag: str, value: int, least: int) -> None:
+def _check_at_least(flag: str, value: float, least: float) -> None:
     """Raise a ValueError naming ``flag`` and its value when it is below ``least``."""
     if value < least:
         raise ValueError(f"{flag} must be at least {least}, got {value}")
@@ -63,6 +63,7 @@ def _check_at_least(flag: str, value: int, least: int) -> None:
 
 
 def cmd_dwt_roundtrip(args) -> int:
+    _check_at_least("--seed", args.seed, 0)
     _check_at_least("--size", args.size, 2)  # the transform splits pairs of rows and columns
     _check_at_least("--channels", args.channels, 1)
     rng = np.random.default_rng(args.seed)
@@ -117,6 +118,7 @@ def cmd_scan_bench(args) -> int:
 
 
 def cmd_probe_demo(args) -> int:
+    _check_at_least("--seed", args.seed, 0)
     _check_at_least("--size", args.size, _MIN_BEZIER_WIDTH)  # a bezier canvas
     _check_at_least("--steps", args.steps, 0)
     _check_at_least("--probes", args.probes, 1)
@@ -132,9 +134,9 @@ def cmd_probe_demo(args) -> int:
     m0 = coarse_potential(probes, carrier, store)
     trajectory: list[np.ndarray] = []
     refined = evolve_probes(m0, carrier, probes, cfg, store, trajectory=trajectory)
-    m1 = refine_mask(refined, (carrier.height, carrier.width), cfg)
+    m1 = refine_mask(refined, (carrier.height, carrier.width))
     unit = FeatureGrid(np.ones((1, carrier.height, carrier.width)))
-    gate = asgp_gate(m0, m1, [unit], cfg)[0].data[0]
+    gate = asgp_gate(m0, m1, [unit])[0].data[0]
     rows = [
         [t, i, _fmt(float(coords[i, 0])), _fmt(float(coords[i, 1]))]
         for t, coords in enumerate(trajectory)
@@ -200,9 +202,9 @@ def parse_config_text(lines, seed_override: int | None = None) -> PipelineConfig
     if "assign" in fields:
         kwargs["assign"] = ScanAssignment.parse(fields["assign"])
     asgp_kwargs: dict = {}
-    for key, attr in (("probes", "probes"), ("steps", "steps")):
+    for key in ("probes", "steps"):
         if key in fields:
-            asgp_kwargs[attr] = _config_number(key, fields[key], int)
+            asgp_kwargs[key] = _config_number(key, fields[key], int)
     if asgp_kwargs:
         kwargs["asgp"] = AsgpConfig(**asgp_kwargs)
     if seed_override is not None:
@@ -211,6 +213,8 @@ def parse_config_text(lines, seed_override: int | None = None) -> PipelineConfig
 
 
 def cmd_forward(args) -> int:
+    if args.seed is not None:
+        _check_at_least("--seed", args.seed, 0)
     try:
         image = fileio.load_pgm(args.image)
     except OSError as exc:
@@ -257,6 +261,8 @@ def cmd_eval(args) -> int:
     into the ODS counts first and are dropped once the hit mask is built,
     so scoring holds one copy of each mask.
     """
+    if not 0.0 < args.threshold < 1.0:
+        raise ValueError(f"--threshold must lie in (0, 1), got {args.threshold}")
     pred_dir, gt_dir = Path(args.pred_dir), Path(args.gt_dir)
     names = sorted(p.name for p in pred_dir.glob("*.pgm"))
     pairs = [(n, pred_dir / n, gt_dir / n) for n in names if (gt_dir / n).exists()]
@@ -289,6 +295,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth_gen(args) -> int:
+    _check_at_least("--seed", args.seed, 0)
     _check_at_least("--count", args.count, 1)
     _check_at_least("--size", args.size,
                     _MIN_BEZIER_WIDTH if args.orientation == "bezier" else _MIN_SIDE)
@@ -298,6 +305,9 @@ def cmd_synth_gen(args) -> int:
     for flag, value in (("--contrast", args.contrast), ("--texture", args.texture)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
+    if not 0.0 < args.contrast <= 1.0:
+        raise ValueError(f"--contrast must lie in (0, 1], got {args.contrast}")
+    _check_at_least("--texture", args.texture, 0)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -325,6 +335,7 @@ def cmd_synth_gen(args) -> int:
 
 
 def cmd_mismatch_demo(args) -> int:
+    _check_at_least("--seed", args.seed, 0)
     _check_at_least("--size", args.size, _MIN_SIDE)
     sample = generate_sample(SynthConfig(
         height=args.size, width=args.size, curves=1, orientation=args.orientation,

@@ -9,8 +9,9 @@ directions per sub-band, outputs averaged.
 
 lgb is the residual LightGate Bottleneck mixer: a C -> C/r -> C
 bottleneck with a 3x3 depthwise conv inside, modulated by a per-stage
-channel gate (ECA-style 1-D conv for early stages, squeeze/excite for
-late stages) and added back to the input.
+channel gate and added back to the input.  The stage's letter of the
+policy picks the gate: "E" for an ECA-style 1-D conv (early stages), "G"
+for squeeze/excite (late stages).
 """
 
 from __future__ import annotations
@@ -69,22 +70,9 @@ class ScanAssignment:
 _LGB_RATIO, _ECA_KERNEL, _GSE_REDUCTION = 4, 3, 4
 
 
-@dataclass(frozen=True)
-class LgbConfig:
-    """Stage-adaptive gating policy."""
-
-    stage: int = 1
-    policy: str = "EEGG"
-
-    def __post_init__(self):
-        if not 1 <= self.stage <= 4:
-            raise ValueError(f"stage must be 1..4, got {self.stage}")
-        if len(self.policy) != 4 or any(ch not in "EG" for ch in self.policy):
-            raise ValueError(f"policy must be 4 letters from E/G, got {self.policy!r}")
-
-    @property
-    def letter(self) -> str:
-        return self.policy[self.stage - 1]
+def _check_letter(letter: str) -> None:
+    if letter not in ("E", "G"):
+        raise ValueError(f"gate letter must be 'E' or 'G', got {letter!r}")
 
 
 def _scan_band(band: FeatureGrid, kind: ScanKind, psi: SsmParams) -> FeatureGrid:
@@ -165,7 +153,8 @@ def _gse_hidden(channels: int) -> int:
     return max(1, channels // _GSE_REDUCTION)
 
 
-def lgb_weight_spec(channels: int, cfg: LgbConfig, prefix: str = "") -> list[tuple[str, tuple]]:
+def lgb_weight_spec(channels: int, letter: str, prefix: str = "") -> list[tuple[str, tuple]]:
+    _check_letter(letter)
     inner = _lgb_inner(channels)
     spec = [
         (prefix + "lgb.down_w", (inner, channels)),
@@ -175,7 +164,7 @@ def lgb_weight_spec(channels: int, cfg: LgbConfig, prefix: str = "") -> list[tup
         (prefix + "lgb.up_w", (channels, inner)),
         (prefix + "lgb.up_b", (channels,)),
     ]
-    if cfg.letter == "E":
+    if letter == "E":
         spec += [(prefix + "lgb.eca_w", (_ECA_KERNEL,)), (prefix + "lgb.eca_b", (1,))]
     else:
         hidden = _gse_hidden(channels)
@@ -188,11 +177,12 @@ def lgb_weight_spec(channels: int, cfg: LgbConfig, prefix: str = "") -> list[tup
     return spec
 
 
-def lgb_gate(y: FeatureGrid, cfg: LgbConfig, w: WeightStore, prefix: str = "") -> np.ndarray:
+def lgb_gate(y: FeatureGrid, letter: str, w: WeightStore, prefix: str = "") -> np.ndarray:
     """Per-channel gate in (0, 1) selected by the stage's policy letter."""
+    _check_letter(letter)
     pooled = global_avg_pool(y.data)
     channels = y.channels
-    if cfg.letter == "E":
+    if letter == "E":
         kernel = w.get(prefix + "lgb.eca_w", (_ECA_KERNEL,))
         bias = w.get(prefix + "lgb.eca_b", (1,))
         pre = np.correlate(pooled, kernel, mode="same") + bias[0]
@@ -206,7 +196,7 @@ def lgb_gate(y: FeatureGrid, cfg: LgbConfig, w: WeightStore, prefix: str = "") -
     return sigmoid(pre)
 
 
-def lgb(y: FeatureGrid, cfg: LgbConfig, w: WeightStore, prefix: str = "") -> FeatureGrid:
+def lgb(y: FeatureGrid, letter: str, w: WeightStore, prefix: str = "") -> FeatureGrid:
     """Residual gated bottleneck: y + gate(y) * bottleneck(y)."""
     channels = y.channels
     inner = _lgb_inner(channels)
@@ -219,5 +209,5 @@ def lgb(y: FeatureGrid, cfg: LgbConfig, w: WeightStore, prefix: str = "") -> Fea
     branch = relu(conv1x1(y.data, down_w, down_b))
     branch = relu(depthwise_conv2d(branch, dw_w, dw_b))
     branch = conv1x1(branch, up_w, up_b)
-    gate = lgb_gate(y, cfg, w, prefix)
+    gate = lgb_gate(y, letter, w, prefix)
     return FeatureGrid._of(y.data + gate[:, None, None] * branch)

@@ -72,7 +72,7 @@ def flop_estimate(cfg: PipelineConfig | None = None,
         report[p + "align"] = ((size[p + "align.w1"] + size[p + "align.w2"]) * hw
                                + resize_macs(ch, bh, bw))
         report[p + "scan"] = fa_scan_macs(ch, bh, bw, cfg.state_dim)
-        if cfg.lgb_config(stage).letter == "E":
+        if cfg.policy[stage - 1] == "E":
             gate = size[p + "lgb.eca_w"] * ch  # one correlation per channel
         else:
             gate = size[p + "lgb.gse_w1"] + size[p + "lgb.gse_w2"]

@@ -249,14 +249,6 @@ def global_avg_pool(x: np.ndarray) -> np.ndarray:
     return x.mean(axis=(1, 2))
 
 
-def rms_normalize(x: np.ndarray, eps: float = 1e-8) -> np.ndarray:
+def rms_normalize(x: np.ndarray) -> np.ndarray:
     """Scale a tensor to unit root-mean-square (zero stays zero)."""
-    return x / np.sqrt(np.mean(x ** 2) + eps)
-
-
-def avg_pool_2x2(x: np.ndarray) -> np.ndarray:
-    """Non-overlapping 2x2 mean pooling of a (C,H,W) array with even dims."""
-    c, h, w = x.shape
-    if h % 2 or w % 2:
-        raise DimensionError(f"2x2 pooling needs even dims, got {h}x{w}")
-    return x.reshape(c, h // 2, 2, w // 2, 2).mean(axis=(2, 4))
+    return x / np.sqrt(np.mean(x ** 2) + 1e-8)

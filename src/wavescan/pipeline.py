@@ -31,7 +31,7 @@ from .asgp import (
     refine_mask,
 )
 from .errors import ConfigError, DimensionError
-from .fablock import _LGB_RATIO, LgbConfig, ScanAssignment, fa_scan, lgb, lgb_weight_spec
+from .fablock import _LGB_RATIO, ScanAssignment, fa_scan, lgb, lgb_weight_spec
 from .grid import FeatureGrid, Mask, resize_bilinear, sample_px
 from .nn import conv1x1, conv2d, depthwise_conv2d, global_avg_pool, relu, rms_normalize, sigmoid
 from .ssm import SsmParams
@@ -66,16 +66,14 @@ class PipelineConfig:
             raise ConfigError("stem stride must be 1 or 2")
         if self.gate_mode not in ("probe", "unit"):
             raise ConfigError(f"unknown gate mode {self.gate_mode!r}")
-        LgbConfig(stage=1, policy=self.policy)  # validates the policy string
+        if len(self.policy) != STAGES or any(ch not in "EG" for ch in self.policy):
+            raise ConfigError(f"policy must be {STAGES} letters from E/G, got {self.policy!r}")
         if self.state_dim < 1:
             raise ConfigError("state_dim must be positive")
         if not (math.isfinite(self.max_offset) and self.max_offset > 0):
             raise ConfigError(f"max_offset must be positive and finite, got {self.max_offset}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-
-    def lgb_config(self, stage: int) -> LgbConfig:
-        return LgbConfig(stage=stage, policy=self.policy)
 
     @property
     def decoder_channels(self) -> int:
@@ -157,6 +155,8 @@ def align(x_ll: FeatureGrid, x_hf, w: WeightStore, prefix: str = "",
 
 
 def stage_weight_spec(channels: int, cfg: PipelineConfig, stage: int) -> list[tuple[str, tuple]]:
+    if not 1 <= stage <= STAGES:
+        raise ValueError(f"stage must be 1..{STAGES}, got {stage}")
     p = f"s{stage}."
     n = cfg.state_dim
     spec = align_weight_spec(channels, p)
@@ -168,7 +168,7 @@ def stage_weight_spec(channels: int, cfg: PipelineConfig, stage: int) -> list[tu
         (p + "ssm.proj_b", (n, channels)),
         (p + "ssm.proj_c", (n, channels)),
     ]
-    spec += lgb_weight_spec(channels, cfg.lgb_config(stage), p)
+    spec += lgb_weight_spec(channels, cfg.policy[stage - 1], p)
     spec += asgp_weight_spec(channels, channels, cfg.asgp.probes, p)
     spec += [(p + "asgp.probe_coords", (cfg.asgp.probes, 2))]
     return spec
@@ -255,12 +255,12 @@ def encoder_block(x: FeatureGrid, cfg: PipelineConfig, w: WeightStore,
         probes = _stage_probes(w, cfg, channels, prefix)
         m0 = coarse_potential(probes, aligned, w, prefix)
         probes = evolve_probes(m0, aligned, probes, cfg.asgp, w, prefix)
-        m1 = refine_mask(probes, (aligned.height, aligned.width), cfg.asgp)
-        gated = asgp_gate(m0, m1, bands.high(), cfg.asgp)
+        m1 = refine_mask(probes, (aligned.height, aligned.width))
+        gated = asgp_gate(m0, m1, bands.high())
         del aligned
     del bands
     carrier = fa_scan(held.pop(), SsmParams.from_store(w, prefix), cfg.assign)
-    carrier = lgb(carrier, cfg.lgb_config(stage), w, prefix)
+    carrier = lgb(carrier, cfg.policy[stage - 1], w, prefix)
     merged = SubbandSet(ll=carrier, lh=gated[0], hl=gated[1], hh=gated[2])
     return idwt_haar(merged, height, width)
 

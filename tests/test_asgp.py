@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -53,29 +55,17 @@ def gaussian_peak_field(size=33, sigma=0.6, center=(0.0, 0.0)):
 class TestConfig:
     def test_defaults_are_calibrated(self):
         cfg = AsgpConfig()
+        assert [f.name for f in dataclasses.fields(cfg)] == ["steps", "probes"]
         assert (cfg.steps, cfg.probes) == (3, 64)
-        assert cfg.radius == pytest.approx(0.15)
-        assert cfg.grad_gain == pytest.approx(0.1)
-        assert cfg.repulsion_gain == pytest.approx(0.05)
-        assert cfg.eps == pytest.approx(1e-5)
-        assert cfg.blend == pytest.approx(0.5)
+        assert (asgp._RADIUS, asgp._GRAD_GAIN, asgp._REPULSION_GAIN, asgp._EPS) == (
+            0.15, 0.1, 0.05, 1e-5)
+        assert (asgp._SPLAT_SIGMA, asgp._BLEND) == (0.1, 0.5)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             AsgpConfig(steps=-1)
         with pytest.raises(ValueError):
-            AsgpConfig(radius=0.0)
-        with pytest.raises(ValueError):
-            AsgpConfig(blend=1.5)
-        with pytest.raises(ValueError):
             AsgpConfig(probes=0)
-
-    @pytest.mark.parametrize("name", ["radius", "grad_gain", "repulsion_gain", "eps",
-                                      "splat_sigma"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_value_rejected_by_name(self, name, value):
-        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {value}$"):
-            AsgpConfig(**{name: value})
 
 
 class TestProbeSet:
@@ -165,8 +155,7 @@ class TestEvolution:
         assert separation == pytest.approx(0.125, abs=2e-5)
 
     def test_forces_truncate_beyond_radius(self):
-        cfg = AsgpConfig()
-        forces = repulsion_forces(np.array([[0.0, 0.0], [0.3, 0.0]]), cfg)
+        forces = repulsion_forces(np.array([[0.0, 0.0], [0.3, 0.0]]))
         assert np.allclose(forces, 0.0)
 
     def test_clamp_projects_to_unit_box(self):
@@ -216,9 +205,10 @@ class TestEvolution:
         for before, after in zip(dists, dists[1:]):
             assert after >= before - 1e-12
 
-    def test_without_repulsion_probes_collapse_to_peak(self):
+    def test_without_repulsion_probes_collapse_to_peak(self, monkeypatch):
+        monkeypatch.setattr(asgp, "_REPULSION_GAIN", 1e-12)
         field = gaussian_peak_field()
-        cfg = AsgpConfig(steps=6, probes=8, repulsion_gain=1e-12)
+        cfg = AsgpConfig(steps=6, probes=8)
         store = zero_store(1, 4, 8)
         rng = np.random.default_rng(6)
         start = rng.uniform(-0.8, 0.8, (8, 2))
@@ -301,16 +291,13 @@ class TestGate:
         gated = asgp_gate(m0, m1, [FeatureGrid.zeros(3, 4, 4)])
         assert np.all(gated[0].data == 0.0)
 
-    def test_full_resolution_masks_are_pooled(self):
-        rng = np.random.default_rng(1)
-        m0 = FeatureGrid(rng.uniform(size=(1, 8, 8)))
-        m1 = FeatureGrid(rng.uniform(size=(1, 8, 8)))
-        band = FeatureGrid(rng.normal(size=(1, 4, 4)))
-        gated = asgp_gate(m0, m1, [band])
-        from wavescan.nn import avg_pool_2x2
-
-        gate = sigmoid(0.5 * avg_pool_2x2(m1.data) + 0.5 * avg_pool_2x2(m0.data))
-        assert np.abs(gated[0].data - band.data * gate).max() <= 1e-12
+    def test_full_resolution_masks_rejected(self):
+        # Both callers pass masks at the bands' shape; a 2H x 2W mask is an error.
+        small, full, band = (FeatureGrid.zeros(1, 4, 4), FeatureGrid.zeros(1, 8, 8),
+                             FeatureGrid.zeros(1, 4, 4))
+        for m0, m1 in ((full, small), (small, full)):
+            with pytest.raises(DimensionError, match="got 8x8 and 4x4"):
+                asgp_gate(m0, m1, [band])
 
     def test_gate_never_flips_sign_and_stays_in_unit_interval(self):
         rng = np.random.default_rng(2)
@@ -331,7 +318,7 @@ class TestGate:
         # encoder_block frees the band buffer once the gate has read it,
         # so the gate must return new arrays and leave its inputs as they are.
         rng = np.random.default_rng(3)
-        m0 = FeatureGrid(rng.uniform(size=(1, 8, 8)))
+        m0 = FeatureGrid(rng.uniform(size=(1, 4, 4)))
         m1 = FeatureGrid(rng.uniform(size=(1, 4, 4)))
         buffer = rng.normal(size=(4, 2, 4, 4))
         bands = [FeatureGrid(slot) for slot in buffer[1:]]
@@ -381,11 +368,12 @@ class TestReassociatedOracles:
         (5, (1, 1), 0.1),
         (64, (128, 128), 0.1),
     ])
-    def test_separable_splat_matches_stack(self, n, shape, sigma):
+    def test_separable_splat_matches_stack(self, monkeypatch, n, shape, sigma):
+        monkeypatch.setattr(asgp, "_SPLAT_SIGMA", sigma)
         rng = np.random.default_rng(n + shape[0])
         probes = ProbeSet(coords=rng.uniform(-1, 1, (n, 2)), embeddings=np.zeros((n, 2)),
                           scores=rng.uniform(0.0, 1.0, n))
-        got = refine_mask(probes, shape, AsgpConfig(splat_sigma=sigma)).data
+        got = refine_mask(probes, shape).data
         want = splat_stack_mask(probes, shape, sigma)
         assert got.shape == want.shape == (1,) + shape
         assert max_rel_err(got, want) <= 1e-12
@@ -432,11 +420,11 @@ def semantic_offsets(features, w, prefix=""):
     return _offsets(features, *_offset_weights(w, prefix, features.shape[1]))
 
 
-def oracle_repulsion(coords, cfg):
+def oracle_repulsion(coords):
     """The previous repulsion_forces: an N x N x 2 offset stack, weighted and summed."""
     diff = coords[:, None, :] - coords[None, :, :]
     dist = np.sqrt((diff ** 2).sum(axis=2))
-    weight = np.maximum(0.0, 1.0 - dist / cfg.radius) / (dist + cfg.eps)
+    weight = np.maximum(0.0, 1.0 - dist / asgp._RADIUS) / (dist + asgp._EPS)
     np.fill_diagonal(weight, 0.0)
     return (diff * weight[:, :, None]).sum(axis=1)
 
@@ -450,8 +438,8 @@ def oracle_evolve(m0, x_ll, probes, cfg, w, prefix=""):
         feats = bilinear_sample(x_ll, coords)
         sem = semantic_offsets(feats, w, prefix)
         grad = bilinear_gradient(m0, coords)
-        force = oracle_repulsion(coords, cfg)
-        coords = np.clip(coords + sem + cfg.grad_gain * grad + cfg.repulsion_gain * force,
+        force = oracle_repulsion(coords)
+        coords = np.clip(coords + sem + asgp._GRAD_GAIN * grad + asgp._REPULSION_GAIN * force,
                          -1.0, 1.0)
         trajectory.append(coords.copy())
     feats = bilinear_sample(x_ll, coords)
@@ -543,19 +531,17 @@ class TestProbeStepOracle:
     def test_repulsion_matches_stack_oracle(self, n, spread):
         rng = np.random.default_rng(n)
         coords = rng.uniform(-spread, spread, (n, 2))
-        cfg = AsgpConfig()
-        got = repulsion_forces(coords, cfg)
+        got = repulsion_forces(coords)
         assert got.shape == (n, 2)
-        assert np.abs(got - oracle_repulsion(coords, cfg)).max() <= 1e-15
+        assert np.abs(got - oracle_repulsion(coords)).max() <= 1e-15
         # Both sum each probe's pairs in the same order.
-        assert np.array_equal(got, oracle_repulsion(coords, cfg))
+        assert np.array_equal(got, oracle_repulsion(coords))
 
     def test_repulsion_of_coincident_probes_matches_oracle(self):
         coords = np.array([[0.1, 0.2], [0.1, 0.2], [0.15, 0.2], [0.1, 0.2], [-0.5, 0.5]])
-        cfg = AsgpConfig()
-        got = repulsion_forces(coords, cfg)
+        got = repulsion_forces(coords)
         assert np.all(np.isfinite(got))
-        assert np.abs(got - oracle_repulsion(coords, cfg)).max() <= 1e-15
+        assert np.abs(got - oracle_repulsion(coords)).max() <= 1e-15
 
     def test_inf_offset_weight_still_raises(self):
         # A zero carrier would meet the inf weight as inf * 0 and turn the

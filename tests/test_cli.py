@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import os
 import subprocess
@@ -92,6 +93,18 @@ def oracle_eval_csv(pred_dir: Path, gt_dir: Path, threshold: float) -> bytes:
     return text.getvalue().encode()
 
 
+def config_settings(cfg, prefix=""):
+    """Every leaf field of a config dataclass by dotted path, nested dataclasses walked."""
+    out = {}
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if dataclasses.is_dataclass(value):
+            out.update(config_settings(value, f"{prefix}{f.name}."))
+        else:
+            out[prefix + f.name] = value
+    return out
+
+
 class TestConfigParsing:
     def test_defaults_when_empty(self):
         cfg = parse_config_text([])
@@ -137,6 +150,32 @@ class TestConfigParsing:
         key = line.partition("=")[0].strip()
         with pytest.raises(ConfigError, match=key):
             parse_config_text([line])
+
+    # One config line per setting, each to a value other than its default.
+    SETTING_LINES = {
+        "channels": "channels = 8,16,32,64",
+        "stem_kernel": "stem_kernel = 5",
+        "stem_stride": "stem_stride = 2",
+        "policy": "policy = GGEE",
+        "assign.ll": "assign = ll=z",
+        "assign.lh": "assign = lh=v",
+        "assign.hl": "assign = hl=h",
+        "assign.hh": "assign = hh=snake",
+        "asgp.steps": "steps = 2",
+        "asgp.probes": "probes = 16",
+        "state_dim": "state_dim = 4",
+        "max_offset": "max_offset = 0.5",
+        "gate_mode": "gate = unit",
+        "seed": "seed = 3",
+    }
+
+    def test_every_setting_has_a_config_line(self):
+        # A field that no config line can set is a knob without a caller.
+        default = config_settings(PipelineConfig())
+        assert sorted(default) == sorted(self.SETTING_LINES)
+        for path, line in self.SETTING_LINES.items():
+            got = config_settings(parse_config_text([line]))
+            assert [k for k in default if got[k] != default[k]] == [path], line
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(
@@ -454,6 +493,25 @@ class TestSubcommands:
          "--width-min must be at least 1, got 0"),
         (["synth-gen", "--width-min", "3", "--width-max", "2", "--out-dir", "{tmp}/g"],
          "--width-max must be at least 3, got 2"),
+        # Seeds, the eval threshold and the synth ranges, checked before any work.
+        (["dwt-roundtrip", "--seed", "-1", "--out", "{tmp}/d.csv"],
+         "--seed must be at least 0, got -1"),
+        (["synth-gen", "--seed", "-1", "--out-dir", "{tmp}/g"],
+         "--seed must be at least 0, got -1"),
+        (["probe-demo", "--seed", "-1", "--out-dir", "{tmp}/p"],
+         "--seed must be at least 0, got -1"),
+        (["mismatch-demo", "--seed", "-1", "--out", "{tmp}/x.csv"],
+         "--seed must be at least 0, got -1"),
+        (["forward", "--image", "{inputs}/32x32.pgm", "--seed", "-1", "--out", "{tmp}/m.pgm"],
+         "--seed must be at least 0, got -1"),
+        (["eval", "--pred-dir", "{tmp}", "--gt-dir", "{tmp}", "--threshold", "1.5",
+          "--out", "{tmp}/e.csv"], "--threshold must lie in (0, 1), got 1.5"),
+        (["eval", "--pred-dir", "{tmp}", "--gt-dir", "{tmp}", "--threshold", "nan",
+          "--out", "{tmp}/e.csv"], "--threshold must lie in (0, 1), got nan"),
+        (["synth-gen", "--contrast", "0", "--out-dir", "{tmp}/g"],
+         "--contrast must lie in (0, 1], got 0.0"),
+        (["synth-gen", "--texture", "-1", "--out-dir", "{tmp}/g"],
+         "--texture must be at least 0, got -1.0"),
     ])
     def test_malformed_input_is_one_error_line(self, tmp_path, inputs, argv, says):
         code, err = run_cli(*(a.format(tmp=tmp_path, inputs=inputs) for a in argv))

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from wavescan import fablock
-from wavescan.errors import DimensionError
+from wavescan.errors import ConfigError, DimensionError
 from wavescan.fablock import (
-    LgbConfig,
     ScanAssignment,
     cross_scan,
     fa_scan,
@@ -15,10 +14,11 @@ from wavescan.fablock import (
 from wavescan.flops import cross_scan_macs, fa_scan_macs
 from wavescan.grid import FeatureGrid
 from wavescan.nn import conv1x1, depthwise_conv2d, global_avg_pool, relu, sigmoid
+from wavescan.pipeline import PipelineConfig, stage_weight_spec
 from wavescan.scanorder import ScanKind, build_scan_order, deserialize, serialize
 from wavescan.ssm import SsmParams, _coefficients, ssm_scan_sequential
 from wavescan.wavelet import SubbandSet, dwt_haar, idwt_haar
-from wavescan.weights import seeded_init
+from wavescan.weights import WeightStore, seeded_init
 
 
 class TestScanAssignment:
@@ -229,37 +229,44 @@ class TestCrossScan:
 
 
 class TestLgb:
-    def make(self, channels=8, stage=1, policy="EEGG", seed=0):
-        cfg = LgbConfig(stage=stage, policy=policy)
-        store = seeded_init(lgb_weight_spec(channels, cfg), seed)
-        return cfg, store
+    def make(self, letter="E", channels=8, seed=0):
+        return seeded_init(lgb_weight_spec(channels, letter), seed)
 
     def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            LgbConfig(stage=1, policy="EEG")
-        with pytest.raises(ValueError):
-            LgbConfig(stage=1, policy="EEXX")
-        with pytest.raises(ValueError):
-            LgbConfig(stage=5)
+        for policy in ("EEG", "EEXX", "EEGGE", "eegg"):
+            with pytest.raises(ConfigError,
+                               match=f"^policy must be 4 letters from E/G, got '{policy}'$"):
+                PipelineConfig(policy=policy)
 
     def test_default_policy_letters(self):
-        assert LgbConfig(stage=1).letter == "E"
-        assert LgbConfig(stage=2).letter == "E"
-        assert LgbConfig(stage=3).letter == "G"
-        assert LgbConfig(stage=4).letter == "G"
+        # ECA gates in stages 1 and 2, squeeze/excite in stages 3 and 4.
+        cfg = PipelineConfig()
+        assert cfg.policy == "EEGG"
+        for stage, gate_block in ((1, "eca_w"), (2, "eca_w"), (3, "gse_w1"), (4, "gse_w1")):
+            names = [name for name, _ in stage_weight_spec(cfg.channels[stage - 1], cfg, stage)]
+            assert f"s{stage}.lgb.{gate_block}" in names
+
+    @pytest.mark.parametrize("letter", ["X", "", "EG", "e"])
+    def test_unknown_letter_rejected(self, letter):
+        says = f"^gate letter must be 'E' or 'G', got {letter!r}$"
+        with pytest.raises(ValueError, match=says):
+            lgb_weight_spec(8, letter)
+        with pytest.raises(ValueError, match=says):
+            lgb_gate(FeatureGrid.zeros(8, 4, 4), letter, WeightStore())
 
     def test_zero_branch_is_exact_identity(self):
-        cfg, store = self.make()
+        store = self.make()
         for name in store.names():
             if not name.endswith(("eca_w", "eca_b")):
                 store[name] = np.zeros_like(store[name])
         y = FeatureGrid(np.random.default_rng(1).normal(size=(8, 6, 6)))
-        out = lgb(y, cfg, store)
+        out = lgb(y, "E", store)
         assert np.array_equal(out.data, y.data)
 
     @pytest.mark.parametrize("stage,letter", [(1, "E"), (3, "G")])
     def test_gate_driven_negative_annihilates_branch(self, stage, letter):
-        cfg, store = self.make(stage=stage)
+        assert PipelineConfig().policy[stage - 1] == letter
+        store = self.make(letter)
         if letter == "E":
             store["lgb.eca_w"] = np.zeros_like(store["lgb.eca_w"])
             store["lgb.eca_b"] = np.array([-20.0])
@@ -267,19 +274,20 @@ class TestLgb:
             store["lgb.gse_w2"] = np.zeros_like(store["lgb.gse_w2"])
             store["lgb.gse_b2"] = np.full_like(store["lgb.gse_b2"], -20.0)
         y = FeatureGrid(np.random.default_rng(2).normal(size=(8, 6, 6)))
-        out = lgb(y, cfg, store)
+        out = lgb(y, letter, store)
         assert np.abs(out.data - y.data).max() <= 1e-6
 
     @pytest.mark.parametrize("stage", [1, 4])
     def test_matches_step_by_step_oracle(self, stage):
-        cfg, store = self.make(stage=stage, seed=5)
+        letter = PipelineConfig().policy[stage - 1]
+        store = self.make(letter, seed=5)
         y = FeatureGrid(np.random.default_rng(3).normal(size=(8, 5, 7)))
-        got = lgb(y, cfg, store)
-        gate = lgb_gate(y, cfg, store)
+        got = lgb(y, letter, store)
+        gate = lgb_gate(y, letter, store)
         assert np.all(gate > 0.0) and np.all(gate < 1.0)
         # independent recomputation
         pooled = global_avg_pool(y.data)
-        if cfg.letter == "E":
+        if letter == "E":
             pre = np.correlate(pooled, store["lgb.eca_w"], mode="same") + store["lgb.eca_b"][0]
         else:
             pre = store["lgb.gse_w2"] @ relu(store["lgb.gse_w1"] @ pooled + store["lgb.gse_b1"]) + store["lgb.gse_b2"]
@@ -290,9 +298,8 @@ class TestLgb:
         assert np.abs(got.data - want).max() <= 1e-5
 
     def test_channels_must_divide_by_four(self):
-        cfg, store = self.make()
         with pytest.raises(DimensionError):
-            lgb(FeatureGrid.zeros(6, 4, 4), cfg, store)
+            lgb(FeatureGrid.zeros(6, 4, 4), "E", self.make())
 
     def test_parameter_count_vs_expansion_ffn(self):
         # the bottleneck replacement costs a few percent of a 4x-expansion
@@ -302,11 +309,11 @@ class TestLgb:
         ffn = channels * 4 * channels * 2
         branch = sum(
             int(np.prod(shape))
-            for name, shape in lgb_weight_spec(channels, LgbConfig(stage=1))
+            for name, shape in lgb_weight_spec(channels, "E")
             if not name.startswith("lgb.eca")
         )
         assert 0.06 <= branch / ffn <= 0.072
-        eca_total = sum(int(np.prod(s)) for _, s in lgb_weight_spec(channels, LgbConfig(stage=1)))
+        eca_total = sum(int(np.prod(s)) for _, s in lgb_weight_spec(channels, "E"))
         assert 0.06 <= eca_total / ffn <= 0.08
-        gse_total = sum(int(np.prod(s)) for _, s in lgb_weight_spec(channels, LgbConfig(stage=3)))
+        gse_total = sum(int(np.prod(s)) for _, s in lgb_weight_spec(channels, "G"))
         assert gse_total / ffn <= 0.14

@@ -6,7 +6,6 @@ from wavescan.asgp import ProbeSet, asgp_weight_spec, coarse_potential, refine_m
 from wavescan.errors import DimensionError
 from wavescan.grid import FeatureGrid, resize_bilinear, sample_px
 from wavescan.nn import (
-    avg_pool_2x2,
     conv1x1,
     conv2d,
     depthwise_conv2d,
@@ -430,16 +429,6 @@ class TestSmallOps:
     def test_global_avg_pool(self):
         x = np.arange(8.0).reshape(2, 2, 2)
         assert np.allclose(global_avg_pool(x), [1.5, 5.5])
-
-    def test_avg_pool_2x2(self):
-        x = np.arange(16.0).reshape(1, 4, 4)
-        out = avg_pool_2x2(x)
-        assert out.shape == (1, 2, 2)
-        assert out[0, 0, 0] == pytest.approx((0 + 1 + 4 + 5) / 4.0)
-
-    def test_avg_pool_needs_even(self):
-        with pytest.raises(DimensionError):
-            avg_pool_2x2(np.zeros((1, 3, 4)))
 
     def test_sigmoid_stable_extremes(self):
         out = sigmoid(np.array([-800.0, 0.0, 800.0]))

@@ -129,12 +129,12 @@ class TestEncoderBlock:
         bands = dwt_haar(x)
         aligned = align(bands.ll, bands.high(), store, "s1.", cfg.max_offset)
         psi = SsmParams.from_store(store, "s1.")
-        carrier = lgb(fa_scan(aligned, psi, cfg.assign), cfg.lgb_config(1), store, "s1.")
+        carrier = lgb(fa_scan(aligned, psi, cfg.assign), cfg.policy[0], store, "s1.")
         probes = _stage_probes(store, cfg, channels, "s1.")
         m0 = coarse_potential(probes, aligned, store, "s1.")
         moved = evolve_probes(m0, aligned, probes, cfg.asgp, store, "s1.")
-        m1 = refine_mask(moved, (8, 8), cfg.asgp)
-        gated = asgp_gate(m0, m1, bands.high(), cfg.asgp)
+        m1 = refine_mask(moved, (8, 8))
+        gated = asgp_gate(m0, m1, bands.high())
         want = idwt_haar(SubbandSet(carrier, *gated), 16, 16)
         assert np.abs(got.data - want.data).max() <= 1e-5
 
@@ -152,6 +152,12 @@ class TestEncoderBlock:
         held = [FeatureGrid(before.copy())]
         handed = encoder_block(held.pop(), cfg, store, stage=1)
         assert np.array_equal(got.data, handed.data)
+
+    def test_stage_outside_one_to_four_rejected(self):
+        # The stage picks its policy letter, so 0 must not wrap to stage 4's.
+        for stage in (0, 5):
+            with pytest.raises(ValueError, match=f"^stage must be 1..4, got {stage}$"):
+                stage_weight_spec(16, PipelineConfig(), stage)
 
     def test_rejects_small_or_odd_inputs(self):
         cfg = PipelineConfig(gate_mode="unit")
