@@ -33,7 +33,6 @@ from .scanorder import (
 )
 from .ssm import SsmParams, ssm_scan_parallel, ssm_scan_sequential
 from .asgp import (
-    AsgpConfig,
     ProbeSet,
     asgp_gate,
     coarse_potential,

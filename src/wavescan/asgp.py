@@ -17,7 +17,7 @@ structure-consistent detail survives.
 The probe step is a fixed design.  Module constants hold its separation
 radius _RADIUS, gradient and repulsion gains _GRAD_GAIN and
 _REPULSION_GAIN, distance floor _EPS, splat width _SPLAT_SIGMA and gate
-blend _BLEND (M1's weight w); AsgpConfig holds only the step and probe counts.
+blend _BLEND (M1's weight w); the step and probe counts are the only settings.
 """
 
 from __future__ import annotations
@@ -44,18 +44,6 @@ from .weights import WeightStore
 _KEY_BLOCK_BYTES = 1 << 20
 _RADIUS, _GRAD_GAIN, _REPULSION_GAIN, _EPS = 0.15, 0.1, 0.05, 1e-5
 _SPLAT_SIGMA, _BLEND = 0.1, 0.5
-
-
-@dataclass(frozen=True)
-class AsgpConfig:
-    steps: int = 3
-    probes: int = 64
-
-    def __post_init__(self):
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
-        if self.probes < 1:
-            raise ValueError("need at least one probe")
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,10 +195,10 @@ def _offsets(features: np.ndarray, w1, b1, w2, b2) -> np.ndarray:
     return np.tanh(hidden @ w2.T + b2)
 
 
-def evolve_probes(m0: Mask, x_ll: FeatureGrid, probes: ProbeSet, cfg: AsgpConfig,
+def evolve_probes(m0: Mask, x_ll: FeatureGrid, probes: ProbeSet, steps: int,
                   w: WeightStore, prefix: str = "",
                   trajectory: list | None = None) -> ProbeSet:
-    """Iterate the probe update rule for cfg.steps steps.
+    """Iterate the probe update rule for ``steps`` steps.
 
     Each step: sample carrier features at the current coordinates, add
     the bounded semantic offset, the scaled gradient of M0, and the
@@ -232,7 +220,7 @@ def evolve_probes(m0: Mask, x_ll: FeatureGrid, probes: ProbeSet, cfg: AsgpConfig
     coords = probes.coords.copy()
     if trajectory is not None:
         trajectory.append(coords.copy())
-    for _ in range(cfg.steps):
+    for _ in range(steps):
         at = _norm_corners(as_coord_array(coords), h, width)
         sem = _offsets(_blend(x_ll.data, at).T, *head)
         grad = _slope(field, at if shared else _norm_corners(coords, *field.shape))

@@ -2,8 +2,8 @@
 
 Outputs are diffable text artifacts only: CSV with a header row, binary
 P5 PGM images, FGT1 tensors and .fgw weight bundles.  Every subcommand
-is deterministic given its seed flags (scan-bench timings excepted), and the
-exit status is 0 exactly when all requested checks pass.
+is deterministic given its seed flags, and the exit status is 0 exactly
+when all requested checks pass.
 """
 
 from __future__ import annotations
@@ -13,14 +13,12 @@ import csv
 import functools
 import math
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
 from . import fileio
 from .asgp import (
-    AsgpConfig,
     asgp_gate,
     asgp_weight_spec,
     coarse_potential,
@@ -33,7 +31,7 @@ from .fablock import ScanAssignment, fa_scan
 from .grid import FeatureGrid
 from .metrics import _OdsCounts, cldice, region_metrics
 from .pipeline import PipelineConfig, _check_input, default_weights, forward
-from .scanorder import ScanKind, build_scan_order, locality_cost, serialize
+from .scanorder import ScanKind, build_scan_order, locality_cost
 from .ssm import SsmParams
 from .synth import _MIN_BEZIER_WIDTH, _MIN_SIDE, SynthConfig, generate_sample
 from .wavelet import dwt_haar, idwt_haar
@@ -96,23 +94,9 @@ def cmd_scan_bench(args) -> int:
     if not valid:
         raise ValueError(f"--sizes wants comma-separated integers of at least 2, "
                          f"got {args.sizes!r}")
-    rows = []
-    for size in sizes:
-        grid = FeatureGrid(np.random.default_rng(0).normal(size=(4, size, size)))
-        for kind in ScanKind:
-            start = time.perf_counter_ns()
-            order = build_scan_order.__wrapped__(kind, size, size)
-            build_ns = time.perf_counter_ns() - start
-            reps = min(20_000, max(3, 2_000_000 // (size * size)))
-            start = time.perf_counter()
-            for _ in range(reps):
-                serialize(grid, order)
-            elapsed = time.perf_counter() - start
-            throughput = reps * grid.data.size / elapsed
-            rows.append([kind.value, size, size, _fmt(locality_cost(order)),
-                         build_ns, _fmt(throughput)])
-    _write_csv(args.out, ["kind", "H", "W", "locality_cost", "build_time_ns",
-                          "serialize_throughput_elems_per_s"], rows)
+    rows = [[kind.value, size, size, _fmt(locality_cost(build_scan_order(kind, size, size)))]
+            for size in sizes for kind in ScanKind]
+    _write_csv(args.out, ["kind", "H", "W", "locality_cost"], rows)
     print(f"wrote {args.out}")
     return 0
 
@@ -127,13 +111,12 @@ def cmd_probe_demo(args) -> int:
         contrast=0.8, texture=0.3, seed=args.seed,
     ))
     carrier = sample.image
-    cfg = AsgpConfig(steps=args.steps, probes=args.probes)
     embed_dim = 8
-    store = seeded_init(asgp_weight_spec(carrier.channels, embed_dim, cfg.probes), args.seed)
-    probes = init_probes(cfg.probes, store["asgp.probe_embed"], args.seed)
+    store = seeded_init(asgp_weight_spec(carrier.channels, embed_dim, args.probes), args.seed)
+    probes = init_probes(args.probes, store["asgp.probe_embed"], args.seed)
     m0 = coarse_potential(probes, carrier, store)
     trajectory: list[np.ndarray] = []
-    refined = evolve_probes(m0, carrier, probes, cfg, store, trajectory=trajectory)
+    refined = evolve_probes(m0, carrier, probes, args.steps, store, trajectory=trajectory)
     m1 = refine_mask(refined, (carrier.height, carrier.width))
     unit = FeatureGrid(np.ones((1, carrier.height, carrier.width)))
     gate = asgp_gate(m0, m1, [unit])[0].data[0]
@@ -152,8 +135,8 @@ def cmd_probe_demo(args) -> int:
     return 0
 
 
-_CONFIG_KEYS = ("channels", "stem_kernel", "stem_stride", "state_dim", "seed", "policy",
-               "gate", "max_offset", "assign", "probes", "steps")
+_CONFIG_KEYS = ("channels", "stem_stride", "state_dim", "seed", "policy", "gate", "assign",
+               "probes", "steps")
 
 
 def _config_number(key: str, text: str, kind, sep: str | None = None):
@@ -190,23 +173,15 @@ def parse_config_text(lines, seed_override: int | None = None) -> PipelineConfig
     kwargs: dict = {}
     if "channels" in fields:
         kwargs["channels"] = _config_number("channels", fields["channels"], int, ",")
-    for key in ("stem_kernel", "stem_stride", "state_dim", "seed"):
+    for key in ("stem_stride", "state_dim", "seed", "probes", "steps"):
         if key in fields:
             kwargs[key] = _config_number(key, fields[key], int)
     if "policy" in fields:
         kwargs["policy"] = fields["policy"]
     if "gate" in fields:
         kwargs["gate_mode"] = fields["gate"]
-    if "max_offset" in fields:
-        kwargs["max_offset"] = _config_number("max_offset", fields["max_offset"], float)
     if "assign" in fields:
         kwargs["assign"] = ScanAssignment.parse(fields["assign"])
-    asgp_kwargs: dict = {}
-    for key in ("probes", "steps"):
-        if key in fields:
-            asgp_kwargs[key] = _config_number(key, fields[key], int)
-    if asgp_kwargs:
-        kwargs["asgp"] = AsgpConfig(**asgp_kwargs)
     if seed_override is not None:
         kwargs["seed"] = seed_override
     return PipelineConfig(**kwargs)
@@ -379,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", default="dwt_roundtrip.csv")
 
-    p = sub.add_parser("scan-bench", help="locality and throughput of scan orders")
+    p = sub.add_parser("scan-bench", help="locality cost of each scan order")
     p.add_argument("--sizes", default="8,16,32,64")
     p.add_argument("--out", default="scan_bench.csv")
 

@@ -68,7 +68,7 @@ def flop_estimate(cfg: PipelineConfig | None = None,
     for stage, ch in enumerate(cfg.channels, start=1):
         p = f"s{stage}."
         bh, bw = sh // 2, sw // 2
-        hw, n = bh * bw, cfg.asgp.probes
+        hw, n = bh * bw, cfg.probes
         report[p + "align"] = ((size[p + "align.w1"] + size[p + "align.w2"]) * hw
                                + resize_macs(ch, bh, bw))
         report[p + "scan"] = fa_scan_macs(ch, bh, bw, cfg.state_dim)
@@ -84,7 +84,7 @@ def flop_estimate(cfg: PipelineConfig | None = None,
         report[p + "asgp"] = 0 if cfg.gate_mode == "unit" else (
             (size[p + "asgp.key_w"] + size[p + "asgp.probe_embed"]) * hw  # keys, logits
             + 2 * n * hw  # softmax + mean
-            + cfg.asgp.steps * per_step
+            + cfg.steps * per_step
             + n * size[p + "asgp.score_w"]  # score head
             + 3 * n * hw  # splats
             + 3 * ch * hw  # gating the three detail bands

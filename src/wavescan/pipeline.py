@@ -15,13 +15,11 @@ or loaded from a .fgw bundle; there is no training here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .asgp import (
-    AsgpConfig,
     ProbeSet,
     asgp_gate,
     asgp_weight_spec,
@@ -39,18 +37,19 @@ from .wavelet import SubbandSet, dwt_haar, idwt_haar
 from .weights import WeightStore, seeded_init
 
 STAGES = 4
+# The stem's square kernel side and the bound on align's offsets, in normalized units.
+_STEM_KERNEL, _MAX_OFFSET = 3, 0.25
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     channels: tuple[int, int, int, int] = (16, 32, 64, 128)
-    stem_kernel: int = 3
     stem_stride: int = 1
     policy: str = "EEGG"
     assign: ScanAssignment = field(default_factory=ScanAssignment)
-    asgp: AsgpConfig = field(default_factory=AsgpConfig)
+    probes: int = 64  # probes per stage
+    steps: int = 3  # probe update steps
     state_dim: int = 8
-    max_offset: float = 0.25
     gate_mode: str = "probe"  # "probe" or "unit"
     seed: int = 0
 
@@ -60,18 +59,18 @@ class PipelineConfig:
         if any(c < _LGB_RATIO or c % _LGB_RATIO for c in self.channels):
             raise ConfigError(f"stage widths must be positive multiples of {_LGB_RATIO}, "
                               f"got {self.channels}")
-        if self.stem_kernel % 2 == 0 or self.stem_kernel < 1:
-            raise ConfigError("stem kernel must be odd and positive")
         if self.stem_stride not in (1, 2):
             raise ConfigError("stem stride must be 1 or 2")
         if self.gate_mode not in ("probe", "unit"):
             raise ConfigError(f"unknown gate mode {self.gate_mode!r}")
         if len(self.policy) != STAGES or any(ch not in "EG" for ch in self.policy):
             raise ConfigError(f"policy must be {STAGES} letters from E/G, got {self.policy!r}")
+        if self.probes < 1:
+            raise ConfigError(f"probes must be at least 1, got {self.probes}")
+        if self.steps < 0:
+            raise ConfigError(f"steps must be at least 0, got {self.steps}")
         if self.state_dim < 1:
             raise ConfigError("state_dim must be positive")
-        if not (math.isfinite(self.max_offset) and self.max_offset > 0):
-            raise ConfigError(f"max_offset must be positive and finite, got {self.max_offset}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
@@ -124,12 +123,11 @@ def _stack_bands(bands: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(bands, axis=0)
 
 
-def align(x_ll: FeatureGrid, x_hf, w: WeightStore, prefix: str = "",
-          max_offset: float = PipelineConfig.max_offset) -> FeatureGrid:
+def align(x_ll: FeatureGrid, x_hf, w: WeightStore, prefix: str = "") -> FeatureGrid:
     """Resample the carrier along offsets predicted from the detail bands.
 
     The two-layer 3x3 predictor sees the channel-concatenated high bands;
-    its output passes through tanh scaled by max_offset (normalized
+    its output passes through tanh scaled by _MAX_OFFSET (normalized
     units) and is added to the identity grid before border-clamped
     bilinear sampling.  Zero predictor weights reproduce the input
     exactly.
@@ -146,7 +144,7 @@ def align(x_ll: FeatureGrid, x_hf, w: WeightStore, prefix: str = "",
     w2 = w.get(prefix + "align.w2", (2, hidden, 3, 3))
     b2 = w.get(prefix + "align.b2", (2,))
     raw = conv2d(relu(conv2d(stacked, w1, b1)), w2, b2)
-    offsets = max_offset * np.tanh(raw)
+    offsets = _MAX_OFFSET * np.tanh(raw)
     h, width = shape
     cols = np.arange(width, dtype=np.float64)[None, :] + offsets[0] * ((width - 1) / 2.0)
     rows = np.arange(h, dtype=np.float64)[:, None] + offsets[1] * ((h - 1) / 2.0)
@@ -169,14 +167,14 @@ def stage_weight_spec(channels: int, cfg: PipelineConfig, stage: int) -> list[tu
         (p + "ssm.proj_c", (n, channels)),
     ]
     spec += lgb_weight_spec(channels, cfg.policy[stage - 1], p)
-    spec += asgp_weight_spec(channels, channels, cfg.asgp.probes, p)
-    spec += [(p + "asgp.probe_coords", (cfg.asgp.probes, 2))]
+    spec += asgp_weight_spec(channels, channels, cfg.probes, p)
+    spec += [(p + "asgp.probe_coords", (cfg.probes, 2))]
     return spec
 
 
 def pipeline_weight_spec(cfg: PipelineConfig) -> list[tuple[str, tuple]]:
     c1 = cfg.channels[0]
-    k = cfg.stem_kernel
+    k = _STEM_KERNEL
     spec: list[tuple[str, tuple]] = [("stem.w", (c1, 1, k, k)), ("stem.b", (c1,))]
     for stage, ch in enumerate(cfg.channels, start=1):
         spec += stage_weight_spec(ch, cfg, stage)
@@ -215,15 +213,15 @@ def default_weights(cfg: PipelineConfig) -> WeightStore:
     """Seeded store for the whole pipeline; probe coordinates use a jittered grid."""
     store = seeded_init(pipeline_weight_spec(cfg), cfg.seed)
     for stage in range(1, STAGES + 1):
-        coords = probe_grid_coords(cfg.asgp.probes, cfg.seed + stage)
+        coords = probe_grid_coords(cfg.probes, cfg.seed + stage)
         store[f"s{stage}.asgp.probe_coords"] = coords.astype(np.float32).astype(np.float64)
     return store
 
 
 def _stage_probes(w: WeightStore, cfg: PipelineConfig, channels: int, prefix: str) -> ProbeSet:
-    coords = w.get(prefix + "asgp.probe_coords", (cfg.asgp.probes, 2))
-    emb = w.get(prefix + "asgp.probe_embed", (cfg.asgp.probes, channels))
-    return ProbeSet(coords=coords, embeddings=emb, scores=np.full(cfg.asgp.probes, 0.5))
+    coords = w.get(prefix + "asgp.probe_coords", (cfg.probes, 2))
+    emb = w.get(prefix + "asgp.probe_embed", (cfg.probes, channels))
+    return ProbeSet(coords=coords, embeddings=emb, scores=np.full(cfg.probes, 0.5))
 
 
 def encoder_block(x: FeatureGrid, cfg: PipelineConfig, w: WeightStore,
@@ -247,14 +245,14 @@ def encoder_block(x: FeatureGrid, cfg: PipelineConfig, w: WeightStore,
     del x
     # held owns the aligned carrier alone and pops it into fa_scan, which
     # frees it once it is split
-    held = [align(bands.ll, bands.high(), w, prefix, cfg.max_offset)]
+    held = [align(bands.ll, bands.high(), w, prefix)]
     if cfg.gate_mode == "unit":
         gated = list(bands.high())
     else:
         aligned = held[0]
         probes = _stage_probes(w, cfg, channels, prefix)
         m0 = coarse_potential(probes, aligned, w, prefix)
-        probes = evolve_probes(m0, aligned, probes, cfg.asgp, w, prefix)
+        probes = evolve_probes(m0, aligned, probes, cfg.steps, w, prefix)
         m1 = refine_mask(probes, (aligned.height, aligned.width))
         gated = asgp_gate(m0, m1, bands.high())
         del aligned
@@ -274,8 +272,7 @@ def stem(image: FeatureGrid, cfg: PipelineConfig, w: WeightStore) -> FeatureGrid
     stages and saturate the head.
     """
     c1 = cfg.channels[0]
-    k = cfg.stem_kernel
-    sw = w.get("stem.w", (c1, image.channels, k, k))
+    sw = w.get("stem.w", (c1, image.channels, _STEM_KERNEL, _STEM_KERNEL))
     sb = w.get("stem.b", (c1,))
     return FeatureGrid._of(rms_normalize(relu(conv2d(image.data, sw, sb, stride=cfg.stem_stride))))
 

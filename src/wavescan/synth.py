@@ -37,21 +37,24 @@ class SynthConfig:
 
     def __post_init__(self):
         if self.height < _MIN_SIDE or self.width < _MIN_SIDE:
-            raise ConfigError(f"canvas must be at least {_MIN_SIDE}x{_MIN_SIDE}")
+            raise ConfigError(f"canvas must be at least {_MIN_SIDE}x{_MIN_SIDE}, "
+                              f"got {self.height}x{self.width}")
         if self.curves < 1:
-            raise ConfigError("need at least one curve")
+            raise ConfigError(f"curves must be at least 1, got {self.curves}")
         if self.width_min < 1 or self.width_max < self.width_min:
-            raise ConfigError("widths must satisfy 1 <= width_min <= width_max")
+            raise ConfigError(f"widths must satisfy 1 <= width_min <= width_max, "
+                              f"got {self.width_min} and {self.width_max}")
         for name in ("contrast", "texture"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
         if not 0.0 < self.contrast <= 1.0:
-            raise ConfigError("contrast must lie in (0, 1]")
+            raise ConfigError(f"contrast must lie in (0, 1], got {self.contrast}")
         if self.texture < 0.0:
-            raise ConfigError("texture amplitude must be >= 0")
+            raise ConfigError(f"texture amplitude must be at least 0, got {self.texture}")
         if self.orientation not in ORIENTATIONS:
-            raise ConfigError(f"orientation must be one of {ORIENTATIONS}")
+            raise ConfigError(f"orientation must be one of {ORIENTATIONS}, "
+                              f"got {self.orientation!r}")
         if self.orientation == "bezier" and self.width < _MIN_BEZIER_WIDTH:
             raise ConfigError(f"a bezier canvas must be at least {_MIN_BEZIER_WIDTH} wide, "
                               f"got width {self.width}")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import wavescan
-from wavescan.asgp import AsgpConfig, ProbeSet, asgp_weight_spec, evolve_probes
+from wavescan.asgp import ProbeSet, asgp_weight_spec, evolve_probes
 from wavescan.fablock import ScanAssignment, cross_scan, fa_scan, lgb, lgb_weight_spec
 from wavescan.flops import conv_macs, cross_scan_macs, fa_scan_macs
 from wavescan.grid import FeatureGrid, bilinear_gradient, bilinear_sample
@@ -234,7 +234,7 @@ def test_criterion_06_gradient_fidelity():
 
 def test_criterion_07_probe_dynamics():
     crit = Criterion(7, "probe evolution dynamics", 10.0)
-    cfg = AsgpConfig()  # steps 3, probes 64; radius 0.15 and gains 0.1 / 0.05 are fixed
+    cfg = PipelineConfig()  # steps 3, probes 64; radius 0.15 and gains 0.1 / 0.05 are fixed
     ok = cfg.steps == 3 and cfg.probes == 64
 
     # (a) coordinates stay inside the unit box under random weights
@@ -247,7 +247,7 @@ def test_criterion_07_probe_dynamics():
     probes = ProbeSet(coords=rng.uniform(-1, 1, (64, 2)),
                       embeddings=store["asgp.probe_embed"], scores=np.full(64, 0.5))
     trajectory: list[np.ndarray] = []
-    evolve_probes(peak, carrier, probes, cfg, store, trajectory=trajectory)
+    evolve_probes(peak, carrier, probes, cfg.steps, store, trajectory=trajectory)
     ok &= all(np.all(np.abs(c) <= 1.0) for c in trajectory)
 
     # (b) flat field: min pairwise distance is non-decreasing
@@ -257,7 +257,7 @@ def test_criterion_07_probe_dynamics():
     probes_b = ProbeSet(coords=clustered, embeddings=np.zeros((64, 4)),
                         scores=np.full(64, 0.5))
     traj_b: list[np.ndarray] = []
-    evolve_probes(flat, FeatureGrid.zeros(1, 17, 17), probes_b, cfg, zero_store,
+    evolve_probes(flat, FeatureGrid.zeros(1, 17, 17), probes_b, cfg.steps, zero_store,
                   trajectory=traj_b)
 
     def min_dist(c):
@@ -274,7 +274,7 @@ def test_criterion_07_probe_dynamics():
     probe_c = ProbeSet(coords=np.array([[0.55, -0.35]]), embeddings=np.zeros((1, 4)),
                        scores=np.array([0.5]))
     traj_c: list[np.ndarray] = []
-    evolve_probes(peak, FeatureGrid.zeros(1, 17, 17), probe_c, cfg, one_store,
+    evolve_probes(peak, FeatureGrid.zeros(1, 17, 17), probe_c, cfg.steps, one_store,
                   trajectory=traj_c)
     values = [bilinear_sample(peak, c)[0, 0] for c in traj_c]
     ok &= all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
@@ -283,8 +283,7 @@ def test_criterion_07_probe_dynamics():
     two_store = WeightStore({n: np.zeros(s) for n, s in asgp_weight_spec(1, 4, 2)})
     pair = ProbeSet(coords=np.array([[-0.0375, 0.0], [0.0375, 0.0]]),
                     embeddings=np.zeros((2, 4)), scores=np.array([0.5, 0.5]))
-    step_cfg = AsgpConfig(steps=1)
-    out = evolve_probes(flat, FeatureGrid.zeros(1, 17, 17), pair, step_cfg, two_store)
+    out = evolve_probes(flat, FeatureGrid.zeros(1, 17, 17), pair, 1, two_store)
     moved = out.coords[:, 0] - pair.coords[:, 0]
     ok &= abs(moved[0] + 0.025) <= 1e-5 and abs(moved[1] - 0.025) <= 1e-5
     crit.finish(ok, f"min-dist trace {['%.4f' % d for d in dists[:2]]}..., "

@@ -1,10 +1,7 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
 from wavescan.asgp import (
-    AsgpConfig,
     ProbeSet,
     _offset_weights,
     _offsets,
@@ -18,7 +15,7 @@ from wavescan.asgp import (
     repulsion_forces,
 )
 from wavescan import asgp, pipeline
-from wavescan.errors import DimensionError
+from wavescan.errors import ConfigError, DimensionError
 from wavescan.grid import FeatureGrid, bilinear_gradient, bilinear_sample
 from wavescan.nn import sigmoid
 from wavescan.pipeline import PipelineConfig
@@ -54,18 +51,17 @@ def gaussian_peak_field(size=33, sigma=0.6, center=(0.0, 0.0)):
 
 class TestConfig:
     def test_defaults_are_calibrated(self):
-        cfg = AsgpConfig()
-        assert [f.name for f in dataclasses.fields(cfg)] == ["steps", "probes"]
+        cfg = PipelineConfig()
         assert (cfg.steps, cfg.probes) == (3, 64)
         assert (asgp._RADIUS, asgp._GRAD_GAIN, asgp._REPULSION_GAIN, asgp._EPS) == (
             0.15, 0.1, 0.05, 1e-5)
         assert (asgp._SPLAT_SIGMA, asgp._BLEND) == (0.1, 0.5)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            AsgpConfig(steps=-1)
-        with pytest.raises(ValueError):
-            AsgpConfig(probes=0)
+        with pytest.raises(ConfigError, match="steps must be at least 0, got -1"):
+            PipelineConfig(steps=-1)
+        with pytest.raises(ConfigError, match="probes must be at least 1, got 0"):
+            PipelineConfig(probes=0)
 
 
 class TestProbeSet:
@@ -135,19 +131,17 @@ class TestEvolution:
         w = 9
         xs = np.linspace(-1, 1, w)
         field = FeatureGrid(np.tile(0.5 + 0.2 * xs, (w, 1))[None])
-        cfg = AsgpConfig(steps=1)
         store = zero_store(1, 4, 1)
         probes = make_probes([[0.1, -0.2]], embed_dim=4)
-        out = evolve_probes(field, FeatureGrid.zeros(1, w, w), probes, cfg, store)
+        out = evolve_probes(field, FeatureGrid.zeros(1, w, w), probes, 1, store)
         assert out.coords[0, 0] == pytest.approx(0.1 + 0.02, abs=1e-12)
         assert out.coords[0, 1] == pytest.approx(-0.2, abs=1e-12)
 
     def test_two_probe_repulsion_displacement(self):
-        cfg = AsgpConfig(steps=1)
         store = zero_store(1, 4, 2)
         flat = FeatureGrid.full(1, 9, 9, 0.5)
         probes = make_probes([[-0.0375, 0.0], [0.0375, 0.0]], embed_dim=4)
-        out = evolve_probes(flat, FeatureGrid.zeros(1, 9, 9), probes, cfg, store)
+        out = evolve_probes(flat, FeatureGrid.zeros(1, 9, 9), probes, 1, store)
         moved = out.coords[:, 0] - probes.coords[:, 0]
         assert abs(moved[0] + 0.025) <= 1e-5
         assert abs(moved[1] - 0.025) <= 1e-5
@@ -163,10 +157,9 @@ class TestEvolution:
         w = 9
         xs = np.linspace(-1, 1, w)
         field = FeatureGrid(np.tile(0.25 + 0.5 * (xs + 1) / 2, (w, 1))[None])
-        cfg = AsgpConfig(steps=1)
         store = zero_store(1, 4, 1)
         probes = make_probes([[0.999, 0.0]], embed_dim=4)
-        out = evolve_probes(field, FeatureGrid.zeros(1, w, w), probes, cfg, store)
+        out = evolve_probes(field, FeatureGrid.zeros(1, w, w), probes, 1, store)
         assert out.coords[0, 0] == pytest.approx(1.0)
 
     def test_coords_stay_in_box_random_weights(self):
@@ -175,15 +168,13 @@ class TestEvolution:
         field = gaussian_peak_field()
         store = seeded_init(asgp_weight_spec(3, 4, 16), 2)
         probes = init_probes(16, store["asgp.probe_embed"], 5)
-        cfg = AsgpConfig(steps=5, probes=16)
         trajectory: list[np.ndarray] = []
-        evolve_probes(field, x, probes, cfg, store, trajectory=trajectory)
+        evolve_probes(field, x, probes, 5, store, trajectory=trajectory)
         assert len(trajectory) == 6
         for coords in trajectory:
             assert np.all(np.abs(coords) <= 1.0)
 
     def test_flat_field_min_distance_non_decreasing(self):
-        cfg = AsgpConfig(steps=3, probes=9)
         store = zero_store(1, 4, 9)
         flat = FeatureGrid.full(1, 17, 17, 0.5)
         clump = np.array([
@@ -199,7 +190,7 @@ class TestEvolution:
         history = [min_dist(coords)]
         probes = make_probes(coords, embed_dim=4)
         trajectory: list[np.ndarray] = []
-        evolve_probes(flat, FeatureGrid.zeros(1, 17, 17), probes, cfg, store,
+        evolve_probes(flat, FeatureGrid.zeros(1, 17, 17), probes, 3, store,
                       trajectory=trajectory)
         dists = [min_dist(c) for c in trajectory]
         for before, after in zip(dists, dists[1:]):
@@ -208,12 +199,11 @@ class TestEvolution:
     def test_without_repulsion_probes_collapse_to_peak(self, monkeypatch):
         monkeypatch.setattr(asgp, "_REPULSION_GAIN", 1e-12)
         field = gaussian_peak_field()
-        cfg = AsgpConfig(steps=6, probes=8)
         store = zero_store(1, 4, 8)
         rng = np.random.default_rng(6)
         start = rng.uniform(-0.8, 0.8, (8, 2))
         probes = make_probes(start, embed_dim=4)
-        out = evolve_probes(field, FeatureGrid.zeros(1, 33, 33), probes, cfg, store)
+        out = evolve_probes(field, FeatureGrid.zeros(1, 33, 33), probes, 6, store)
         before = np.sqrt((start ** 2).sum(1)).mean()
         after = np.sqrt((out.coords ** 2).sum(1)).mean()
         assert after < before
@@ -222,11 +212,10 @@ class TestEvolution:
         from wavescan.grid import bilinear_sample
 
         field = gaussian_peak_field()
-        cfg = AsgpConfig(steps=10, probes=1)
         store = zero_store(1, 4, 1)
         probes = make_probes([[0.55, -0.35]], embed_dim=4)
         trajectory: list[np.ndarray] = []
-        evolve_probes(field, FeatureGrid.zeros(1, 33, 33), probes, cfg, store,
+        evolve_probes(field, FeatureGrid.zeros(1, 33, 33), probes, 10, store,
                       trajectory=trajectory)
         values = [bilinear_sample(field, c)[0, 0] for c in trajectory]
         for before, after in zip(values, values[1:]):
@@ -234,14 +223,13 @@ class TestEvolution:
 
     def test_repulsion_resolution_invariant(self):
         # radius is normalized, so the force field ignores grid resolution
-        cfg = AsgpConfig(steps=1)
         coords = np.array([[-0.05, 0.0], [0.05, 0.0], [0.3, 0.3]])
         moved = []
         for size in (9, 17, 33):
             store = zero_store(1, 4, 3)
             flat = FeatureGrid.full(1, size, size, 0.5)
             out = evolve_probes(flat, FeatureGrid.zeros(1, size, size),
-                                make_probes(coords, 4), cfg, store)
+                                make_probes(coords, 4), 1, store)
             moved.append(out.coords)
         assert np.abs(moved[0] - moved[1]).max() <= 1e-12
         assert np.abs(moved[1] - moved[2]).max() <= 1e-12
@@ -429,12 +417,12 @@ def oracle_repulsion(coords):
     return (diff * weight[:, :, None]).sum(axis=1)
 
 
-def oracle_evolve(m0, x_ll, probes, cfg, w, prefix=""):
+def oracle_evolve(m0, x_ll, probes, steps, w, prefix=""):
     """The previous evolve_probes: the public sampler, head, gradient and repulsion
     called once each per step.  Returns (trajectory, final scores)."""
     coords = probes.coords.copy()
     trajectory = [coords.copy()]
-    for _ in range(cfg.steps):
+    for _ in range(steps):
         feats = bilinear_sample(x_ll, coords)
         sem = semantic_offsets(feats, w, prefix)
         grad = bilinear_gradient(m0, coords)
@@ -449,12 +437,12 @@ def oracle_evolve(m0, x_ll, probes, cfg, w, prefix=""):
 
 
 def stage_probe_inputs(size):
-    """(m0, carrier, probes, cfg, store, prefix) of each stage of a default forward."""
+    """(m0, carrier, probes, steps, store, prefix) of each stage of a default forward."""
     calls = []
 
-    def record(m0, x_ll, probes, cfg, w, prefix="", trajectory=None):
-        calls.append((m0, x_ll, probes, cfg, w, prefix))
-        return evolve_probes(m0, x_ll, probes, cfg, w, prefix, trajectory)
+    def record(m0, x_ll, probes, steps, w, prefix="", trajectory=None):
+        calls.append((m0, x_ll, probes, steps, w, prefix))
+        return evolve_probes(m0, x_ll, probes, steps, w, prefix, trajectory)
 
     cfg = PipelineConfig()
     image = generate_sample(SynthConfig(height=size, width=size, curves=3, seed=size)).image
@@ -465,7 +453,7 @@ def stage_probe_inputs(size):
 
 
 def small_case(kind):
-    """(m0, carrier, probes, cfg, store) of one edge case of the probe step."""
+    """(m0, carrier, probes, steps, store) of one edge case of the probe step."""
     rng = np.random.default_rng(len(kind))
     channels, n, shape, m0_shape, steps = 3, 16, (16, 16), (16, 16), 3
     coords = rng.uniform(-1, 1, (n, 2))
@@ -491,18 +479,18 @@ def small_case(kind):
     m0 = FeatureGrid(rng.uniform(size=(1,) + m0_shape))
     probes = ProbeSet(coords=coords, embeddings=store["asgp.probe_embed"],
                       scores=np.full(n, 0.5))
-    return m0, x, probes, AsgpConfig(steps=steps, probes=n), store
+    return m0, x, probes, steps, store
 
 
 SMALL_CASES = ["m0-17-carrier-16", "row", "column", "on-border", "past-border", "coincident",
                "steps-0", "steps-5", "single"]
 
 
-def assert_matches_oracle(m0, x, probes, cfg, store, prefix=""):
+def assert_matches_oracle(m0, x, probes, steps, store, prefix=""):
     trajectory: list[np.ndarray] = []
-    out = evolve_probes(m0, x, probes, cfg, store, prefix, trajectory=trajectory)
-    want_traj, want_scores = oracle_evolve(m0, x, probes, cfg, store, prefix)
-    assert len(trajectory) == len(want_traj) == cfg.steps + 1
+    out = evolve_probes(m0, x, probes, steps, store, prefix, trajectory=trajectory)
+    want_traj, want_scores = oracle_evolve(m0, x, probes, steps, store, prefix)
+    assert len(trajectory) == len(want_traj) == steps + 1
     for got, want in zip(trajectory, want_traj):
         assert np.abs(got - want).max() <= 1e-12
     assert np.array_equal(out.coords, trajectory[-1])
@@ -515,9 +503,9 @@ class TestProbeStepOracle:
     def test_pipeline_stages_match_per_step_oracle(self, size):
         calls = stage_probe_inputs(size)
         assert [c[5] for c in calls] == ["s1.", "s2.", "s3.", "s4."]
-        for m0, x, probes, cfg, store, prefix in calls:
+        for m0, x, probes, steps, store, prefix in calls:
             assert m0.shape[1:] == x.shape[1:]
-            assert_matches_oracle(m0, x, probes, cfg, store, prefix)
+            assert_matches_oracle(m0, x, probes, steps, store, prefix)
 
     @pytest.mark.parametrize("kind", SMALL_CASES)
     def test_edge_cases_match_per_step_oracle(self, kind):
@@ -546,34 +534,32 @@ class TestProbeStepOracle:
     def test_inf_offset_weight_still_raises(self):
         # A zero carrier would meet the inf weight as inf * 0 and turn the
         # offsets NaN; the weight check at the lookup names the block first.
-        m0, _, probes, cfg, store = small_case("steps-0")
+        m0, _, probes, _, store = small_case("steps-0")
         store["asgp.sem_w1"] = store["asgp.sem_w1"].copy()
         store["asgp.sem_w1"][0, 0] = np.inf
         with np.errstate(invalid="ignore"), \
                 pytest.raises(ValueError, match="'asgp.sem_w1' holds 1 non-finite"):
-            evolve_probes(m0, FeatureGrid.zeros(3, 16, 16), probes, AsgpConfig(steps=1, probes=16),
-                          store)
+            evolve_probes(m0, FeatureGrid.zeros(3, 16, 16), probes, 1, store)
 
     def test_overflowing_offsets_stop_at_the_coordinate_check(self):
         # Finite weights whose hidden layer overflows: inf - inf turns the
         # offsets NaN, and the second step's coordinate check stops the loop.
-        m0, _, probes, cfg, store = small_case("steps-0")
+        m0, _, probes, _, store = small_case("steps-0")
         store["asgp.sem_w1"] = np.full((4, 3), 1e308)
         store["asgp.sem_w2"] = np.array([[1.0, -1.0, 0.0, 0.0]] * 2)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="coordinates must be"):
-            evolve_probes(m0, FeatureGrid.full(3, 16, 16, 1.0), probes,
-                          AsgpConfig(steps=2, probes=16), store)
+            evolve_probes(m0, FeatureGrid.full(3, 16, 16, 1.0), probes, 2, store)
 
     def test_offset_head_shape_still_checked(self):
-        m0, x, probes, cfg, store = small_case("steps-0")
+        m0, x, probes, steps, store = small_case("steps-0")
         store["asgp.sem_w1"] = np.zeros((4, 5))
         with pytest.raises(DimensionError, match="offset head"):
-            evolve_probes(m0, x, probes, cfg, store)
+            evolve_probes(m0, x, probes, steps, store)
 
     def test_multichannel_potential_rejected(self):
-        _, x, probes, cfg, store = small_case("steps-0")
+        _, x, probes, steps, store = small_case("steps-0")
         with pytest.raises(DimensionError, match="potential field"):
-            evolve_probes(FeatureGrid.zeros(2, 16, 16), x, probes, cfg, store)
+            evolve_probes(FeatureGrid.zeros(2, 16, 16), x, probes, steps, store)
 
 
 class TestProbeSetFinite:

@@ -63,7 +63,7 @@ class TestAlign:
         x, bands = self.make_inputs(seed=1)
         store = WeightStore({n: np.zeros(s) for n, s in align_weight_spec(4)})
         store["align.b2"] = np.array([50.0, -50.0])  # tanh saturates at +-1
-        out = align(x, bands, store, max_offset=0.25)
+        out = align(x, bands, store)
         assert np.all(np.isfinite(out.data))
 
     def test_dwt_detail_bands_are_stacked_as_a_view(self):
@@ -122,17 +122,17 @@ class TestEncoderBlock:
         store = seeded_init(stage_weight_spec(channels, cfg, 1), 3)
         from wavescan.asgp import probe_grid_coords
 
-        store["s1.asgp.probe_coords"] = probe_grid_coords(cfg.asgp.probes, 1)
+        store["s1.asgp.probe_coords"] = probe_grid_coords(cfg.probes, 1)
         x = FeatureGrid(np.random.default_rng(1).normal(size=(channels, 16, 16)))
         got = encoder_block(x, cfg, store, stage=1)
 
         bands = dwt_haar(x)
-        aligned = align(bands.ll, bands.high(), store, "s1.", cfg.max_offset)
+        aligned = align(bands.ll, bands.high(), store, "s1.")
         psi = SsmParams.from_store(store, "s1.")
         carrier = lgb(fa_scan(aligned, psi, cfg.assign), cfg.policy[0], store, "s1.")
         probes = _stage_probes(store, cfg, channels, "s1.")
         m0 = coarse_potential(probes, aligned, store, "s1.")
-        moved = evolve_probes(m0, aligned, probes, cfg.asgp, store, "s1.")
+        moved = evolve_probes(m0, aligned, probes, cfg.steps, store, "s1.")
         m1 = refine_mask(moved, (8, 8))
         gated = asgp_gate(m0, m1, bands.high())
         want = idwt_haar(SubbandSet(carrier, *gated), 16, 16)
@@ -533,9 +533,8 @@ class TestForward:
         with pytest.raises(ConfigError):
             PipelineConfig(gate_mode="sometimes")
 
-    @pytest.mark.parametrize("kwargs", [{"max_offset": float("nan")},
-                                        {"max_offset": float("inf")},
-                                        {"max_offset": 0.0}, {"seed": -1}])
+    @pytest.mark.parametrize("kwargs", [{"probes": 0}, {"probes": -3}, {"steps": -1},
+                                        {"seed": -1}])
     def test_config_rejects_bad_value_by_name(self, kwargs):
         (key, _), = kwargs.items()
         with pytest.raises(ConfigError, match=key):

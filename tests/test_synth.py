@@ -1,3 +1,4 @@
+import re
 import time
 
 import numpy as np
@@ -62,6 +63,22 @@ class TestConfig:
             SynthConfig(contrast=0.0)
         with pytest.raises(ConfigError):
             SynthConfig(orientation="spiral")
+
+    @pytest.mark.parametrize("kwargs, says", [
+        ({"height": 2}, "canvas must be at least 4x4, got 2x64"),
+        ({"width": 3}, "canvas must be at least 4x4, got 64x3"),
+        ({"curves": 0}, "curves must be at least 1, got 0"),
+        ({"width_min": 0}, "widths must satisfy 1 <= width_min <= width_max, got 0 and 1"),
+        ({"width_min": 3, "width_max": 2}, "width_min <= width_max, got 3 and 2"),
+        ({"contrast": 0}, "contrast must lie in (0, 1], got 0"),
+        ({"contrast": 1.5}, "contrast must lie in (0, 1], got 1.5"),
+        ({"texture": -0.5}, "texture amplitude must be at least 0, got -0.5"),
+        ({"orientation": "spiral"}, "got 'spiral'"),
+    ], ids=["height", "width", "curves", "width_min", "width_max", "contrast-0",
+            "contrast-1.5", "texture", "orientation"])
+    def test_bad_value_rejected_with_the_value(self, kwargs, says):
+        with pytest.raises(ConfigError, match=re.escape(says)):
+            SynthConfig(**kwargs)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("name", ["contrast", "texture"])
