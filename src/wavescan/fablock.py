@@ -11,7 +11,8 @@ lgb is the residual LightGate Bottleneck mixer: a C -> C/r -> C
 bottleneck with a 3x3 depthwise conv inside, modulated by a per-stage
 channel gate and added back to the input.  The stage's letter of the
 policy picks the gate: "E" for an ECA-style 1-D conv (early stages), "G"
-for squeeze/excite (late stages).
+for squeeze/excite (late stages).  The squeeze/excite block (_se_spec,
+_se_gate) is also the per-level channel gate of pipeline.gfa.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class ScanAssignment:
 
 
 # The bottleneck's C -> C / ratio, the ECA kernel and the squeeze/excite reduction.
-_LGB_RATIO, _ECA_KERNEL, _GSE_REDUCTION = 4, 3, 4
+_LGB_RATIO, _ECA_KERNEL, _SE_REDUCTION = 4, 3, 4
 
 
 def _check_letter(letter: str) -> None:
@@ -149,8 +150,21 @@ def _lgb_inner(channels: int) -> int:
     return channels // _LGB_RATIO
 
 
-def _gse_hidden(channels: int) -> int:
-    return max(1, channels // _GSE_REDUCTION)
+def _se_spec(prefix: str, channels: int) -> list[tuple[str, tuple]]:
+    """Blocks of a squeeze/excite gate: C -> C / reduction -> C."""
+    hidden = max(1, channels // _SE_REDUCTION)
+    return [
+        (prefix + "w1", (hidden, channels)),
+        (prefix + "b1", (hidden,)),
+        (prefix + "w2", (channels, hidden)),
+        (prefix + "b2", (channels,)),
+    ]
+
+
+def _se_gate(pooled: np.ndarray, w: WeightStore, prefix: str) -> np.ndarray:
+    """Squeeze/excite gate in (0, 1) of a pooled channel vector (Hu et al., CVPR 2018)."""
+    w1, b1, w2, b2 = (w.get(name, shape) for name, shape in _se_spec(prefix, pooled.shape[0]))
+    return sigmoid(w2 @ relu(w1 @ pooled + b1) + b2)
 
 
 def lgb_weight_spec(channels: int, letter: str, prefix: str = "") -> list[tuple[str, tuple]]:
@@ -167,13 +181,7 @@ def lgb_weight_spec(channels: int, letter: str, prefix: str = "") -> list[tuple[
     if letter == "E":
         spec += [(prefix + "lgb.eca_w", (_ECA_KERNEL,)), (prefix + "lgb.eca_b", (1,))]
     else:
-        hidden = _gse_hidden(channels)
-        spec += [
-            (prefix + "lgb.gse_w1", (hidden, channels)),
-            (prefix + "lgb.gse_b1", (hidden,)),
-            (prefix + "lgb.gse_w2", (channels, hidden)),
-            (prefix + "lgb.gse_b2", (channels,)),
-        ]
+        spec += _se_spec(prefix + "lgb.gse_", channels)
     return spec
 
 
@@ -181,19 +189,11 @@ def lgb_gate(y: FeatureGrid, letter: str, w: WeightStore, prefix: str = "") -> n
     """Per-channel gate in (0, 1) selected by the stage's policy letter."""
     _check_letter(letter)
     pooled = global_avg_pool(y.data)
-    channels = y.channels
-    if letter == "E":
-        kernel = w.get(prefix + "lgb.eca_w", (_ECA_KERNEL,))
-        bias = w.get(prefix + "lgb.eca_b", (1,))
-        pre = np.correlate(pooled, kernel, mode="same") + bias[0]
-    else:
-        hidden = _gse_hidden(channels)
-        w1 = w.get(prefix + "lgb.gse_w1", (hidden, channels))
-        b1 = w.get(prefix + "lgb.gse_b1", (hidden,))
-        w2 = w.get(prefix + "lgb.gse_w2", (channels, hidden))
-        b2 = w.get(prefix + "lgb.gse_b2", (channels,))
-        pre = w2 @ relu(w1 @ pooled + b1) + b2
-    return sigmoid(pre)
+    if letter == "G":
+        return _se_gate(pooled, w, prefix + "lgb.gse_")
+    kernel = w.get(prefix + "lgb.eca_w", (_ECA_KERNEL,))
+    bias = w.get(prefix + "lgb.eca_b", (1,))
+    return sigmoid(np.correlate(pooled, kernel, mode="same") + bias[0])
 
 
 def lgb(y: FeatureGrid, letter: str, w: WeightStore, prefix: str = "") -> FeatureGrid:

@@ -60,8 +60,9 @@ ODS_THRESHOLDS = np.arange(1, 100) / 100.0
 _COUNT_CHUNK = 8192
 
 
-def _as_float_mask(mask) -> np.ndarray:
-    arr = np.asarray(mask, dtype=np.float64)
+def _as_mask(mask, dtype=None) -> np.ndarray:
+    """The mask as a 2-D array; a (1, H, W) mask loses its leading axis."""
+    arr = np.asarray(mask, dtype=dtype)
     if arr.ndim == 3 and arr.shape[0] == 1:
         arr = arr[0]
     if arr.ndim != 2:
@@ -69,19 +70,19 @@ def _as_float_mask(mask) -> np.ndarray:
     return arr
 
 
+def _as_float_mask(mask) -> np.ndarray:
+    return _as_mask(mask, np.float64)
+
+
 def _as_bool_mask(mask) -> np.ndarray:
     """The mask as booleans; a boolean input is returned as is, not copied."""
-    arr = np.asarray(mask)
-    if arr.ndim == 3 and arr.shape[0] == 1:
-        arr = arr[0]
-    if arr.ndim != 2:
-        raise DimensionError(f"mask must be 2-D, got shape {arr.shape}")
+    arr = _as_mask(mask)
     return arr if arr.dtype == np.bool_ else arr != 0
 
 
-def _as_pair(pred, gt) -> tuple[np.ndarray, np.ndarray]:
-    """A float prediction and a boolean ground truth of the same 2-D shape."""
-    pred = _as_float_mask(pred)
+def _as_pair(pred, gt, as_pred=_as_float_mask) -> tuple[np.ndarray, np.ndarray]:
+    """``as_pred(pred)`` and a boolean ground truth of the same 2-D shape."""
+    pred = as_pred(pred)
     gt = _as_bool_mask(gt)
     if pred.shape != gt.shape:
         raise DimensionError(f"shape mismatch: pred {pred.shape} vs gt {gt.shape}")
@@ -117,10 +118,8 @@ def region_metrics(pred, gt, threshold: float = 0.5) -> RegionMetrics:
     A boolean pred is taken as already thresholded: as 0.0 and 1.0 it
     gives the same binary mask at every threshold in (0, 1).
     """
-    pred = _as_bool_mask(pred) if np.asarray(pred).dtype == np.bool_ else _as_float_mask(pred)
-    gt = _as_bool_mask(gt)
-    if pred.shape != gt.shape:
-        raise DimensionError(f"shape mismatch: pred {pred.shape} vs gt {gt.shape}")
+    as_pred = _as_bool_mask if np.asarray(pred).dtype == np.bool_ else _as_float_mask
+    pred, gt = _as_pair(pred, gt, as_pred)
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     tp, fp, fn, tn = _confusion(pred if pred.dtype == np.bool_ else pred >= threshold, gt)
@@ -358,10 +357,7 @@ def skeletonize(mask) -> np.ndarray:
 
 def dice(pred, gt) -> float:
     """Plain overlap Dice of two boolean masks."""
-    pred = _as_bool_mask(pred)
-    gt = _as_bool_mask(gt)
-    if pred.shape != gt.shape:
-        raise DimensionError(f"shape mismatch: pred {pred.shape} vs gt {gt.shape}")
+    pred, gt = _as_pair(pred, gt, _as_bool_mask)
     total = int(pred.sum()) + int(gt.sum())
     if total == 0:
         return 1.0
@@ -375,10 +371,7 @@ def cldice(pred, gt) -> float:
     Tsens = |skel(gt) & pred| / |skel(gt)|,
     clDice = 2 * Tprec * Tsens / (Tprec + Tsens).
     """
-    pred = _as_bool_mask(pred)
-    gt = _as_bool_mask(gt)
-    if pred.shape != gt.shape:
-        raise DimensionError(f"shape mismatch: pred {pred.shape} vs gt {gt.shape}")
+    pred, gt = _as_pair(pred, gt, _as_bool_mask)
     # the prediction's skeleton is counted and dropped before gt is thinned
     skel = skeletonize(pred)
     np_, np_in_gt = int(skel.sum()), int((skel & gt).sum())

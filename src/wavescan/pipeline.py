@@ -29,7 +29,7 @@ from .asgp import (
     refine_mask,
 )
 from .errors import ConfigError, DimensionError
-from .fablock import _LGB_RATIO, ScanAssignment, fa_scan, lgb, lgb_weight_spec
+from .fablock import _LGB_RATIO, ScanAssignment, _se_gate, _se_spec, fa_scan, lgb, lgb_weight_spec
 from .grid import FeatureGrid, Mask, resize_bilinear, sample_px
 from .nn import conv1x1, conv2d, depthwise_conv2d, global_avg_pool, relu, rms_normalize, sigmoid
 from .ssm import SsmParams
@@ -90,10 +90,6 @@ def _check_input(cfg: PipelineConfig, height: int, width: int) -> None:
 
 def align_hidden(channels: int) -> int:
     return max(4, channels // 2)
-
-
-def _gate_hidden(ce: int) -> int:  # the squeeze width of gfa's per-level channel gates
-    return max(1, ce // 4)
 
 
 def align_weight_spec(channels: int, prefix: str = "") -> list[tuple[str, tuple]]:
@@ -182,16 +178,9 @@ def pipeline_weight_spec(cfg: PipelineConfig) -> list[tuple[str, tuple]]:
             nxt = cfg.channels[stage]
             spec += [(f"down{stage}.w", (nxt, ch, 3, 3)), (f"down{stage}.b", (nxt,))]
     ce = cfg.decoder_channels
-    hidden = _gate_hidden(ce)
     for level, ch in enumerate(cfg.channels, start=1):
-        spec += [
-            (f"gfa.phi{level}_w", (ce, ch)),
-            (f"gfa.phi{level}_b", (ce,)),
-            (f"gfa.gate{level}_w1", (hidden, ce)),
-            (f"gfa.gate{level}_b1", (hidden,)),
-            (f"gfa.gate{level}_w2", (ce, hidden)),
-            (f"gfa.gate{level}_b2", (ce,)),
-        ]
+        spec += [(f"gfa.phi{level}_w", (ce, ch)), (f"gfa.phi{level}_b", (ce,))]
+        spec += _se_spec(f"gfa.gate{level}_", ce)
     spec += [
         ("gfa.fuse_w", (ce, ce, 3, 3)),
         ("gfa.fuse_b", (ce,)),
@@ -288,7 +277,8 @@ def gfa(features, w: WeightStore) -> FeatureGrid:
     """Parallel multi-scale fusion with per-level channel gates.
 
     Every level is projected to the shared decoder width, upsampled to
-    the first level's size, scaled by its gate vector, summed in level
+    the first level's size, scaled by its squeeze/excite gate vector
+    (fablock._se_gate, the block of lgb's "G" gate), summed in level
     order, and mixed by one 3x3 convolution.  All four levels are read
     before any is projected, so a wrong level count fails first.  Levels
     2-4 are projected first, at their own resolution, and each is dropped
@@ -306,7 +296,6 @@ def gfa(features, w: WeightStore) -> FeatureGrid:
     if len(levels) != STAGES:
         raise ConfigError(f"fusion expects {STAGES} levels, got {len(levels)}")
     ce = w["gfa.phi1_w"].shape[0]
-    hidden = _gate_hidden(ce)
     out_h, out_w = levels[0].height, levels[0].width
     projs = [None] * STAGES
     for idx in (1, 2, 3, 0):
@@ -319,11 +308,7 @@ def gfa(features, w: WeightStore) -> FeatureGrid:
         proj = projs.pop(0)
         if proj.shape[1:] != (out_h, out_w):
             proj = resize_bilinear(FeatureGrid._of(proj), out_h, out_w).data
-        g1 = w.get(f"gfa.gate{level}_w1", (hidden, ce))
-        gb1 = w.get(f"gfa.gate{level}_b1", (hidden,))
-        g2 = w.get(f"gfa.gate{level}_w2", (ce, hidden))
-        gb2 = w.get(f"gfa.gate{level}_b2", (ce,))
-        gate = sigmoid(g2 @ relu(g1 @ global_avg_pool(proj) + gb1) + gb2)
+        gate = _se_gate(global_avg_pool(proj), w, f"gfa.gate{level}_")
         proj *= gate[:, None, None]  # proj is this loop's own array
         if level == 1:
             total = proj

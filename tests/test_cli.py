@@ -551,6 +551,19 @@ class TestSubcommands:
         assert err.startswith("error: out of memory") and err.count("\n") == 1
         assert message in err
 
+    @pytest.mark.parametrize("argv, says", [
+        (["synth-gen", "--out-dir", "{tmp}/s"], "error: out of memory: Unable to allocate 4.00 EiB"),
+        (["probe-demo", "--out-dir", "{tmp}/p"], "error: out of memory: Unable to allocate 4.00 EiB"),
+        (["mismatch-demo", "--out", "{tmp}/m.csv"], "error: out of memory: Unable to allocate 4.00 EiB"),
+        (["dwt-roundtrip", "--out", "{tmp}/d.csv"], "error: array is too big; "),
+    ])
+    def test_size_numpy_refuses_is_one_error_line(self, tmp_path, capsys, argv, says):
+        # A 2**31 side asks numpy for 4 EiB, which it refuses before allocating anything.
+        argv = [a.format(tmp=tmp_path) for a in argv] + ["--size", "2147483648"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(says) and err.count("\n") == 1
+
     def test_every_subcommand_has_its_command(self):
         # main looks cmd_<name> up by name, so a subparser without one would end in a KeyError.
         names = subcommand_names()
