@@ -31,10 +31,8 @@ from .fablock import ScanAssignment, fa_scan
 from .grid import FeatureGrid
 from .metrics import _OdsCounts, cldice, region_metrics
 from .pipeline import PipelineConfig, _check_input, default_weights, forward
-from .scanorder import ScanKind, build_scan_order, locality_cost
 from .ssm import SsmParams
 from .synth import _MIN_BEZIER_WIDTH, _MIN_SIDE, SynthConfig, generate_sample
-from .wavelet import dwt_haar, idwt_haar
 from .weights import WeightStore, seeded_init
 
 
@@ -58,47 +56,6 @@ def _check_at_least(flag: str, value: float, least: float) -> None:
 
 
 # ---------------------------------------------------------------- subcommands
-
-
-def cmd_dwt_roundtrip(args) -> int:
-    _check_at_least("--seed", args.seed, 0)
-    _check_at_least("--size", args.size, 2)  # the transform splits pairs of rows and columns
-    _check_at_least("--channels", args.channels, 1)
-    rng = np.random.default_rng(args.seed)
-    grid = FeatureGrid(rng.normal(size=(args.channels, args.size, args.size)))
-    bands = dwt_haar(grid)
-    recon = idwt_haar(bands, args.size, args.size)
-    err = float(np.abs(recon.data - grid.data).max())
-    # The transform is orthonormal on the edge-padded grid it splits, so an
-    # odd size is compared with the energy of that grid, not of the input.
-    pad = args.size % 2
-    padded = np.pad(grid.data, ((0, 0), (0, pad), (0, pad)), mode="edge")
-    energy_in = float((padded ** 2).sum())
-    energy_out = float(sum((b.data ** 2).sum() for b in (bands.ll, bands.lh, bands.hl, bands.hh)))
-    rel = abs(energy_in - energy_out) / energy_in
-    passed = err < 1e-5 and rel < 1e-5
-    print(f"max reconstruction error: {err:.3e}")
-    print(f"relative energy mismatch: {rel:.3e}")
-    _write_csv(args.out,
-               ["size", "channels", "seed", "max_recon_error", "energy_rel_error", "pass"],
-               [[args.size, args.channels, args.seed, _fmt(err), _fmt(rel), int(passed)]])
-    return 0 if passed else 1
-
-
-def cmd_scan_bench(args) -> int:
-    try:
-        sizes = [int(s) for s in args.sizes.split(",")]
-        valid = min(sizes) >= 2  # the locality cost needs a neighbour on each axis
-    except ValueError:
-        valid = False
-    if not valid:
-        raise ValueError(f"--sizes wants comma-separated integers of at least 2, "
-                         f"got {args.sizes!r}")
-    rows = [[kind.value, size, size, _fmt(locality_cost(build_scan_order(kind, size, size)))]
-            for size in sizes for kind in ScanKind]
-    _write_csv(args.out, ["kind", "H", "W", "locality_cost"], rows)
-    print(f"wrote {args.out}")
-    return 0
 
 
 def cmd_probe_demo(args) -> int:
@@ -347,16 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "and evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dwt-roundtrip", help="verify split/merge invertibility")
-    p.add_argument("--size", type=int, default=64)
-    p.add_argument("--channels", type=int, default=3)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--out", default="dwt_roundtrip.csv")
-
-    p = sub.add_parser("scan-bench", help="locality cost of each scan order")
-    p.add_argument("--sizes", default="8,16,32,64")
-    p.add_argument("--out", default="scan_bench.csv")
 
     p = sub.add_parser("probe-demo", help="probe evolution trajectories and masks")
     p.add_argument("--size", type=int, default=64)

@@ -39,7 +39,11 @@ def inputs(tmp_path_factory):
     path = tmp_path_factory.mktemp("inputs")
     for side in (20, 32):
         fileio.save_pgm(path / f"{side}x{side}.pgm", np.zeros((side, side)))
-    (path / "stride2.cfg").write_text("stem_stride = 2\n")
+    for name, line in (("stride2", "stem_stride = 2"), ("stride3", "stem_stride = 3"),
+                       ("gate", "gate = bogus"), ("policy", "policy = EEX"),
+                       ("channels", "channels = 16,32"), ("steps", "steps = x"),
+                       ("no_equals", "seed")):
+        (path / f"{name}.cfg").write_text(line + "\n")
     return path
 
 
@@ -202,31 +206,6 @@ class TestConfigParsing:
 
 
 class TestSubcommands:
-    def test_dwt_roundtrip_passes(self, capsys, tmp_path):
-        out_csv = tmp_path / "dwt.csv"
-        assert main(["dwt-roundtrip", "--size", "64", "--seed", "1",
-                     "--out", str(out_csv)]) == 0
-        out = capsys.readouterr().out
-        assert "max reconstruction error" in out
-        header, rows = read_csv(out_csv)
-        assert rows[0][-1] == "1"
-
-    @pytest.mark.parametrize("size", [3, 5, 9])
-    def test_dwt_roundtrip_passes_at_odd_size(self, size, tmp_path):
-        out_csv = tmp_path / "dwt.csv"
-        assert main(["dwt-roundtrip", "--size", str(size), "--out", str(out_csv)]) == 0
-        header, rows = read_csv(out_csv)
-        assert dict(zip(header, rows[0]))["pass"] == "1"
-
-    def test_scan_bench_csv(self, tmp_path):
-        out = tmp_path / "scan.csv"
-        assert main(["scan-bench", "--sizes", "8,16", "--out", str(out)]) == 0
-        header, rows = read_csv(out)
-        assert header == ["kind", "H", "W", "locality_cost"]
-        assert len(rows) == 12  # 6 kinds x 2 sizes
-        raster8 = [r for r in rows if r[0] == "raster" and r[1] == "8"][0]
-        assert raster8 == ["raster", "8", "8", "4.5"]  # 9/2, as criterion 3 enumerates
-
     def test_synth_gen_writes_samples_and_manifest(self, tmp_path):
         out = tmp_path / "synth"
         assert main(["synth-gen", "--seed", "3", "--out-dir", str(out),
@@ -444,8 +423,12 @@ class TestSubcommands:
 
     # One malformed input per subcommand; {tmp} is the test's scratch directory.
     @pytest.mark.parametrize("argv, says", [
-        (["dwt-roundtrip", "--size", "0", "--out", "{tmp}/d.csv"], "--size"),
-        (["scan-bench", "--sizes", "8,x", "--out", "{tmp}/s.csv"], "--sizes"),
+        (["forward", "--image", "{inputs}/32x32.pgm", "--assign", "ll=bogus",
+          "--out", "{tmp}/m.pgm"],
+         "unknown scan kind 'bogus'"),
+        (["forward", "--image", "{inputs}/32x32.pgm", "--assign", "lh",
+          "--out", "{tmp}/m.pgm"],
+         "bad assignment entry 'lh', want band=kind"),
         (["probe-demo", "--probes", "0", "--out-dir", "{tmp}/p"],
          "--probes must be at least 1, got 0"),
         (["forward", "--image", "{tmp}/missing.pgm", "--out", "{tmp}/m.pgm"],
@@ -459,23 +442,34 @@ class TestSubcommands:
           "--out", "{tmp}/m.pgm"], "cannot read config"),
         (["forward", "--image", "{inputs}/32x32.pgm", "--weights", "{tmp}/missing.fgw",
           "--out", "{tmp}/m.pgm"], "cannot read weights"),
+        (["forward", "--image", "{inputs}/32x32.pgm", "--assign", "xx=h",
+          "--out", "{tmp}/m.pgm"],
+         "bad assignment entry 'xx=h', want band=kind"),
+        # Config files forward refuses ({inputs} holds them), named by key or value.
+        (["forward", "--image", "{inputs}/32x32.pgm", "--config", "{inputs}/gate.cfg",
+          "--out", "{tmp}/m.pgm"],
+         "unknown gate mode 'bogus'"),
+        (["forward", "--image", "{inputs}/32x32.pgm", "--config", "{inputs}/policy.cfg",
+          "--out", "{tmp}/m.pgm"],
+         "policy must be 4 letters from E/G, got 'EEX'"),
+        (["forward", "--image", "{inputs}/32x32.pgm", "--config", "{inputs}/channels.cfg",
+          "--out", "{tmp}/m.pgm"],
+         "need 4 stage widths, got 2"),
+        (["forward", "--image", "{inputs}/32x32.pgm", "--config", "{inputs}/stride3.cfg",
+          "--out", "{tmp}/m.pgm"],
+         "stem stride must be 1 or 2"),
         # Flags checked against their lower bound, named with the value given.
-        (["dwt-roundtrip", "--size", "-4", "--out", "{tmp}/d.csv"],
-         "--size must be at least 2, got -4"),
-        (["dwt-roundtrip", "--size", "1", "--out", "{tmp}/d.csv"],
-         "--size must be at least 2, got 1"),
-        (["dwt-roundtrip", "--channels", "0", "--out", "{tmp}/d.csv"],
-         "--channels must be at least 1, got 0"),
-        (["scan-bench", "--sizes", "0", "--out", "{tmp}/s.csv"],
-         "--sizes wants comma-separated integers of at least 2, got '0'"),
-        (["scan-bench", "--sizes", "8,-4", "--out", "{tmp}/s.csv"], "got '8,-4'"),
         (["probe-demo", "--steps", "-1", "--out-dir", "{tmp}/p"],
          "--steps must be at least 0, got -1"),
         (["probe-demo", "--probes", "-3", "--out-dir", "{tmp}/p"],
          "--probes must be at least 1, got -3"),
-        (["scan-bench", "--sizes", "8,1", "--out", "{tmp}/s.csv"], "got '8,1'"),
-        (["scan-bench", "--sizes", "", "--out", "{tmp}/s.csv"],
-         "--sizes wants comma-separated integers of at least 2, got ''"),
+        # Config lines forward cannot parse.
+        (["forward", "--image", "{inputs}/32x32.pgm", "--config", "{inputs}/no_equals.cfg",
+          "--out", "{tmp}/m.pgm"],
+         "bad config line 'seed', want key=value"),
+        (["forward", "--image", "{inputs}/32x32.pgm", "--config", "{inputs}/steps.cfg",
+          "--out", "{tmp}/m.pgm"],
+         "config key 'steps' wants an integer, got 'x'"),
         (["synth-gen", "--size", "6", "--out-dir", "{tmp}/g"],
          "--size must be at least 7, got 6"),
         (["probe-demo", "--size", "5", "--out-dir", "{tmp}/p"],
@@ -499,8 +493,8 @@ class TestSubcommands:
         (["synth-gen", "--width-min", "3", "--width-max", "2", "--out-dir", "{tmp}/g"],
          "--width-max must be at least 3, got 2"),
         # Seeds, the eval threshold and the synth ranges, checked before any work.
-        (["dwt-roundtrip", "--seed", "-1", "--out", "{tmp}/d.csv"],
-         "--seed must be at least 0, got -1"),
+        (["synth-gen", "--contrast", "1.5", "--out-dir", "{tmp}/g"],
+         "--contrast must lie in (0, 1], got 1.5"),
         (["synth-gen", "--seed", "-1", "--out-dir", "{tmp}/g"],
          "--seed must be at least 0, got -1"),
         (["probe-demo", "--seed", "-1", "--out-dir", "{tmp}/p"],
@@ -532,9 +526,9 @@ class TestSubcommands:
         assert parser is not build_parser() and parser is not cli._main_parser()
         # main runs the command bound to the module name at call time.
         calls = []
-        monkeypatch.setattr(cli, "cmd_dwt_roundtrip", lambda args: calls.append(args) or 7)
-        assert main(["dwt-roundtrip", "--size", "4"]) == 7
-        assert main(["dwt-roundtrip", "--size", "6"]) == 7
+        monkeypatch.setattr(cli, "cmd_synth_gen", lambda args: calls.append(args) or 7)
+        assert main(["synth-gen", "--size", "4"]) == 7
+        assert main(["synth-gen", "--size", "6"]) == 7
         assert [a.size for a in calls] == [4, 6]
 
     @pytest.mark.parametrize("message", [
@@ -555,7 +549,6 @@ class TestSubcommands:
         (["synth-gen", "--out-dir", "{tmp}/s"], "error: out of memory: Unable to allocate 4.00 EiB"),
         (["probe-demo", "--out-dir", "{tmp}/p"], "error: out of memory: Unable to allocate 4.00 EiB"),
         (["mismatch-demo", "--out", "{tmp}/m.csv"], "error: out of memory: Unable to allocate 4.00 EiB"),
-        (["dwt-roundtrip", "--out", "{tmp}/d.csv"], "error: array is too big; "),
     ])
     def test_size_numpy_refuses_is_one_error_line(self, tmp_path, capsys, argv, says):
         # A 2**31 side asks numpy for 4 EiB, which it refuses before allocating anything.
@@ -579,8 +572,6 @@ class TestSubcommands:
 # Small arguments for every subcommand; {out} is a fresh directory per run and
 # {src} holds one synthetic sample (image.pgm, gt.pgm, skeleton.pgm).
 _RERUN_ARGV = {
-    "dwt-roundtrip": ["--size", "8", "--out", "{out}/d.csv"],
-    "scan-bench": ["--sizes", "8,16", "--out", "{out}/s.csv"],
     "probe-demo": ["--size", "16", "--probes", "9", "--steps", "2", "--out-dir", "{out}"],
     "forward": ["--image", "{src}/image.pgm", "--out", "{out}/m.pgm"],
     "eval": ["--pred-dir", "{src}", "--gt-dir", "{src}", "--out", "{out}/e.csv"],
@@ -603,12 +594,11 @@ def test_every_subcommand_is_deterministic(tmp_path, capsys, command):
     assert files[0] and files[0] == files[1]
 
 
-# Edge values for the numeric flags of synth-gen, probe-demo, dwt-roundtrip
-# and scan-bench.  A value that passes validation keeps the run small (a
-# canvas of at most 16x16, at most 3 samples, curves, steps or channels,
-# scan sizes of at most 32), so no case allocates more than a few MB; the
-# large integers are seeds, or widths that validation rejects, and a large
-# texture only darkens the background.
+# Edge values for the numeric flags of synth-gen and probe-demo.  A value
+# that passes validation keeps the run small (a canvas of at most 16x16, at
+# most 3 samples, curves or steps), so no case allocates more than a few MB;
+# the large integers are seeds, or widths that validation rejects, and a
+# large texture only darkens the background.
 _INTS = [-1, 0, 1, 3]
 _FLOATS = [-1.0, 0.0, 1.0, 0.5, float("nan"), float("inf"), float("-inf"), 1e308]
 _EDGE_FLAGS = {
@@ -621,19 +611,11 @@ _EDGE_FLAGS = {
         "seed": _INTS + [7, 2**63], "size": [-1, 0, 1, 5, 7, 9, 16], "steps": _INTS,
         "probes": _INTS,
     },
-    "dwt-roundtrip": {
-        "seed": _INTS + [7, 2**63], "size": [-4, -1, 0, 1, 2, 3, 16], "channels": _INTS,
-    },
-    "scan-bench": {
-        "sizes": ["-4", "0", "1", "2", "3", "x", "", "16", "32", "16,0", "8,-1", "16,x"],
-    },
 }
 # Each command's output flag, and the size flag every case sets before its draws.
 _BASE_ARGV = {
     "synth-gen": ["--out-dir", "{tmp}", "--size", "16"],
     "probe-demo": ["--out-dir", "{tmp}", "--size", "16"],
-    "dwt-roundtrip": ["--out", "{tmp}/d.csv", "--size", "16"],
-    "scan-bench": ["--out", "{tmp}/s.csv", "--sizes", "16"],
 }
 
 

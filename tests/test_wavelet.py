@@ -94,10 +94,15 @@ class TestForward:
         assert s.hh.data[0, 0, 0] == pytest.approx(0.0)
 
     def test_energy_conservation(self):
+        # The transform is orthonormal on the grid it splits, and an odd side
+        # is edge-padded to even first, so the bands keep the padded energy.
         rng = np.random.default_rng(0)
-        g = FeatureGrid(rng.normal(size=(3, 16, 16)))
-        total_in = float((g.data ** 2).sum())
-        assert abs(total_in - band_energy(dwt_haar(g))) <= 1e-5 * total_in
+        for side in (16, 3, 5, 9):
+            g = FeatureGrid(rng.normal(size=(3, side, side)))
+            pad = side % 2
+            padded = np.pad(g.data, ((0, 0), (0, pad), (0, pad)), mode="edge")
+            total_in = float((padded ** 2).sum())
+            assert abs(total_in - band_energy(dwt_haar(g))) <= 1e-5 * total_in, side
 
     def test_band_shapes_ceil_half(self):
         g = FeatureGrid(np.random.default_rng(1).normal(size=(2, 5, 7)))
