@@ -101,12 +101,14 @@ def probe_grid_coords(n: int, seed: int) -> np.ndarray:
     return np.clip(coords, -1.0, 1.0)
 
 
-def asgp_weight_spec(channels: int, embed_dim: int, n_probes: int,
-                     prefix: str = "") -> list[tuple[str, tuple]]:
+def _key_spec(channels: int, embed_dim: int, prefix: str) -> list[tuple[str, tuple]]:
+    """Blocks of the carrier keys coarse_potential matches the embeddings against."""
+    return [(prefix + "asgp.key_w", (embed_dim, channels)), (prefix + "asgp.key_b", (embed_dim,))]
+
+
+def _head_spec(channels: int, embed_dim: int, prefix: str) -> list[tuple[str, tuple]]:
+    """Blocks of evolve_probes' heads: the two-layer offset head, then the score head."""
     return [
-        (prefix + "asgp.probe_embed", (n_probes, embed_dim)),
-        (prefix + "asgp.key_w", (embed_dim, channels)),
-        (prefix + "asgp.key_b", (embed_dim,)),
         (prefix + "asgp.sem_w1", (embed_dim, channels)),
         (prefix + "asgp.sem_b1", (embed_dim,)),
         (prefix + "asgp.sem_w2", (2, embed_dim)),
@@ -114,6 +116,12 @@ def asgp_weight_spec(channels: int, embed_dim: int, n_probes: int,
         (prefix + "asgp.score_w", (1, channels)),
         (prefix + "asgp.score_b", (1,)),
     ]
+
+
+def asgp_weight_spec(channels: int, embed_dim: int, n_probes: int,
+                     prefix: str = "") -> list[tuple[str, tuple]]:
+    return ([(prefix + "asgp.probe_embed", (n_probes, embed_dim))]
+            + _key_spec(channels, embed_dim, prefix) + _head_spec(channels, embed_dim, prefix))
 
 
 def coarse_potential(probes: ProbeSet, x_ll: FeatureGrid, w: WeightStore,
@@ -131,8 +139,7 @@ def coarse_potential(probes: ProbeSet, x_ll: FeatureGrid, w: WeightStore,
     """
     d = probes.embed_dim
     channels, h, width = x_ll.shape
-    key_w = w.get(prefix + "asgp.key_w", (d, channels))
-    key_b = w.get(prefix + "asgp.key_b", (d,))
+    key_w, key_b = (w.get(name, shape) for name, shape in _key_spec(channels, d, prefix))
     flat = x_ll.data.reshape(channels, -1)
     size = flat.shape[1]
     logits = np.empty((probes.count, size))  # (N, HW)
@@ -178,17 +185,6 @@ def repulsion_forces(coords: np.ndarray) -> np.ndarray:
     return np.stack([dx.sum(axis=0), dy.sum(axis=0)], axis=1)
 
 
-def _offset_weights(w: WeightStore, prefix: str, channels: int) -> tuple[np.ndarray, ...]:
-    """The offset head's (w1, b1, w2, b2), checked against ``channels`` input features."""
-    w1 = w.get(prefix + "asgp.sem_w1", w[prefix + "asgp.sem_w1"].shape)  # values; shape below
-    if w1.ndim != 2 or w1.shape[1] != channels:
-        raise DimensionError(f"offset head expects (d, {channels}) weights, got {w1.shape}")
-    b1 = w.get(prefix + "asgp.sem_b1", (w1.shape[0],))
-    w2 = w.get(prefix + "asgp.sem_w2", (2, w1.shape[0]))
-    b2 = w.get(prefix + "asgp.sem_b2", (2,))
-    return w1, b1, w2, b2
-
-
 def _offsets(features: np.ndarray, w1, b1, w2, b2) -> np.ndarray:
     """Bounded learned offsets: tanh of the two-layer head on sampled features."""
     hidden = relu(features @ w1.T + b1)
@@ -205,16 +201,16 @@ def evolve_probes(m0: Mask, x_ll: FeatureGrid, probes: ProbeSet, steps: int,
     scaled repulsion force, then clamp to [-1, 1]^2.  Scores come from
     the score head at the final coordinates.
 
-    The weights are fetched once per call.  Each step checks the
+    The weights are fetched once per call, with the embedding width as the
+    offset head's hidden width (``_head_spec``).  Each step checks the
     coordinates and looks up their grid corners once; when M0 has the
     carrier's shape, as in the pipeline, the features and the gradient
     are read at the same corners.
     """
     require_single_channel(m0, "potential field")
     channels, h, width = x_ll.shape
-    head = _offset_weights(w, prefix, channels)
-    score_w = w.get(prefix + "asgp.score_w", (1, channels))
-    score_b = w.get(prefix + "asgp.score_b", (1,))
+    *head, score_w, score_b = (
+        w.get(name, shape) for name, shape in _head_spec(channels, probes.embed_dim, prefix))
     field = m0.data[0]
     shared = field.shape == (h, width)
     coords = probes.coords.copy()

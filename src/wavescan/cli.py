@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import math
 import sys
@@ -30,9 +31,16 @@ from .errors import ConfigError, DimensionError
 from .fablock import ScanAssignment, fa_scan
 from .grid import FeatureGrid
 from .metrics import _OdsCounts, cldice, region_metrics
-from .pipeline import PipelineConfig, _check_input, default_weights, forward
+from .pipeline import (
+    _MAX_PROBES,
+    _MAX_STEPS,
+    PipelineConfig,
+    _check_input,
+    default_weights,
+    forward,
+)
 from .ssm import SsmParams
-from .synth import _MIN_BEZIER_WIDTH, _MIN_SIDE, SynthConfig, generate_sample
+from .synth import _MAX_CURVES, _MIN_BEZIER_WIDTH, _MIN_SIDE, SynthConfig, generate_sample
 from .weights import WeightStore, seeded_init
 
 
@@ -49,20 +57,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _check_at_least(flag: str, value: float, least: float) -> None:
-    """Raise a ValueError naming ``flag`` and its value when it is below ``least``."""
+def _check_range(flag: str, value: float, least: float, most: float | None = None) -> None:
+    """Raise a ValueError naming ``flag`` and its value when it lies outside [least, most]."""
     if value < least:
         raise ValueError(f"{flag} must be at least {least}, got {value}")
+    if most is not None and value > most:
+        raise ValueError(f"{flag} must be at most {most}, got {value}")
 
 
 # ---------------------------------------------------------------- subcommands
 
 
 def cmd_probe_demo(args) -> int:
-    _check_at_least("--seed", args.seed, 0)
-    _check_at_least("--size", args.size, _MIN_BEZIER_WIDTH)  # a bezier canvas
-    _check_at_least("--steps", args.steps, 0)
-    _check_at_least("--probes", args.probes, 1)
+    _check_range("--seed", args.seed, 0)
+    _check_range("--size", args.size, _MIN_BEZIER_WIDTH)  # a bezier canvas
+    _check_range("--steps", args.steps, 0, _MAX_STEPS)
+    _check_range("--probes", args.probes, 1, _MAX_PROBES)
     sample = generate_sample(SynthConfig(
         height=args.size, width=args.size, curves=2, orientation="bezier",
         contrast=0.8, texture=0.3, seed=args.seed,
@@ -112,7 +122,7 @@ def _config_number(key: str, text: str, kind, sep: str | None = None):
 def parse_config_text(lines, seed_override: int | None = None) -> PipelineConfig:
     """Parse plain key=value lines into a pipeline configuration.
 
-    An unknown key raises ConfigError naming it.
+    An unknown or repeated key raises ConfigError naming it.
     """
     fields: dict[str, str] = {}
     for line in lines:
@@ -126,6 +136,8 @@ def parse_config_text(lines, seed_override: int | None = None) -> PipelineConfig
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}, "
                               f"want one of {', '.join(_CONFIG_KEYS)}")
+        if key in fields:
+            raise ConfigError(f"config key {key!r} is set more than once")
         fields[key] = value.strip()
     kwargs: dict = {}
     if "channels" in fields:
@@ -146,7 +158,7 @@ def parse_config_text(lines, seed_override: int | None = None) -> PipelineConfig
 
 def cmd_forward(args) -> int:
     if args.seed is not None:
-        _check_at_least("--seed", args.seed, 0)
+        _check_range("--seed", args.seed, 0)
     try:
         image = fileio.load_pgm(args.image)
     except OSError as exc:
@@ -159,9 +171,9 @@ def cmd_forward(args) -> int:
         except OSError as exc:
             print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
             return 1
-    if args.assign:
-        lines.append(f"assign = {args.assign}")
     cfg = parse_config_text(lines, seed_override=args.seed)
+    if args.assign:  # the flag replaces the config's assign
+        cfg = dataclasses.replace(cfg, assign=ScanAssignment.parse(args.assign))
     try:
         _check_input(cfg, *image.shape)
     except DimensionError as exc:
@@ -227,19 +239,19 @@ def cmd_eval(args) -> int:
 
 
 def cmd_synth_gen(args) -> int:
-    _check_at_least("--seed", args.seed, 0)
-    _check_at_least("--count", args.count, 1)
-    _check_at_least("--size", args.size,
-                    _MIN_BEZIER_WIDTH if args.orientation == "bezier" else _MIN_SIDE)
-    _check_at_least("--curves", args.curves, 1)
-    _check_at_least("--width-min", args.width_min, 1)
-    _check_at_least("--width-max", args.width_max, args.width_min)
+    _check_range("--seed", args.seed, 0)
+    _check_range("--count", args.count, 1)
+    _check_range("--size", args.size,
+                 _MIN_BEZIER_WIDTH if args.orientation == "bezier" else _MIN_SIDE)
+    _check_range("--curves", args.curves, 1, _MAX_CURVES)
+    _check_range("--width-min", args.width_min, 1)
+    _check_range("--width-max", args.width_max, args.width_min)
     for flag, value in (("--contrast", args.contrast), ("--texture", args.texture)):
         if not math.isfinite(value):
             raise ValueError(f"{flag} must be finite, got {value}")
     if not 0.0 < args.contrast <= 1.0:
         raise ValueError(f"--contrast must lie in (0, 1], got {args.contrast}")
-    _check_at_least("--texture", args.texture, 0)
+    _check_range("--texture", args.texture, 0)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -267,8 +279,8 @@ def cmd_synth_gen(args) -> int:
 
 
 def cmd_mismatch_demo(args) -> int:
-    _check_at_least("--seed", args.seed, 0)
-    _check_at_least("--size", args.size, _MIN_SIDE)
+    _check_range("--seed", args.seed, 0)
+    _check_range("--size", args.size, _MIN_SIDE)
     sample = generate_sample(SynthConfig(
         height=args.size, width=args.size, curves=1, orientation=args.orientation,
         contrast=1.0, texture=0.0, seed=args.seed,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 from .grid import FeatureGrid
 from .nn import conv1x1, depthwise_conv2d, global_avg_pool, relu, sigmoid
 from .scanorder import ScanKind, build_scan_order, deserialize, parse_kind, serialize
@@ -59,7 +59,9 @@ class ScanAssignment:
             key, _, value = part.partition("=")
             key = key.strip().lower()
             if key not in ("ll", "lh", "hl", "hh") or not value:
-                raise ValueError(f"bad assignment entry {part!r}, want band=kind")
+                raise ConfigError(f"bad assignment entry {part!r}, want band=kind")
+            if key in kinds:
+                raise ConfigError(f"band {key!r} is assigned more than once in {text!r}")
             kinds[key] = parse_kind(value)
         return cls(**kinds)
 
@@ -144,12 +146,6 @@ def cross_scan(x: FeatureGrid, psi: SsmParams) -> FeatureGrid:
     return idwt_haar(out, x.height, x.width)
 
 
-def _lgb_inner(channels: int) -> int:
-    if channels % _LGB_RATIO:
-        raise DimensionError(f"mixer needs channels divisible by {_LGB_RATIO}, got {channels}")
-    return channels // _LGB_RATIO
-
-
 def _se_spec(prefix: str, channels: int) -> list[tuple[str, tuple]]:
     """Blocks of a squeeze/excite gate: C -> C / reduction -> C."""
     hidden = max(1, channels // _SE_REDUCTION)
@@ -167,10 +163,12 @@ def _se_gate(pooled: np.ndarray, w: WeightStore, prefix: str) -> np.ndarray:
     return sigmoid(w2 @ relu(w1 @ pooled + b1) + b2)
 
 
-def lgb_weight_spec(channels: int, letter: str, prefix: str = "") -> list[tuple[str, tuple]]:
-    _check_letter(letter)
-    inner = _lgb_inner(channels)
-    spec = [
+def _bottleneck_spec(channels: int, prefix: str) -> list[tuple[str, tuple]]:
+    """Blocks of the C -> C / ratio -> C bottleneck: down, depthwise 3x3, up."""
+    if channels % _LGB_RATIO:
+        raise DimensionError(f"mixer needs channels divisible by {_LGB_RATIO}, got {channels}")
+    inner = channels // _LGB_RATIO
+    return [
         (prefix + "lgb.down_w", (inner, channels)),
         (prefix + "lgb.down_b", (inner,)),
         (prefix + "lgb.dw_w", (inner, 3, 3)),
@@ -178,11 +176,17 @@ def lgb_weight_spec(channels: int, letter: str, prefix: str = "") -> list[tuple[
         (prefix + "lgb.up_w", (channels, inner)),
         (prefix + "lgb.up_b", (channels,)),
     ]
-    if letter == "E":
-        spec += [(prefix + "lgb.eca_w", (_ECA_KERNEL,)), (prefix + "lgb.eca_b", (1,))]
-    else:
-        spec += _se_spec(prefix + "lgb.gse_", channels)
-    return spec
+
+
+def _eca_spec(prefix: str) -> list[tuple[str, tuple]]:
+    """Blocks of the "E" gate: a 1-D conv over the pooled channels."""
+    return [(prefix + "lgb.eca_w", (_ECA_KERNEL,)), (prefix + "lgb.eca_b", (1,))]
+
+
+def lgb_weight_spec(channels: int, letter: str, prefix: str = "") -> list[tuple[str, tuple]]:
+    _check_letter(letter)
+    gate = _eca_spec(prefix) if letter == "E" else _se_spec(prefix + "lgb.gse_", channels)
+    return _bottleneck_spec(channels, prefix) + gate
 
 
 def lgb_gate(y: FeatureGrid, letter: str, w: WeightStore, prefix: str = "") -> np.ndarray:
@@ -191,21 +195,14 @@ def lgb_gate(y: FeatureGrid, letter: str, w: WeightStore, prefix: str = "") -> n
     pooled = global_avg_pool(y.data)
     if letter == "G":
         return _se_gate(pooled, w, prefix + "lgb.gse_")
-    kernel = w.get(prefix + "lgb.eca_w", (_ECA_KERNEL,))
-    bias = w.get(prefix + "lgb.eca_b", (1,))
+    kernel, bias = (w.get(name, shape) for name, shape in _eca_spec(prefix))
     return sigmoid(np.correlate(pooled, kernel, mode="same") + bias[0])
 
 
 def lgb(y: FeatureGrid, letter: str, w: WeightStore, prefix: str = "") -> FeatureGrid:
     """Residual gated bottleneck: y + gate(y) * bottleneck(y)."""
-    channels = y.channels
-    inner = _lgb_inner(channels)
-    down_w = w.get(prefix + "lgb.down_w", (inner, channels))
-    down_b = w.get(prefix + "lgb.down_b", (inner,))
-    dw_w = w.get(prefix + "lgb.dw_w", (inner, 3, 3))
-    dw_b = w.get(prefix + "lgb.dw_b", (inner,))
-    up_w = w.get(prefix + "lgb.up_w", (channels, inner))
-    up_b = w.get(prefix + "lgb.up_b", (channels,))
+    down_w, down_b, dw_w, dw_b, up_w, up_b = (
+        w.get(name, shape) for name, shape in _bottleneck_spec(y.channels, prefix))
     branch = relu(conv1x1(y.data, down_w, down_b))
     branch = relu(depthwise_conv2d(branch, dw_w, dw_b))
     branch = conv1x1(branch, up_w, up_b)

@@ -32,13 +32,15 @@ from .errors import ConfigError, DimensionError
 from .fablock import _LGB_RATIO, ScanAssignment, _se_gate, _se_spec, fa_scan, lgb, lgb_weight_spec
 from .grid import FeatureGrid, Mask, resize_bilinear, sample_px
 from .nn import conv1x1, conv2d, depthwise_conv2d, global_avg_pool, relu, rms_normalize, sigmoid
-from .ssm import SsmParams
+from .ssm import SsmParams, _scan_spec
 from .wavelet import SubbandSet, dwt_haar, idwt_haar
 from .weights import WeightStore, seeded_init
 
 STAGES = 4
 # The stem's square kernel side and the bound on align's offsets, in normalized units.
 _STEM_KERNEL, _MAX_OFFSET = 3, 0.25
+# Caps on the probe and step counts: a probe step builds N x N matrices.
+_MAX_PROBES, _MAX_STEPS = 4096, 1000
 
 
 @dataclass(frozen=True)
@@ -67,8 +69,12 @@ class PipelineConfig:
             raise ConfigError(f"policy must be {STAGES} letters from E/G, got {self.policy!r}")
         if self.probes < 1:
             raise ConfigError(f"probes must be at least 1, got {self.probes}")
+        if self.probes > _MAX_PROBES:
+            raise ConfigError(f"probes must be at most {_MAX_PROBES}, got {self.probes}")
         if self.steps < 0:
             raise ConfigError(f"steps must be at least 0, got {self.steps}")
+        if self.steps > _MAX_STEPS:
+            raise ConfigError(f"steps must be at most {_MAX_STEPS}, got {self.steps}")
         if self.state_dim < 1:
             raise ConfigError("state_dim must be positive")
         if self.seed < 0:
@@ -88,12 +94,8 @@ def _check_input(cfg: PipelineConfig, height: int, width: int) -> None:
         raise DimensionError(f"input dims must be multiples of {step}, got {height}x{width}")
 
 
-def align_hidden(channels: int) -> int:
-    return max(4, channels // 2)
-
-
 def align_weight_spec(channels: int, prefix: str = "") -> list[tuple[str, tuple]]:
-    hidden = align_hidden(channels)
+    hidden = max(4, channels // 2)
     return [
         (prefix + "align.w1", (hidden, 3 * channels, 3, 3)),
         (prefix + "align.b1", (hidden,)),
@@ -134,11 +136,8 @@ def align(x_ll: FeatureGrid, x_hf, w: WeightStore, prefix: str = "") -> FeatureG
         if (band.height, band.width) != shape:
             raise DimensionError("detail bands must match the carrier's spatial shape")
     stacked = _stack_bands([band.data for band in bands])
-    hidden = align_hidden(x_ll.channels)
-    w1 = w.get(prefix + "align.w1", (hidden, stacked.shape[0], 3, 3))
-    b1 = w.get(prefix + "align.b1", (hidden,))
-    w2 = w.get(prefix + "align.w2", (2, hidden, 3, 3))
-    b2 = w.get(prefix + "align.b2", (2,))
+    w1, b1, w2, b2 = (w.get(name, shape)
+                      for name, shape in align_weight_spec(x_ll.channels, prefix))
     raw = conv2d(relu(conv2d(stacked, w1, b1)), w2, b2)
     offsets = _MAX_OFFSET * np.tanh(raw)
     h, width = shape
@@ -152,50 +151,35 @@ def stage_weight_spec(channels: int, cfg: PipelineConfig, stage: int) -> list[tu
     if not 1 <= stage <= STAGES:
         raise ValueError(f"stage must be 1..{STAGES}, got {stage}")
     p = f"s{stage}."
-    n = cfg.state_dim
-    spec = align_weight_spec(channels, p)
-    spec += [
-        (p + "ssm.a_log", (channels, n)),
-        (p + "ssm.d", (channels,)),
-        (p + "ssm.proj_delta_w", (channels, channels)),
-        (p + "ssm.proj_delta_b", (channels,)),
-        (p + "ssm.proj_b", (n, channels)),
-        (p + "ssm.proj_c", (n, channels)),
-    ]
+    spec = align_weight_spec(channels, p) + _scan_spec(channels, cfg.state_dim, p)
     spec += lgb_weight_spec(channels, cfg.policy[stage - 1], p)
     spec += asgp_weight_spec(channels, channels, cfg.probes, p)
     spec += [(p + "asgp.probe_coords", (cfg.probes, 2))]
     return spec
 
 
+def _layer_spec(prefix: str, *shape: int) -> list[tuple[str, tuple]]:
+    """A weight block of ``shape`` and a bias over its first axis: prefix + "w", prefix + "b"."""
+    return [(prefix + "w", shape), (prefix + "b", shape[:1])]
+
+
+def _brm_spec(ce: int) -> list[tuple[str, tuple]]:
+    """Blocks of the boundary refiner, then of the head folded into it."""
+    return (_layer_spec("brm.ctx_dw_", ce, 3, 3) + _layer_spec("brm.ctx_pw_", ce, ce)
+            + _layer_spec("brm.edge_dw_", ce, 3, 3) + _layer_spec("brm.proj_", ce, 2 * ce)
+            + _layer_spec("head.", 1, ce))
+
+
 def pipeline_weight_spec(cfg: PipelineConfig) -> list[tuple[str, tuple]]:
-    c1 = cfg.channels[0]
-    k = _STEM_KERNEL
-    spec: list[tuple[str, tuple]] = [("stem.w", (c1, 1, k, k)), ("stem.b", (c1,))]
+    spec = _layer_spec("stem.", cfg.channels[0], 1, _STEM_KERNEL, _STEM_KERNEL)
     for stage, ch in enumerate(cfg.channels, start=1):
         spec += stage_weight_spec(ch, cfg, stage)
         if stage < STAGES:
-            nxt = cfg.channels[stage]
-            spec += [(f"down{stage}.w", (nxt, ch, 3, 3)), (f"down{stage}.b", (nxt,))]
+            spec += _layer_spec(f"down{stage}.", cfg.channels[stage], ch, 3, 3)
     ce = cfg.decoder_channels
     for level, ch in enumerate(cfg.channels, start=1):
-        spec += [(f"gfa.phi{level}_w", (ce, ch)), (f"gfa.phi{level}_b", (ce,))]
-        spec += _se_spec(f"gfa.gate{level}_", ce)
-    spec += [
-        ("gfa.fuse_w", (ce, ce, 3, 3)),
-        ("gfa.fuse_b", (ce,)),
-        ("brm.ctx_dw_w", (ce, 3, 3)),
-        ("brm.ctx_dw_b", (ce,)),
-        ("brm.ctx_pw_w", (ce, ce)),
-        ("brm.ctx_pw_b", (ce,)),
-        ("brm.edge_dw_w", (ce, 3, 3)),
-        ("brm.edge_dw_b", (ce,)),
-        ("brm.proj_w", (ce, 2 * ce)),
-        ("brm.proj_b", (ce,)),
-        ("head.w", (1, ce)),
-        ("head.b", (1,)),
-    ]
-    return spec
+        spec += _layer_spec(f"gfa.phi{level}_", ce, ch) + _se_spec(f"gfa.gate{level}_", ce)
+    return spec + _layer_spec("gfa.fuse_", ce, ce, 3, 3) + _brm_spec(ce)
 
 
 def default_weights(cfg: PipelineConfig) -> WeightStore:
@@ -260,16 +244,14 @@ def stem(image: FeatureGrid, cfg: PipelineConfig, w: WeightStore) -> FeatureGrid
     so unnormalized feature scales would compound polynomially across
     stages and saturate the head.
     """
-    c1 = cfg.channels[0]
-    sw = w.get("stem.w", (c1, image.channels, _STEM_KERNEL, _STEM_KERNEL))
-    sb = w.get("stem.b", (c1,))
+    sw, sb = (w.get(name, shape) for name, shape in _layer_spec(
+        "stem.", cfg.channels[0], image.channels, _STEM_KERNEL, _STEM_KERNEL))
     return FeatureGrid._of(rms_normalize(relu(conv2d(image.data, sw, sb, stride=cfg.stem_stride))))
 
 
 def downsample(x: FeatureGrid, cfg: PipelineConfig, w: WeightStore, stage: int) -> FeatureGrid:
-    nxt = cfg.channels[stage]
-    dw = w.get(f"down{stage}.w", (nxt, x.channels, 3, 3))
-    db = w.get(f"down{stage}.b", (nxt,))
+    dw, db = (w.get(name, shape) for name, shape
+              in _layer_spec(f"down{stage}.", cfg.channels[stage], x.channels, 3, 3))
     return FeatureGrid._of(rms_normalize(relu(conv2d(x.data, dw, db, stride=2))))
 
 
@@ -300,8 +282,8 @@ def gfa(features, w: WeightStore) -> FeatureGrid:
     projs = [None] * STAGES
     for idx in (1, 2, 3, 0):
         feat, levels[idx] = levels[idx], None
-        pw = w.get(f"gfa.phi{idx + 1}_w", (ce, feat.channels))
-        pb = w.get(f"gfa.phi{idx + 1}_b", (ce,))
+        pw, pb = (w.get(name, shape)
+                  for name, shape in _layer_spec(f"gfa.phi{idx + 1}_", ce, feat.channels))
         projs[idx] = conv1x1(feat.data, pw, pb)
         del feat
     for level in range(1, STAGES + 1):
@@ -315,8 +297,7 @@ def gfa(features, w: WeightStore) -> FeatureGrid:
         else:
             total += proj
         del proj
-    fw = w.get("gfa.fuse_w", (ce, ce, 3, 3))
-    fb = w.get("gfa.fuse_b", (ce,))
+    fw, fb = (w.get(name, shape) for name, shape in _layer_spec("gfa.fuse_", ce, ce, 3, 3))
     return FeatureGrid._of(conv2d(total, fw, fb))
 
 
@@ -341,22 +322,19 @@ def brm(fused: FeatureGrid, w: WeightStore) -> FeatureGrid:
     of their largest magnitude.
     """
     ce = fused.channels
-    head_w = w.get("head.w", (1, ce))
-    proj_w = w.get("brm.proj_w", (ce, 2 * ce))
-    u = head_w @ proj_w[:, :ce] @ w.get("brm.ctx_pw_w", (ce, ce))
+    ctx_dw_w, ctx_dw_b, ctx_pw_w, ctx_pw_b, edge_dw_w, edge_dw_b, proj_w, proj_b, head_w, head_b = (
+        w.get(name, shape) for name, shape in _brm_spec(ce))
+    u = head_w @ proj_w[:, :ce] @ ctx_pw_w
     v = head_w @ proj_w[:, ce:]
-    c = (head_w @ (proj_w[:, :ce] @ w.get("brm.ctx_pw_b", (ce,)) + w.get("brm.proj_b", (ce,)))
-         + v @ w.get("brm.edge_dw_b", (ce,)))
-    logits = conv1x1(fused.data, head_w, w.get("head.b", (1,)))
-    ctx_w = w.get("brm.ctx_dw_w", (ce, 3, 3))
-    ctx_b = w.get("brm.ctx_dw_b", (ce,))
+    c = head_w @ (proj_w[:, :ce] @ ctx_pw_b + proj_b) + v @ edge_dw_b
+    logits = conv1x1(fused.data, head_w, head_b)
     for k in range(ce):
-        ctx = depthwise_conv2d(fused.data[k : k + 1], ctx_w[k : k + 1], ctx_b[k : k + 1])
+        ctx = depthwise_conv2d(fused.data[k : k + 1], ctx_dw_w[k : k + 1], ctx_dw_b[k : k + 1])
         np.maximum(ctx, 0.0, out=ctx)  # relu, in place on this function's array
         ctx *= u[0, k]
         logits += ctx
     del ctx
-    edge_w = v.reshape(1, ce, 1, 1) * w.get("brm.edge_dw_w", (ce, 3, 3))[None]
+    edge_w = v.reshape(1, ce, 1, 1) * edge_dw_w[None]
     logits += conv2d(fused.data, edge_w, c)
     return FeatureGrid._of(logits)
 

@@ -55,6 +55,18 @@ def _affine_recurrence(decay: np.ndarray, drive: np.ndarray, out: np.ndarray) ->
         out[t] = h
 
 
+# (field, store block, shape over C channels and N states) of each mode's arrays,
+# keyed by SsmParams.selective; the stage spec lists the selective blocks in this order.
+_BLOCKS = {
+    True: (("a_log", "ssm.a_log", "CN"), ("d_skip", "ssm.d", "C"),
+           ("delta_w", "ssm.proj_delta_w", "CC"), ("delta_b", "ssm.proj_delta_b", "C"),
+           ("b_w", "ssm.proj_b", "NC"), ("c_w", "ssm.proj_c", "NC")),
+    False: (("a_log", "ssm.a_log", "CN"), ("d_skip", "ssm.d", "C"),
+            ("delta", "ssm.static_delta", "C"), ("b", "ssm.static_b", "N"),
+            ("c", "ssm.static_c", "N")),
+}
+
+
 @dataclass(frozen=True, eq=False)
 class SsmParams:
     """Parameters of the scan operator for one channel width.
@@ -80,31 +92,22 @@ class SsmParams:
 
     def __post_init__(self):
         a_log = np.asarray(self.a_log, dtype=np.float64)
-        d_skip = np.asarray(self.d_skip, dtype=np.float64)
         if a_log.ndim != 2 or a_log.shape[1] != self.state_dim:
             raise DimensionError(f"a_log must be (C, {self.state_dim}), got {a_log.shape}")
-        if d_skip.shape != (a_log.shape[0],):
-            raise DimensionError(f"d_skip must be (C,), got {d_skip.shape}")
-        if np.any(np.isposinf(a_log)) or np.any(np.isnan(a_log)):
-            raise ValueError("a_log must be finite or -inf")
-        if not np.all(np.isfinite(d_skip)):
-            raise ValueError("d_skip must be finite")
-        object.__setattr__(self, "a_log", a_log)
-        object.__setattr__(self, "d_skip", d_skip)
-        c_dim, n = a_log.shape
-        if self.selective:
-            mode, blocks = "selective", (("delta_w", (c_dim, c_dim)), ("delta_b", (c_dim,)),
-                                         ("b_w", (n, c_dim)), ("c_w", (n, c_dim)))
-        else:
-            mode, blocks = "static", (("delta", (c_dim,)), ("b", (n,)), ("c", (n,)))
-        for name, want in blocks:
+        mode = "selective" if self.selective else "static"
+        sizes = dict(zip("CN", a_log.shape))
+        for name, _, dims in _BLOCKS[self.selective]:
             arr = getattr(self, name)
             if arr is None:
                 raise DimensionError(f"{mode} mode requires {name}")
             arr = np.asarray(arr, dtype=np.float64)
+            want = tuple(sizes[d] for d in dims)
             if arr.shape != want:
                 raise DimensionError(f"{name} must be {want}, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
+            if name == "a_log":  # -inf is the integrator limit
+                if np.any(np.isposinf(arr)) or np.any(np.isnan(arr)):
+                    raise ValueError("a_log must be finite or -inf")
+            elif not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, arr)
         if not self.selective and np.any(self.delta <= 0):
@@ -177,40 +180,22 @@ class SsmParams:
 
     def to_store(self, store: WeightStore | None = None, prefix: str = "") -> WeightStore:
         store = store if store is not None else WeightStore()
-        store[prefix + "ssm.a_log"] = self.a_log
-        store[prefix + "ssm.d"] = self.d_skip
-        if self.selective:
-            store[prefix + "ssm.proj_delta_w"] = self.delta_w
-            store[prefix + "ssm.proj_delta_b"] = self.delta_b
-            store[prefix + "ssm.proj_b"] = self.b_w
-            store[prefix + "ssm.proj_c"] = self.c_w
-        else:
-            store[prefix + "ssm.static_delta"] = self.delta
-            store[prefix + "ssm.static_b"] = self.b
-            store[prefix + "ssm.static_c"] = self.c
+        for name, block, _ in _BLOCKS[self.selective]:
+            store[prefix + block] = getattr(self, name)
         return store
 
     @classmethod
     def from_store(cls, store: WeightStore, prefix: str = "") -> "SsmParams":
         a_log = store[prefix + "ssm.a_log"]
         selective = (prefix + "ssm.proj_delta_w") in store
-        common = dict(state_dim=a_log.shape[1], a_log=a_log, d_skip=store[prefix + "ssm.d"])
-        if selective:
-            return cls(
-                selective=True,
-                delta_w=store[prefix + "ssm.proj_delta_w"],
-                delta_b=store[prefix + "ssm.proj_delta_b"],
-                b_w=store[prefix + "ssm.proj_b"],
-                c_w=store[prefix + "ssm.proj_c"],
-                **common,
-            )
-        return cls(
-            selective=False,
-            delta=store[prefix + "ssm.static_delta"],
-            b=store[prefix + "ssm.static_b"],
-            c=store[prefix + "ssm.static_c"],
-            **common,
-        )
+        arrays = {name: store[prefix + block] for name, block, _ in _BLOCKS[selective]}
+        return cls(state_dim=a_log.shape[1], selective=selective, **arrays)
+
+
+def _scan_spec(channels: int, state_dim: int, prefix: str = "") -> list[tuple[str, tuple]]:
+    """The selective operator's blocks as (name, shape) pairs, in _BLOCKS order."""
+    sizes = {"C": channels, "N": state_dim}
+    return [(prefix + block, tuple(sizes[d] for d in dims)) for _, block, dims in _BLOCKS[True]]
 
 
 def _check_tokens(params: SsmParams, u) -> np.ndarray:

@@ -21,6 +21,8 @@ ORIENTATIONS = ("horizontal", "vertical", "axis-aligned", "diagonal", "bezier")
 # The smallest canvas side; a bezier curve starts in the leftmost 15% of the
 # columns and ends in [0.85 w, w - 1], an empty range below 7 columns.
 _MIN_SIDE, _MIN_BEZIER_WIDTH = 4, 7
+# The cap on curves per sample; each curve is drawn on the whole canvas.
+_MAX_CURVES = 1000
 
 
 @dataclass(frozen=True)
@@ -41,6 +43,8 @@ class SynthConfig:
                               f"got {self.height}x{self.width}")
         if self.curves < 1:
             raise ConfigError(f"curves must be at least 1, got {self.curves}")
+        if self.curves > _MAX_CURVES:
+            raise ConfigError(f"curves must be at most {_MAX_CURVES}, got {self.curves}")
         if self.width_min < 1 or self.width_max < self.width_min:
             raise ConfigError(f"widths must satisfy 1 <= width_min <= width_max, "
                               f"got {self.width_min} and {self.width_max}")

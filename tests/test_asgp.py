@@ -3,7 +3,6 @@ import pytest
 
 from wavescan.asgp import (
     ProbeSet,
-    _offset_weights,
     _offsets,
     asgp_gate,
     asgp_weight_spec,
@@ -405,7 +404,8 @@ class TestReassociatedOracles:
 
 def semantic_offsets(features, w, prefix=""):
     """Bounded learned offsets: tanh of the two-layer head on sampled features."""
-    return _offsets(features, *_offset_weights(w, prefix, features.shape[1]))
+    head = (w[prefix + "asgp." + name] for name in ("sem_w1", "sem_b1", "sem_w2", "sem_b2"))
+    return _offsets(features, *head)
 
 
 def oracle_repulsion(coords):
@@ -553,7 +553,8 @@ class TestProbeStepOracle:
     def test_offset_head_shape_still_checked(self):
         m0, x, probes, steps, store = small_case("steps-0")
         store["asgp.sem_w1"] = np.zeros((4, 5))
-        with pytest.raises(DimensionError, match="offset head"):
+        with pytest.raises(DimensionError, match=r"block 'asgp.sem_w1' has shape \(4, 5\), "
+                                                 r"consumer expects \(4, 3\)"):
             evolve_probes(m0, x, probes, steps, store)
 
     def test_multichannel_potential_rejected(self):

@@ -42,7 +42,7 @@ def inputs(tmp_path_factory):
     for name, line in (("stride2", "stem_stride = 2"), ("stride3", "stem_stride = 3"),
                        ("gate", "gate = bogus"), ("policy", "policy = EEX"),
                        ("channels", "channels = 16,32"), ("steps", "steps = x"),
-                       ("no_equals", "seed")):
+                       ("no_equals", "seed"), ("twice", "probes = 16\nprobes = 32")):
         (path / f"{name}.cfg").write_text(line + "\n")
     return path
 
@@ -142,6 +142,13 @@ class TestConfigParsing:
     def test_seed_override(self):
         cfg = parse_config_text(["seed = 1"], seed_override=9)
         assert cfg.seed == 9
+
+    @pytest.mark.parametrize("lines", [["probes = 16", "probes = 32"],
+                                       ["assign = lh=v", "seed = 1", "ASSIGN = hl=h"]])
+    def test_repeated_key_rejected_by_name(self, lines):
+        key = lines[0].partition("=")[0].strip()
+        with pytest.raises(ConfigError, match=f"^config key '{key}' is set more than once$"):
+            parse_config_text(lines)
 
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError):
@@ -319,6 +326,49 @@ class TestSubcommands:
         assert main(["forward", "--image", str(img_path), "--out", str(out_b),
                      "--seed", "0", "--assign", "lh=v,hl=h"]) == 0
         assert out_a.read_bytes() != out_b.read_bytes()
+
+    def test_forward_assign_flag_replaces_the_config_assign(self, tmp_path):
+        sample = generate_sample(SynthConfig(height=32, width=32, seed=5,
+                                             orientation="horizontal"))
+        img_path = tmp_path / "in.pgm"
+        fileio.save_pgm(img_path, sample.image.data[0])
+        config = tmp_path / "assign.cfg"
+        config.write_text("assign = hl=h,hh=raster\n")
+        masks = {}
+        for name, extra in (("flag", ["--assign", "lh=v"]),
+                            ("both", ["--config", str(config), "--assign", "lh=v"]),
+                            ("config", ["--config", str(config)])):
+            out = tmp_path / f"{name}.pgm"
+            assert main(["forward", "--image", str(img_path), "--out", str(out), *extra]) == 0
+            masks[name] = out.read_bytes()
+        assert masks["both"] == masks["flag"]
+        assert masks["config"] != masks["flag"]
+
+    # Each count at its cap + 1; the command stops before it builds anything.
+    @pytest.mark.parametrize("argv, says", [
+        (["probe-demo", "--probes", "4097"], "--probes must be at most 4096, got 4097"),
+        (["probe-demo", "--steps", "1001"], "--steps must be at most 1000, got 1001"),
+        (["synth-gen", "--curves", "1001"], "--curves must be at most 1000, got 1001"),
+        (["forward", "--config", "probes = 4097"], "probes must be at most 4096, got 4097"),
+        (["forward", "--config", "steps = 1001"], "steps must be at most 1000, got 1001"),
+    ])
+    def test_count_past_its_cap_is_refused_before_any_work(self, tmp_path, monkeypatch,
+                                                           capsys, argv, says):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran past the cap check")
+
+        for name in ("generate_sample", "seeded_init", "default_weights", "forward"):
+            monkeypatch.setattr(cli, name, refuse)
+        if argv[0] == "forward":
+            (tmp_path / "c.cfg").write_text(argv[2] + "\n")
+            fileio.save_pgm(tmp_path / "in.pgm", np.zeros((32, 32)))
+            argv = ["forward", "--image", str(tmp_path / "in.pgm"), "--config",
+                    str(tmp_path / "c.cfg"), "--out", str(tmp_path / "m.pgm")]
+        else:
+            argv = [*argv, "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {says}\n"
+        assert not any(tmp_path.glob("out*")) and not (tmp_path / "m.pgm").exists()
 
     def test_forward_missing_image_reports_path(self, tmp_path, capsys):
         missing = tmp_path / "nope.pgm"
@@ -511,6 +561,13 @@ class TestSubcommands:
          "--contrast must lie in (0, 1], got 0.0"),
         (["synth-gen", "--texture", "-1", "--out-dir", "{tmp}/g"],
          "--texture must be at least 0, got -1.0"),
+        # A key or band given twice is refused, not overwritten.
+        (["forward", "--image", "{inputs}/32x32.pgm", "--config", "{inputs}/twice.cfg",
+          "--out", "{tmp}/m.pgm"],
+         "config key 'probes' is set more than once"),
+        (["forward", "--image", "{inputs}/32x32.pgm", "--assign", "lh=v,lh=h",
+          "--out", "{tmp}/m.pgm"],
+         "band 'lh' is assigned more than once in 'lh=v,lh=h'"),
     ])
     def test_malformed_input_is_one_error_line(self, tmp_path, inputs, argv, says):
         code, err = run_cli(*(a.format(tmp=tmp_path, inputs=inputs) for a in argv))

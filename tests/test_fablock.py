@@ -42,6 +42,10 @@ class TestScanAssignment:
         with pytest.raises(ValueError):
             ScanAssignment.parse("xx=hilbert")
 
+    def test_parse_rejects_a_repeated_band_by_name(self):
+        with pytest.raises(ConfigError, match="band 'lh' is assigned more than once"):
+            ScanAssignment.parse("lh=v,lh=h")
+
     def test_swapped_exchanges_detail_paths(self):
         s = ScanAssignment.swapped()
         assert s.lh is ScanKind.VERTICAL

@@ -459,6 +459,27 @@ class TestForward:
         with pytest.raises(InputError, match=f"block '{name}' holds 1 non-finite"):
             forward(img, PipelineConfig(), w)
 
+    @pytest.mark.parametrize("gate_mode", ["probe", "unit"])
+    def test_forward_reads_exactly_the_blocks_its_spec_lists(self, monkeypatch, gate_mode):
+        # A unit gate skips the probe blocks; the spec keeps them so the seeded
+        # draws of every later block stay the same.
+        cfg = PipelineConfig(gate_mode=gate_mode)
+        w = default_weights(cfg)
+        read = set()
+        getitem = WeightStore.__getitem__
+
+        def recording(store, name):
+            read.add(name)
+            return getitem(store, name)
+
+        monkeypatch.setattr(WeightStore, "__getitem__", recording)
+        forward(FeatureGrid(np.random.default_rng(9).uniform(size=(1, 32, 32))), cfg, w)
+        spec = [name for name, _ in pipeline_weight_spec(cfg)]
+        assert len(set(spec)) == len(spec) == 160
+        skipped = [n for n in spec if ".asgp." in n] if gate_mode == "unit" else []
+        assert len(skipped) in (0, 40)
+        assert read == set(spec) - set(skipped)
+
     def test_integrator_limit_in_a_log_runs(self):
         w = default_weights(PipelineConfig())
         a_log = w["s1.ssm.a_log"].copy()
@@ -539,6 +560,11 @@ class TestForward:
         (key, _), = kwargs.items()
         with pytest.raises(ConfigError, match=key):
             PipelineConfig(**kwargs)
+
+    @pytest.mark.parametrize("key, cap", [("probes", 4096), ("steps", 1000)])
+    def test_config_rejects_a_count_past_its_cap(self, key, cap):
+        with pytest.raises(ConfigError, match=f"^{key} must be at most {cap}, got {cap + 1}$"):
+            PipelineConfig(**{key: cap + 1})
 
 
 class TestFlops:
