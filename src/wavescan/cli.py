@@ -28,7 +28,7 @@ from .asgp import (
     refine_mask,
 )
 from .errors import ConfigError, DimensionError
-from .fablock import ScanAssignment, fa_scan
+from .fablock import ScanAssignment
 from .grid import FeatureGrid
 from .metrics import _OdsCounts, cldice, region_metrics
 from .pipeline import (
@@ -39,7 +39,6 @@ from .pipeline import (
     default_weights,
     forward,
 )
-from .ssm import SsmParams
 from .synth import _MAX_CURVES, _MIN_BEZIER_WIDTH, _MIN_SIDE, SynthConfig, generate_sample
 from .weights import WeightStore, seeded_init
 
@@ -119,10 +118,13 @@ def _config_number(key: str, text: str, kind, sep: str | None = None):
         raise ConfigError(f"config key {key!r} wants {want}, got {text!r}") from None
 
 
-def parse_config_text(lines, seed_override: int | None = None) -> PipelineConfig:
+def parse_config_text(lines, seed_override: int | None = None,
+                      with_weights: bool = False) -> PipelineConfig:
     """Parse plain key=value lines into a pipeline configuration.
 
-    An unknown or repeated key raises ConfigError naming it.
+    An unknown or repeated key raises ConfigError naming it.  A seed only
+    draws the default weights, so with a weight bundle (``with_weights``)
+    a ``seed_override`` or a ``seed`` line raises ConfigError naming it.
     """
     fields: dict[str, str] = {}
     for line in lines:
@@ -153,6 +155,10 @@ def parse_config_text(lines, seed_override: int | None = None) -> PipelineConfig
         kwargs["assign"] = ScanAssignment.parse(fields["assign"])
     if seed_override is not None:
         kwargs["seed"] = seed_override
+    if with_weights and "seed" in kwargs:
+        given = "config key 'seed'" if seed_override is None else "--seed"
+        raise ConfigError(f"{given} cannot be combined with --weights, "
+                          "as a seed only draws the default weights")
     return PipelineConfig(**kwargs)
 
 
@@ -171,14 +177,14 @@ def cmd_forward(args) -> int:
         except OSError as exc:
             print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
             return 1
-    cfg = parse_config_text(lines, seed_override=args.seed)
-    if args.assign:  # the flag replaces the config's assign
+    cfg = parse_config_text(lines, seed_override=args.seed, with_weights=args.weights is not None)
+    if args.assign is not None:  # the flag replaces the config's assign
         cfg = dataclasses.replace(cfg, assign=ScanAssignment.parse(args.assign))
     try:
         _check_input(cfg, *image.shape)
     except DimensionError as exc:
         raise ValueError(f"--image {args.image}: {exc}") from None
-    if args.weights:
+    if args.weights is not None:
         try:
             weights = WeightStore.load(args.weights)
         except OSError as exc:
@@ -220,6 +226,9 @@ def cmd_eval(args) -> int:
     for name, ppath, gpath in pairs:
         codes = fileio.load_pgm_codes(ppath)
         gt = fileio.load_pgm_codes(gpath) >= 128
+        if codes.shape != gt.shape:
+            raise ValueError(f"{ppath} is {codes.shape[0]}x{codes.shape[1]} but "
+                             f"{gpath} is {gt.shape[0]}x{gt.shape[1]}")
         tally.add_codes(codes, gt)
         hit = hit_of_code[codes]
         del codes
@@ -278,34 +287,6 @@ def cmd_synth_gen(args) -> int:
     return 0
 
 
-def cmd_mismatch_demo(args) -> int:
-    _check_range("--seed", args.seed, 0)
-    _check_range("--size", args.size, _MIN_SIDE)
-    sample = generate_sample(SynthConfig(
-        height=args.size, width=args.size, curves=1, orientation=args.orientation,
-        contrast=1.0, texture=0.0, seed=args.seed,
-    ))
-    carrier = FeatureGrid(sample.gt[None, :, :].astype(np.float64))
-    psi = SsmParams.static(1, transition=0.5)
-    aligned = fa_scan(carrier, psi, ScanAssignment())
-    swapped = fa_scan(carrier, psi, ScanAssignment.swapped())
-    rows_idx, cols_idx = np.nonzero(sample.skeleton)
-    along = np.argsort(cols_idx if args.orientation == "horizontal" else rows_idx)
-    rows = []
-    for pos, k in enumerate(along):
-        r, c = int(rows_idx[k]), int(cols_idx[k])
-        rows.append([pos, r, c,
-                     _fmt(abs(float(aligned.data[0, r, c]))),
-                     _fmt(abs(float(swapped.data[0, r, c])))])
-    _write_csv(args.out, ["position", "row", "col", "aligned_response",
-                          "swapped_response"], rows)
-    mean_aligned = float(np.mean([float(r[3]) for r in rows]))
-    mean_swapped = float(np.mean([float(r[4]) for r in rows]))
-    print(f"on-structure mean response: aligned={mean_aligned:.4f} "
-          f"swapped={mean_swapped:.4f}")
-    return 0 if mean_aligned > mean_swapped else 1
-
-
 # --------------------------------------------------------------------- parser
 
 
@@ -351,14 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["horizontal", "vertical", "axis-aligned", "diagonal", "bezier"])
     p.add_argument("--contrast", type=float, default=0.8)
     p.add_argument("--texture", type=float, default=0.3)
-
-    p = sub.add_parser("mismatch-demo",
-                       help="on-structure response: aligned vs swapped traversal")
-    p.add_argument("--orientation", default="horizontal",
-                   choices=["horizontal", "vertical"])
-    p.add_argument("--size", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default="mismatch.csv")
 
     return parser
 

@@ -50,12 +50,13 @@ class ScanAssignment:
 
     @classmethod
     def parse(cls, text: str) -> "ScanAssignment":
-        """Parse e.g. 'll=hilbert,lh=h,hl=v,hh=hilbert' (missing keys keep defaults)."""
+        """Parse e.g. 'll=hilbert,lh=h,hl=v,hh=hilbert' (missing keys keep defaults).
+
+        An empty entry, and so an empty text, raises ConfigError.
+        """
         kinds = {}
         for part in text.split(","):
             part = part.strip()
-            if not part:
-                continue
             key, _, value = part.partition("=")
             key = key.strip().lower()
             if key not in ("ll", "lh", "hl", "hh") or not value:

@@ -42,7 +42,9 @@ def inputs(tmp_path_factory):
     for name, line in (("stride2", "stem_stride = 2"), ("stride3", "stem_stride = 3"),
                        ("gate", "gate = bogus"), ("policy", "policy = EEX"),
                        ("channels", "channels = 16,32"), ("steps", "steps = x"),
-                       ("no_equals", "seed"), ("twice", "probes = 16\nprobes = 32")):
+                       ("no_equals", "seed"), ("twice", "probes = 16\nprobes = 32"),
+                       ("assign_empty", "assign = "), ("assign_gap", "assign = ll=h,,"),
+                       ("seed", "seed = 9")):
         (path / f"{name}.cfg").write_text(line + "\n")
     return path
 
@@ -142,6 +144,13 @@ class TestConfigParsing:
     def test_seed_override(self):
         cfg = parse_config_text(["seed = 1"], seed_override=9)
         assert cfg.seed == 9
+
+    @pytest.mark.parametrize("lines, seed, given", [
+        (["seed = 1"], None, "config key 'seed'"), ([], 9, "--seed"), (["seed = 1"], 9, "--seed"),
+    ])
+    def test_seed_with_weights_rejected_by_source(self, lines, seed, given):
+        with pytest.raises(ConfigError, match=f"^{given} cannot be combined with --weights"):
+            parse_config_text(lines, seed, with_weights=True)
 
     @pytest.mark.parametrize("lines", [["probes = 16", "probes = 32"],
                                        ["assign = lh=v", "seed = 1", "ASSIGN = hl=h"]])
@@ -452,24 +461,24 @@ class TestSubcommands:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "pixel data" in err and str(tmp_path / "pred" / "0.pgm") in err
 
+    def test_eval_size_mismatch_names_both_files(self, tmp_path, capsys):
+        for sub, side in (("pred", 64), ("gt", 32)):
+            (tmp_path / sub).mkdir()
+            fileio.save_pgm(tmp_path / sub / "0.pgm", np.zeros((side, side)))
+        out = tmp_path / "o.csv"
+        assert main(["eval", "--pred-dir", str(tmp_path / "pred"),
+                     "--gt-dir", str(tmp_path / "gt"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        pred, gt = tmp_path / "pred" / "0.pgm", tmp_path / "gt" / "0.pgm"
+        assert err == f"error: {pred} is 64x64 but {gt} is 32x32\n"
+        assert not out.exists()
+
     def test_eval_empty_dirs_fail(self, tmp_path, capsys):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
         assert main(["eval", "--pred-dir", str(tmp_path / "a"),
                      "--gt-dir", str(tmp_path / "b")]) == 1
         assert capsys.readouterr().err.startswith("error: no matching .pgm pairs")
-
-    @pytest.mark.parametrize("orientation", ["horizontal", "vertical"])
-    def test_mismatch_demo_aligned_wins(self, tmp_path, orientation, capsys):
-        out = tmp_path / "mismatch.csv"
-        code = main(["mismatch-demo", "--orientation", orientation,
-                     "--size", "32", "--seed", "1", "--out", str(out)])
-        assert code == 0
-        header, rows = read_csv(out)
-        assert header == ["position", "row", "col", "aligned_response", "swapped_response"]
-        aligned = np.mean([float(r[3]) for r in rows])
-        swapped = np.mean([float(r[4]) for r in rows])
-        assert aligned > swapped
 
     # One malformed input per subcommand; {tmp} is the test's scratch directory.
     @pytest.mark.parametrize("argv, says", [
@@ -486,8 +495,8 @@ class TestSubcommands:
         (["eval", "--pred-dir", "{tmp}", "--gt-dir", "{tmp}", "--out", "{tmp}/e.csv"],
          "no matching .pgm pairs"),
         (["synth-gen", "--count", "0", "--out-dir", "{tmp}/g"], "--count"),
-        (["mismatch-demo", "--size", "2", "--out", "{tmp}/x.csv"],
-         "--size must be at least 4, got 2"),
+        (["forward", "--image", "{inputs}/32x32.pgm", "--assign", "", "--out", "{tmp}/m.pgm"],
+         "bad assignment entry '', want band=kind"),
         (["forward", "--image", "{inputs}/32x32.pgm", "--config", "{tmp}/missing.cfg",
           "--out", "{tmp}/m.pgm"], "cannot read config"),
         (["forward", "--image", "{inputs}/32x32.pgm", "--weights", "{tmp}/missing.fgw",
@@ -549,8 +558,9 @@ class TestSubcommands:
          "--seed must be at least 0, got -1"),
         (["probe-demo", "--seed", "-1", "--out-dir", "{tmp}/p"],
          "--seed must be at least 0, got -1"),
-        (["mismatch-demo", "--seed", "-1", "--out", "{tmp}/x.csv"],
-         "--seed must be at least 0, got -1"),
+        (["forward", "--image", "{inputs}/32x32.pgm", "--seed", "5", "--weights",
+          "{tmp}/w.fgw", "--out", "{tmp}/m.pgm"],
+         "--seed cannot be combined with --weights"),
         (["forward", "--image", "{inputs}/32x32.pgm", "--seed", "-1", "--out", "{tmp}/m.pgm"],
          "--seed must be at least 0, got -1"),
         (["eval", "--pred-dir", "{tmp}", "--gt-dir", "{tmp}", "--threshold", "1.5",
@@ -568,6 +578,16 @@ class TestSubcommands:
         (["forward", "--image", "{inputs}/32x32.pgm", "--assign", "lh=v,lh=h",
           "--out", "{tmp}/m.pgm"],
          "band 'lh' is assigned more than once in 'lh=v,lh=h'"),
+        # An empty assign entry and a seed beside a weight bundle are refused, not ignored.
+        (["forward", "--image", "{inputs}/32x32.pgm", "--config", "{inputs}/assign_empty.cfg",
+          "--out", "{tmp}/m.pgm"],
+         "bad assignment entry '', want band=kind"),
+        (["forward", "--image", "{inputs}/32x32.pgm", "--config", "{inputs}/assign_gap.cfg",
+          "--out", "{tmp}/m.pgm"],
+         "bad assignment entry '', want band=kind"),
+        (["forward", "--image", "{inputs}/32x32.pgm", "--config", "{inputs}/seed.cfg",
+          "--weights", "{tmp}/w.fgw", "--out", "{tmp}/m.pgm"],
+         "config key 'seed' cannot be combined with --weights"),
     ])
     def test_malformed_input_is_one_error_line(self, tmp_path, inputs, argv, says):
         code, err = run_cli(*(a.format(tmp=tmp_path, inputs=inputs) for a in argv))
@@ -605,7 +625,6 @@ class TestSubcommands:
     @pytest.mark.parametrize("argv, says", [
         (["synth-gen", "--out-dir", "{tmp}/s"], "error: out of memory: Unable to allocate 4.00 EiB"),
         (["probe-demo", "--out-dir", "{tmp}/p"], "error: out of memory: Unable to allocate 4.00 EiB"),
-        (["mismatch-demo", "--out", "{tmp}/m.csv"], "error: out of memory: Unable to allocate 4.00 EiB"),
     ])
     def test_size_numpy_refuses_is_one_error_line(self, tmp_path, capsys, argv, says):
         # A 2**31 side asks numpy for 4 EiB, which it refuses before allocating anything.
@@ -620,6 +639,13 @@ class TestSubcommands:
         commands = {name[len("cmd_"):] for name in vars(cli) if name.startswith("cmd_")}
         assert {name.replace("-", "_") for name in names} == commands
 
+    def test_readme_lists_exactly_the_subcommands(self):
+        readme = (SRC.parent / "README.md").read_text()
+        block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1]
+        block = block.split("```", 1)[0]
+        listed = [line.split()[1] for line in block.splitlines() if line.startswith("wavescan ")]
+        assert sorted(listed) == subcommand_names()
+
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -633,7 +659,6 @@ _RERUN_ARGV = {
     "forward": ["--image", "{src}/image.pgm", "--out", "{out}/m.pgm"],
     "eval": ["--pred-dir", "{src}", "--gt-dir", "{src}", "--out", "{out}/e.csv"],
     "synth-gen": ["--size", "16", "--count", "2", "--out-dir", "{out}"],
-    "mismatch-demo": ["--size", "32", "--out", "{out}/x.csv"],
 }
 
 
