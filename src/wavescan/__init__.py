@@ -37,7 +37,6 @@ from .asgp import (
     asgp_gate,
     coarse_potential,
     evolve_probes,
-    init_probes,
     refine_mask,
 )
 from .fablock import ScanAssignment, cross_scan, fa_scan, lgb

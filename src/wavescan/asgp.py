@@ -83,12 +83,6 @@ class ProbeSet:
         return self.embeddings.shape[1]
 
 
-def init_probes(n: int, embeddings: np.ndarray, seed: int) -> ProbeSet:
-    """Probes on a uniformly jittered grid over [-1, 1]^2 (deterministic per seed)."""
-    grid_coords = probe_grid_coords(n, seed)
-    return ProbeSet(coords=grid_coords, embeddings=np.asarray(embeddings), scores=np.full(n, 0.5))
-
-
 def probe_grid_coords(n: int, seed: int) -> np.ndarray:
     """n cell centres of a square grid over [-1, 1]^2, each moved by up to a quarter cell."""
     side = int(np.ceil(np.sqrt(n)))

@@ -1,9 +1,9 @@
-"""Unified command line: diagnostics, generation and evaluation.
+"""Unified command line for the paper's workflow: synthesise thin structures
+(``synth-gen``), segment them (``forward``) and score their topology (``eval``).
 
-Outputs are diffable text artifacts only: CSV with a header row, binary
-P5 PGM images, FGT1 tensors and .fgw weight bundles.  Every subcommand
-is deterministic given its seed flags, and the exit status is 0 exactly
-when all requested checks pass.
+Outputs are diffable text artifacts only: CSV with a header row and binary
+P5 PGM images.  Every subcommand is deterministic given its seed flags, and
+bad input ends in one ``error:`` line on stderr and exit status 1.
 """
 
 from __future__ import annotations
@@ -19,28 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .asgp import (
-    asgp_gate,
-    asgp_weight_spec,
-    coarse_potential,
-    evolve_probes,
-    init_probes,
-    refine_mask,
-)
 from .errors import ConfigError, DimensionError
 from .fablock import ScanAssignment
 from .grid import FeatureGrid
 from .metrics import _OdsCounts, cldice, region_metrics
-from .pipeline import (
-    _MAX_PROBES,
-    _MAX_STEPS,
-    PipelineConfig,
-    _check_input,
-    default_weights,
-    forward,
-)
+from .pipeline import PipelineConfig, _check_input, default_weights, forward
 from .synth import _MAX_CURVES, _MIN_BEZIER_WIDTH, _MIN_SIDE, SynthConfig, generate_sample
-from .weights import WeightStore, seeded_init
+from .weights import WeightStore
 
 
 def _write_csv(path, header, rows) -> None:
@@ -65,40 +50,6 @@ def _check_range(flag: str, value: float, least: float, most: float | None = Non
 
 
 # ---------------------------------------------------------------- subcommands
-
-
-def cmd_probe_demo(args) -> int:
-    _check_range("--seed", args.seed, 0)
-    _check_range("--size", args.size, _MIN_BEZIER_WIDTH)  # a bezier canvas
-    _check_range("--steps", args.steps, 0, _MAX_STEPS)
-    _check_range("--probes", args.probes, 1, _MAX_PROBES)
-    sample = generate_sample(SynthConfig(
-        height=args.size, width=args.size, curves=2, orientation="bezier",
-        contrast=0.8, texture=0.3, seed=args.seed,
-    ))
-    carrier = sample.image
-    embed_dim = 8
-    store = seeded_init(asgp_weight_spec(carrier.channels, embed_dim, args.probes), args.seed)
-    probes = init_probes(args.probes, store["asgp.probe_embed"], args.seed)
-    m0 = coarse_potential(probes, carrier, store)
-    trajectory: list[np.ndarray] = []
-    refined = evolve_probes(m0, carrier, probes, args.steps, store, trajectory=trajectory)
-    m1 = refine_mask(refined, (carrier.height, carrier.width))
-    unit = FeatureGrid(np.ones((1, carrier.height, carrier.width)))
-    gate = asgp_gate(m0, m1, [unit])[0].data[0]
-    rows = [
-        [t, i, _fmt(float(coords[i, 0])), _fmt(float(coords[i, 1]))]
-        for t, coords in enumerate(trajectory)
-        for i in range(coords.shape[0])
-    ]
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "probes.csv", ["t", "i", "x", "y"], rows)
-    fileio.save_pgm(out_dir / "m0.pgm", m0.data[0])
-    fileio.save_pgm(out_dir / "m1.pgm", m1.data[0])
-    fileio.save_pgm(out_dir / "m.pgm", gate)
-    print(f"wrote probes.csv, m0.pgm, m1.pgm, m.pgm under {out_dir}")
-    return 0
 
 
 _CONFIG_KEYS = ("channels", "stem_stride", "state_dim", "seed", "policy", "gate", "assign",
@@ -214,8 +165,16 @@ def cmd_eval(args) -> int:
     if not 0.0 < args.threshold < 1.0:
         raise ValueError(f"--threshold must lie in (0, 1), got {args.threshold}")
     pred_dir, gt_dir = Path(args.pred_dir), Path(args.gt_dir)
-    names = sorted(p.name for p in pred_dir.glob("*.pgm"))
-    pairs = [(n, pred_dir / n, gt_dir / n) for n in names if (gt_dir / n).exists()]
+    preds = sorted(p.name for p in pred_dir.glob("*.pgm"))
+    gts = sorted(p.name for p in gt_dir.glob("*.pgm"))
+    if preds != gts:  # refused before any pair is read, so no score covers part of a set
+        def lone(names, others, where, partner):
+            extra = [n for n in names if n not in others]
+            first = f" (first {extra[0]})" if extra else ""
+            return f"{len(extra)} of {len(names)} .pgm files under {where} have no {partner}{first}"
+        raise ValueError(f"{lone(preds, set(gts), pred_dir, 'ground truth')}; "
+                         f"{lone(gts, set(preds), gt_dir, 'prediction')}")
+    pairs = [(n, pred_dir / n, gt_dir / n) for n in preds]
     if not pairs:
         print(f"error: no matching .pgm pairs under {pred_dir} and {gt_dir}",
               file=sys.stderr)
@@ -293,17 +252,10 @@ def cmd_synth_gen(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wavescan",
-        description="Frequency-geometric scan toolkit: diagnostics, generation "
+        description="Frequency-geometric scan toolkit: synthesis, segmentation "
                     "and evaluation.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("probe-demo", help="probe evolution trajectories and masks")
-    p.add_argument("--size", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--steps", type=int, default=3)
-    p.add_argument("--probes", type=int, default=64)
-    p.add_argument("--out-dir", default="probe_demo")
 
     p = sub.add_parser("forward", help="run the forward pipeline on a PGM image")
     p.add_argument("--image", required=True)

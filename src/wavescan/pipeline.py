@@ -57,14 +57,16 @@ class PipelineConfig:
 
     def __post_init__(self):
         if len(self.channels) != STAGES:
-            raise ConfigError(f"need {STAGES} stage widths, got {len(self.channels)}")
+            raise ConfigError(f"channels {self.channels}: need {STAGES} stage widths, "
+                              f"got {len(self.channels)}")
         if any(c < _LGB_RATIO or c % _LGB_RATIO for c in self.channels):
-            raise ConfigError(f"stage widths must be positive multiples of {_LGB_RATIO}, "
+            raise ConfigError(f"channels must be positive multiples of {_LGB_RATIO}, "
                               f"got {self.channels}")
         if self.stem_stride not in (1, 2):
-            raise ConfigError("stem stride must be 1 or 2")
+            raise ConfigError(f"stem_stride must be 1 or 2, got {self.stem_stride}")
         if self.gate_mode not in ("probe", "unit"):
-            raise ConfigError(f"unknown gate mode {self.gate_mode!r}")
+            raise ConfigError(f"unknown gate mode {self.gate_mode!r}: "
+                              "gate_mode must be 'probe' or 'unit'")
         if len(self.policy) != STAGES or any(ch not in "EG" for ch in self.policy):
             raise ConfigError(f"policy must be {STAGES} letters from E/G, got {self.policy!r}")
         if self.probes < 1:
@@ -76,7 +78,7 @@ class PipelineConfig:
         if self.steps > _MAX_STEPS:
             raise ConfigError(f"steps must be at most {_MAX_STEPS}, got {self.steps}")
         if self.state_dim < 1:
-            raise ConfigError("state_dim must be positive")
+            raise ConfigError(f"state_dim must be at least 1, got {self.state_dim}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
@@ -355,8 +357,8 @@ def forward(image: FeatureGrid, cfg: PipelineConfig | None = None,
     buffer is freed once its last reader is done.
 
     Values are checked where they enter: ``image`` when built, each block at
-    its ``WeightStore.get`` (``sN.ssm.a_log`` against ``cfg.state_dim``; other
-    scan blocks in SsmParams), the logits before the sigmoid maps inf to 0 or 1.
+    its ``WeightStore.get`` (``sN.ssm.a_log`` against ``cfg.state_dim``, the other
+    scan blocks against its (C, N)), the logits before the sigmoid maps inf to 0 or 1.
     """
     cfg = cfg or PipelineConfig()
     if image.channels != 1:

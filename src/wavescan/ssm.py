@@ -186,10 +186,20 @@ class SsmParams:
 
     @classmethod
     def from_store(cls, store: WeightStore, prefix: str = "") -> "SsmParams":
+        """The operator stored under ``prefix``, each block fetched by ``WeightStore.get``.
+
+        ``ssm.a_log`` gives (C, N), so a block of another shape, or one holding
+        a non-finite value, is refused by its store name.
+        """
         a_log = store[prefix + "ssm.a_log"]
+        if a_log.ndim != 2:
+            raise DimensionError(f"block {prefix + 'ssm.a_log'!r} has shape {a_log.shape}, "
+                                 "consumer expects (C, N)")
+        sizes = dict(zip("CN", a_log.shape))
         selective = (prefix + "ssm.proj_delta_w") in store
-        arrays = {name: store[prefix + block] for name, block, _ in _BLOCKS[selective]}
-        return cls(state_dim=a_log.shape[1], selective=selective, **arrays)
+        arrays = {name: store.get(prefix + block, tuple(sizes[d] for d in dims))
+                  for name, block, dims in _BLOCKS[selective]}
+        return cls(state_dim=sizes["N"], selective=selective, **arrays)
 
 
 def _scan_spec(channels: int, state_dim: int, prefix: str = "") -> list[tuple[str, tuple]]:

@@ -8,7 +8,6 @@ from wavescan.asgp import (
     asgp_weight_spec,
     coarse_potential,
     evolve_probes,
-    init_probes,
     probe_grid_coords,
     refine_mask,
     repulsion_forces,
@@ -64,15 +63,12 @@ class TestConfig:
 
 
 class TestProbeSet:
-    def test_init_probes_grid_jitter(self):
-        emb = np.zeros((64, 4))
-        probes = init_probes(64, emb, seed=0)
-        assert probes.count == 64
-        assert np.all(np.abs(probes.coords) <= 1.0)
-        again = init_probes(64, emb, seed=0)
-        assert np.array_equal(probes.coords, again.coords)
-        other = init_probes(64, emb, seed=1)
-        assert not np.array_equal(probes.coords, other.coords)
+    def test_probe_grid_coords_jitter(self):
+        coords = probe_grid_coords(64, seed=0)
+        assert coords.shape == (64, 2)
+        assert np.all(np.abs(coords) <= 1.0)
+        assert np.array_equal(coords, probe_grid_coords(64, seed=0))
+        assert not np.array_equal(coords, probe_grid_coords(64, seed=1))
 
     def test_grid_spacing_keeps_probes_apart(self):
         coords = probe_grid_coords(64, seed=3)
@@ -166,7 +162,8 @@ class TestEvolution:
         x = FeatureGrid(rng.normal(size=(3, 16, 16)))
         field = gaussian_peak_field()
         store = seeded_init(asgp_weight_spec(3, 4, 16), 2)
-        probes = init_probes(16, store["asgp.probe_embed"], 5)
+        probes = ProbeSet(coords=probe_grid_coords(16, 5), embeddings=store["asgp.probe_embed"],
+                          scores=np.full(16, 0.5))
         trajectory: list[np.ndarray] = []
         evolve_probes(field, x, probes, 5, store, trajectory=trajectory)
         assert len(trajectory) == 6

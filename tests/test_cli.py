@@ -44,8 +44,16 @@ def inputs(tmp_path_factory):
                        ("channels", "channels = 16,32"), ("steps", "steps = x"),
                        ("no_equals", "seed"), ("twice", "probes = 16\nprobes = 32"),
                        ("assign_empty", "assign = "), ("assign_gap", "assign = ll=h,,"),
-                       ("seed", "seed = 9")):
+                       ("seed", "seed = 9"), ("state_dim", "state_dim = 0"),
+                       ("widths", "channels = 16,32,64,126")):
         (path / f"{name}.cfg").write_text(line + "\n")
+    for sub, names in (("pred_ab", "ab"), ("gt_ac", "ac")):
+        (path / sub).mkdir()
+        for name in names:
+            fileio.save_pgm(path / sub / f"{name}.pgm", np.zeros((8, 8)))
+    blocks = dict(default_weights(PipelineConfig()).items())
+    blocks["s2.ssm.d"] = np.zeros(5)
+    WeightStore(blocks).save(path / "ssm_d.fgw")
     return path
 
 
@@ -233,17 +241,6 @@ class TestSubcommands:
         assert (out / "gt_001.pgm").exists()
         assert (out / "skeleton_000.pgm").exists()
 
-    def test_probe_demo_outputs(self, tmp_path):
-        out = tmp_path / "probes"
-        assert main(["probe-demo", "--size", "32", "--seed", "0", "--probes", "9",
-                     "--steps", "2", "--out-dir", str(out)]) == 0
-        header, rows = read_csv(out / "probes.csv")
-        assert header == ["t", "i", "x", "y"]
-        assert len(rows) == 9 * 3  # initial coords plus two steps
-        for name in ("m0.pgm", "m1.pgm", "m.pgm"):
-            img = fileio.load_pgm(out / name)
-            assert img.shape == (32, 32)
-
     def test_forward_runs_on_pgm(self, tmp_path):
         sample = generate_sample(SynthConfig(height=32, width=32, seed=1,
                                              orientation="bezier", width_max=3))
@@ -353,10 +350,11 @@ class TestSubcommands:
         assert masks["both"] == masks["flag"]
         assert masks["config"] != masks["flag"]
 
-    # Each count at its cap + 1; the command stops before it builds anything.
+    # Each count at its cap + 1, and one far past it; the command stops before
+    # it builds anything.
     @pytest.mark.parametrize("argv, says", [
-        (["probe-demo", "--probes", "4097"], "--probes must be at most 4096, got 4097"),
-        (["probe-demo", "--steps", "1001"], "--steps must be at most 1000, got 1001"),
+        (["synth-gen", "--curves", str(2**63)], f"--curves must be at most 1000, got {2**63}"),
+        (["forward", "--config", f"probes = {2**63}"], f"probes must be at most 4096, got {2**63}"),
         (["synth-gen", "--curves", "1001"], "--curves must be at most 1000, got 1001"),
         (["forward", "--config", "probes = 4097"], "probes must be at most 4096, got 4097"),
         (["forward", "--config", "steps = 1001"], "steps must be at most 1000, got 1001"),
@@ -366,7 +364,7 @@ class TestSubcommands:
         def refuse(*args, **kwargs):
             raise AssertionError("ran past the cap check")
 
-        for name in ("generate_sample", "seeded_init", "default_weights", "forward"):
+        for name in ("generate_sample", "default_weights", "forward"):
             monkeypatch.setattr(cli, name, refuse)
         if argv[0] == "forward":
             (tmp_path / "c.cfg").write_text(argv[2] + "\n")
@@ -480,6 +478,24 @@ class TestSubcommands:
                      "--gt-dir", str(tmp_path / "b")]) == 1
         assert capsys.readouterr().err.startswith("error: no matching .pgm pairs")
 
+    def test_eval_unmatched_files_are_refused_before_any_pair_is_read(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        def refuse(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(fileio, "load_pgm_codes", refuse)
+        for sub, names in (("pred", ["a", "b", "d"]), ("gt", ["a", "c"])):
+            (tmp_path / sub).mkdir()
+            for name in names:
+                fileio.save_pgm(tmp_path / sub / f"{name}.pgm", np.eye(32))
+        pred, gt, out = tmp_path / "pred", tmp_path / "gt", tmp_path / "o.csv"
+        assert main(["eval", "--pred-dir", str(pred), "--gt-dir", str(gt),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: 2 of 3 .pgm files under {pred} have no ground truth (first b.pgm); "
+            f"1 of 2 .pgm files under {gt} have no prediction (first c.pgm)\n")
+        assert not out.exists()
+
     # One malformed input per subcommand; {tmp} is the test's scratch directory.
     @pytest.mark.parametrize("argv, says", [
         (["forward", "--image", "{inputs}/32x32.pgm", "--assign", "ll=bogus",
@@ -488,8 +504,9 @@ class TestSubcommands:
         (["forward", "--image", "{inputs}/32x32.pgm", "--assign", "lh",
           "--out", "{tmp}/m.pgm"],
          "bad assignment entry 'lh', want band=kind"),
-        (["probe-demo", "--probes", "0", "--out-dir", "{tmp}/p"],
-         "--probes must be at least 1, got 0"),
+        (["eval", "--pred-dir", "{inputs}/pred_ab", "--gt-dir", "{inputs}/gt_ac",
+          "--out", "{tmp}/e.csv"],
+         "1 of 2 .pgm files under {inputs}/pred_ab have no ground truth (first b.pgm)"),
         (["forward", "--image", "{tmp}/missing.pgm", "--out", "{tmp}/m.pgm"],
          "cannot read image"),
         (["eval", "--pred-dir", "{tmp}", "--gt-dir", "{tmp}", "--out", "{tmp}/e.csv"],
@@ -516,12 +533,13 @@ class TestSubcommands:
          "need 4 stage widths, got 2"),
         (["forward", "--image", "{inputs}/32x32.pgm", "--config", "{inputs}/stride3.cfg",
           "--out", "{tmp}/m.pgm"],
-         "stem stride must be 1 or 2"),
-        # Flags checked against their lower bound, named with the value given.
-        (["probe-demo", "--steps", "-1", "--out-dir", "{tmp}/p"],
-         "--steps must be at least 0, got -1"),
-        (["probe-demo", "--probes", "-3", "--out-dir", "{tmp}/p"],
-         "--probes must be at least 1, got -3"),
+         "stem_stride must be 1 or 2, got 3"),
+        (["forward", "--image", "{inputs}/32x32.pgm", "--config", "{inputs}/state_dim.cfg",
+          "--out", "{tmp}/m.pgm"],
+         "state_dim must be at least 1, got 0"),
+        (["forward", "--image", "{inputs}/32x32.pgm", "--config", "{inputs}/widths.cfg",
+          "--out", "{tmp}/m.pgm"],
+         "channels must be positive multiples of 4, got (16, 32, 64, 126)"),
         # Config lines forward cannot parse.
         (["forward", "--image", "{inputs}/32x32.pgm", "--config", "{inputs}/no_equals.cfg",
           "--out", "{tmp}/m.pgm"],
@@ -531,8 +549,10 @@ class TestSubcommands:
          "config key 'steps' wants an integer, got 'x'"),
         (["synth-gen", "--size", "6", "--out-dir", "{tmp}/g"],
          "--size must be at least 7, got 6"),
-        (["probe-demo", "--size", "5", "--out-dir", "{tmp}/p"],
-         "--size must be at least 7, got 5"),
+        # A scan block of the wrong shape, named by its store name.
+        (["forward", "--image", "{inputs}/32x32.pgm", "--weights", "{inputs}/ssm_d.fgw",
+          "--out", "{tmp}/m.pgm"],
+         "block 's2.ssm.d' has shape (5,), consumer expects (32,)"),
         (["synth-gen", "--size", "3", "--orientation", "vertical", "--out-dir", "{tmp}/g"],
          "--size must be at least 4, got 3"),
         (["synth-gen", "--texture", "inf", "--out-dir", "{tmp}/g"],
@@ -556,8 +576,8 @@ class TestSubcommands:
          "--contrast must lie in (0, 1], got 1.5"),
         (["synth-gen", "--seed", "-1", "--out-dir", "{tmp}/g"],
          "--seed must be at least 0, got -1"),
-        (["probe-demo", "--seed", "-1", "--out-dir", "{tmp}/p"],
-         "--seed must be at least 0, got -1"),
+        (["eval", "--pred-dir", "{tmp}", "--gt-dir", "{tmp}", "--threshold", "0",
+          "--out", "{tmp}/e.csv"], "--threshold must lie in (0, 1), got 0.0"),
         (["forward", "--image", "{inputs}/32x32.pgm", "--seed", "5", "--weights",
           "{tmp}/w.fgw", "--out", "{tmp}/m.pgm"],
          "--seed cannot be combined with --weights"),
@@ -624,7 +644,6 @@ class TestSubcommands:
 
     @pytest.mark.parametrize("argv, says", [
         (["synth-gen", "--out-dir", "{tmp}/s"], "error: out of memory: Unable to allocate 4.00 EiB"),
-        (["probe-demo", "--out-dir", "{tmp}/p"], "error: out of memory: Unable to allocate 4.00 EiB"),
     ])
     def test_size_numpy_refuses_is_one_error_line(self, tmp_path, capsys, argv, says):
         # A 2**31 side asks numpy for 4 EiB, which it refuses before allocating anything.
@@ -655,7 +674,6 @@ class TestSubcommands:
 # Small arguments for every subcommand; {out} is a fresh directory per run and
 # {src} holds one synthetic sample (image.pgm, gt.pgm, skeleton.pgm).
 _RERUN_ARGV = {
-    "probe-demo": ["--size", "16", "--probes", "9", "--steps", "2", "--out-dir", "{out}"],
     "forward": ["--image", "{src}/image.pgm", "--out", "{out}/m.pgm"],
     "eval": ["--pred-dir", "{src}", "--gt-dir", "{src}", "--out", "{out}/e.csv"],
     "synth-gen": ["--size", "16", "--count", "2", "--out-dir", "{out}"],
@@ -676,11 +694,11 @@ def test_every_subcommand_is_deterministic(tmp_path, capsys, command):
     assert files[0] and files[0] == files[1]
 
 
-# Edge values for the numeric flags of synth-gen and probe-demo.  A value
-# that passes validation keeps the run small (a canvas of at most 16x16, at
-# most 3 samples, curves or steps), so no case allocates more than a few MB;
-# the large integers are seeds, or widths that validation rejects, and a
-# large texture only darkens the background.
+# Edge values for the numeric flags of synth-gen and eval.  A value that
+# passes validation keeps the run small (a canvas of at most 16x16, at most 3
+# samples or curves; eval reads empty directories), so no case allocates more
+# than a few MB; the large integers are seeds, or widths that validation
+# rejects, and a large texture only darkens the background.
 _INTS = [-1, 0, 1, 3]
 _FLOATS = [-1.0, 0.0, 1.0, 0.5, float("nan"), float("inf"), float("-inf"), 1e308]
 _EDGE_FLAGS = {
@@ -689,15 +707,12 @@ _EDGE_FLAGS = {
         "curves": _INTS, "width-min": _INTS + [2**63], "width-max": _INTS + [5],
         "contrast": _FLOATS, "texture": _FLOATS,
     },
-    "probe-demo": {
-        "seed": _INTS + [7, 2**63], "size": [-1, 0, 1, 5, 7, 9, 16], "steps": _INTS,
-        "probes": _INTS,
-    },
+    "eval": {"threshold": _FLOATS},
 }
-# Each command's output flag, and the size flag every case sets before its draws.
+# The arguments every case of a command sets before its draws.
 _BASE_ARGV = {
     "synth-gen": ["--out-dir", "{tmp}", "--size", "16"],
-    "probe-demo": ["--out-dir", "{tmp}", "--size", "16"],
+    "eval": ["--pred-dir", "{tmp}", "--gt-dir", "{tmp}", "--out", "{tmp}/e.csv"],
 }
 
 

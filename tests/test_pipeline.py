@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -448,7 +450,8 @@ class TestForward:
         assert len(checked) == 16
 
     @pytest.mark.parametrize("name", ["stem.b", "s2.align.w1", "s3.lgb.up_w", "s4.asgp.key_w",
-                                      "gfa.fuse_w", "brm.edge_dw_w", "s2.asgp.sem_w1"])
+                                      "gfa.fuse_w", "brm.edge_dw_w", "s2.asgp.sem_w1",
+                                      "s2.ssm.d", "s3.ssm.proj_b", "s1.ssm.proj_delta_w"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_block_built_in_code_rejected_by_name(self, name, value):
         w = default_weights(PipelineConfig())
@@ -553,6 +556,18 @@ class TestForward:
             PipelineConfig(stem_stride=3)
         with pytest.raises(ConfigError):
             PipelineConfig(gate_mode="sometimes")
+
+    def test_every_check_names_its_field_and_value(self):
+        bad = [("channels", (16, 32)), ("channels", (16, 32, 64, 126)), ("stem_stride", 3),
+               ("gate_mode", "bogus"), ("policy", "EEX"), ("probes", 0), ("probes", 4097),
+               ("steps", -1), ("steps", 1001), ("state_dim", 0), ("seed", -1)]
+        # one case per check, so a new check needs a case here
+        source = inspect.getsource(PipelineConfig.__post_init__)
+        assert source.count("raise ConfigError") == len(bad)
+        for field, value in bad:
+            with pytest.raises(ConfigError) as exc:
+                PipelineConfig(**{field: value})
+            assert field in str(exc.value) and str(value) in str(exc.value), str(exc.value)
 
     @pytest.mark.parametrize("kwargs", [{"probes": 0}, {"probes": -3}, {"steps": -1},
                                         {"seed": -1}])

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from wavescan.errors import DimensionError
+from wavescan.errors import DimensionError, InputError
 from wavescan.nn import softplus
 from wavescan.ssm import (
+    _BLOCKS,
     SsmParams,
     _affine_recurrence,
     _coefficients,
@@ -203,6 +204,20 @@ class TestValidationAndStore:
         bad.flat[-1] = np.nan
         with pytest.raises(ValueError, match=f"^{name} must be finite$"):
             SsmParams(**{**base, name: bad})
+
+    @pytest.mark.parametrize("selective", [True, False])
+    def test_from_store_refuses_a_bad_block_by_its_name(self, selective):
+        store = SsmParams.random(3, 2, seed=6, selective=selective).to_store(prefix="s2.")
+        for _, block, _ in _BLOCKS[selective]:
+            name = "s2." + block
+            good = store[name]
+            store[name] = np.zeros(good.shape[0] + 1)
+            with pytest.raises(DimensionError, match=f"^block '{name}' has shape"):
+                SsmParams.from_store(store, "s2.")
+            store[name] = np.where(np.arange(good.size).reshape(good.shape) == 0, np.inf, good)
+            with pytest.raises(InputError, match=f"^weight block '{name}' holds 1 non-finite"):
+                SsmParams.from_store(store, "s2.")
+            store[name] = good
 
     def test_store_block_names(self):
         p = SsmParams.random(2, 2, seed=0)
