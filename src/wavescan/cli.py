@@ -2,7 +2,7 @@
 (``synth-gen``), segment them (``forward``) and score their topology (``eval``).
 
 Outputs are diffable text artifacts only: CSV with a header row and binary
-P5 PGM images.  Every subcommand is deterministic given its seed flags, and
+P5 PGM images.  Every subcommand is deterministic given its arguments, and
 bad input ends in one ``error:`` line on stderr and exit status 1.
 """
 
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import math
 import sys
@@ -24,7 +23,8 @@ from .fablock import ScanAssignment
 from .grid import FeatureGrid
 from .metrics import _OdsCounts, cldice, region_metrics
 from .pipeline import PipelineConfig, _check_input, default_weights, forward
-from .synth import _MAX_CURVES, _MIN_BEZIER_WIDTH, _MIN_SIDE, SynthConfig, generate_sample
+from .synth import (_MAX_CURVES, _MIN_BEZIER_WIDTH, _MIN_SIDE, ORIENTATIONS, SynthConfig,
+                    generate_sample)
 from .weights import WeightStore
 
 
@@ -69,13 +69,12 @@ def _config_number(key: str, text: str, kind, sep: str | None = None):
         raise ConfigError(f"config key {key!r} wants {want}, got {text!r}") from None
 
 
-def parse_config_text(lines, seed_override: int | None = None,
-                      with_weights: bool = False) -> PipelineConfig:
+def parse_config_text(lines, with_weights: bool = False) -> PipelineConfig:
     """Parse plain key=value lines into a pipeline configuration.
 
     An unknown or repeated key raises ConfigError naming it.  A seed only
     draws the default weights, so with a weight bundle (``with_weights``)
-    a ``seed_override`` or a ``seed`` line raises ConfigError naming it.
+    a ``seed`` line raises ConfigError.
     """
     fields: dict[str, str] = {}
     for line in lines:
@@ -104,18 +103,13 @@ def parse_config_text(lines, seed_override: int | None = None,
         kwargs["gate_mode"] = fields["gate"]
     if "assign" in fields:
         kwargs["assign"] = ScanAssignment.parse(fields["assign"])
-    if seed_override is not None:
-        kwargs["seed"] = seed_override
     if with_weights and "seed" in kwargs:
-        given = "config key 'seed'" if seed_override is None else "--seed"
-        raise ConfigError(f"{given} cannot be combined with --weights, "
+        raise ConfigError("config key 'seed' cannot be combined with --weights, "
                           "as a seed only draws the default weights")
     return PipelineConfig(**kwargs)
 
 
 def cmd_forward(args) -> int:
-    if args.seed is not None:
-        _check_range("--seed", args.seed, 0)
     try:
         image = fileio.load_pgm(args.image)
     except OSError as exc:
@@ -128,9 +122,7 @@ def cmd_forward(args) -> int:
         except OSError as exc:
             print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
             return 1
-    cfg = parse_config_text(lines, seed_override=args.seed, with_weights=args.weights is not None)
-    if args.assign is not None:  # the flag replaces the config's assign
-        cfg = dataclasses.replace(cfg, assign=ScanAssignment.parse(args.assign))
+    cfg = parse_config_text(lines, with_weights=args.weights is not None)
     try:
         _check_input(cfg, *image.shape)
     except DimensionError as exc:
@@ -165,6 +157,9 @@ def cmd_eval(args) -> int:
     if not 0.0 < args.threshold < 1.0:
         raise ValueError(f"--threshold must lie in (0, 1), got {args.threshold}")
     pred_dir, gt_dir = Path(args.pred_dir), Path(args.gt_dir)
+    for flag, path in (("--pred-dir", pred_dir), ("--gt-dir", gt_dir)):
+        if not path.is_dir():
+            raise ValueError(f"{flag} {path} is not a directory")
     preds = sorted(p.name for p in pred_dir.glob("*.pgm"))
     gts = sorted(p.name for p in gt_dir.glob("*.pgm"))
     if preds != gts:  # refused before any pair is read, so no score covers part of a set
@@ -262,9 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", default=None, help=".fgw bundle (default: seeded)")
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--assign", default=None,
-                   help="band traversals, e.g. ll=hilbert,lh=h,hl=v,hh=hilbert")
-    p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("eval", help="region/ODS/clDice metrics over mask directories")
     p.add_argument("--pred-dir", required=True)
@@ -280,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curves", type=int, default=1)
     p.add_argument("--width-min", type=int, default=1)
     p.add_argument("--width-max", type=int, default=3)
-    p.add_argument("--orientation", default="bezier",
-                   choices=["horizontal", "vertical", "axis-aligned", "diagonal", "bezier"])
+    p.add_argument("--orientation", default="bezier", choices=ORIENTATIONS)
     p.add_argument("--contrast", type=float, default=0.8)
     p.add_argument("--texture", type=float, default=0.3)
 

@@ -8,7 +8,7 @@ summary: the arithmetic mean 4-neighbour index gap.  It is dominated by
 its largest gaps and grows at least linearly in N on an N x N grid for
 any traversal, so it does not rank Hilbert above raster.
 
-Hilbert and Z-order traversals are generated on the smallest enclosing
+The Hilbert traversal is generated on the smallest enclosing
 power-of-two square and filtered to in-bounds cells, preserving visit
 order.  Curves for a given square size are computed once and cached.
 """
@@ -26,27 +26,19 @@ from .grid import FeatureGrid
 
 
 class ScanKind(str, Enum):
-    RASTER = "raster"
-    SNAKE = "snake"
     HORIZONTAL = "horizontal"
+    RASTER = "horizontal"  # alias: raster is the row-major horizontal order
     VERTICAL = "vertical"
     HILBERT = "hilbert"
-    ZORDER = "zorder"
 
 
 _KIND_ALIASES = {
-    "raster": ScanKind.RASTER,
-    "snake": ScanKind.SNAKE,
-    "h": ScanKind.HORIZONTAL,
-    "horz": ScanKind.HORIZONTAL,
     "horizontal": ScanKind.HORIZONTAL,
-    "v": ScanKind.VERTICAL,
-    "vert": ScanKind.VERTICAL,
+    "h": ScanKind.HORIZONTAL,
+    "raster": ScanKind.HORIZONTAL,
     "vertical": ScanKind.VERTICAL,
+    "v": ScanKind.VERTICAL,
     "hilbert": ScanKind.HILBERT,
-    "z": ScanKind.ZORDER,
-    "zorder": ScanKind.ZORDER,
-    "z-order": ScanKind.ZORDER,
 }
 
 
@@ -103,14 +95,6 @@ def _hilbert_square(k: int) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def _morton_codes(rows: np.ndarray, cols: np.ndarray, k: int) -> np.ndarray:
-    code = np.zeros(rows.shape, dtype=np.int64)
-    for bit in range(k):
-        code |= ((cols >> bit) & 1) << (2 * bit)
-        code |= ((rows >> bit) & 1) << (2 * bit + 1)
-    return code
-
-
 def _enclosing_order(height: int, width: int) -> int:
     k = 0
     while (1 << k) < max(height, width):
@@ -125,24 +109,14 @@ def build_scan_order(kind: ScanKind, height: int, width: int) -> ScanOrder:
     if height < 1 or width < 1:
         raise DimensionError(f"lattice dimensions must be positive, got {height}x{width}")
     cells = np.arange(height * width, dtype=np.int64)
-    if kind in (ScanKind.RASTER, ScanKind.HORIZONTAL):
+    if kind is ScanKind.HORIZONTAL:
         inverse = cells
     elif kind is ScanKind.VERTICAL:
         inverse = cells.reshape(height, width).T.ravel()
-    elif kind is ScanKind.SNAKE:
-        grid = cells.reshape(height, width).copy()
-        grid[1::2] = grid[1::2, ::-1]
-        inverse = grid.ravel()
     elif kind is ScanKind.HILBERT:
-        k = _enclosing_order(height, width)
-        x, y = _hilbert_square(k)
+        x, y = _hilbert_square(_enclosing_order(height, width))
         keep = (x < width) & (y < height)
         inverse = (y[keep] * width + x[keep]).astype(np.int64)
-    elif kind is ScanKind.ZORDER:
-        k = _enclosing_order(height, width)
-        rows, cols = np.divmod(cells, width)
-        order = np.argsort(_morton_codes(rows, cols, k), kind="stable")
-        inverse = cells[order]
     else:  # pragma: no cover - enum is exhaustive
         raise ValueError(kind)
     forward = np.empty_like(inverse)

@@ -45,7 +45,10 @@ def inputs(tmp_path_factory):
                        ("no_equals", "seed"), ("twice", "probes = 16\nprobes = 32"),
                        ("assign_empty", "assign = "), ("assign_gap", "assign = ll=h,,"),
                        ("seed", "seed = 9"), ("state_dim", "state_dim = 0"),
-                       ("widths", "channels = 16,32,64,126")):
+                       ("widths", "channels = 16,32,64,126"), ("assign_bogus", "assign = ll=bogus"),
+                       ("assign_band", "assign = lh"), ("assign_blank", "assign =   # keep the defaults"),
+                       ("assign_xx", "assign = xx=h"), ("assign_twice", "assign = lh=v,lh=h"),
+                       ("assign_z", "assign = hh=z")):
         (path / f"{name}.cfg").write_text(line + "\n")
     for sub, names in (("pred_ab", "ab"), ("gt_ac", "ac")):
         (path / sub).mkdir()
@@ -66,10 +69,22 @@ def run_cli(*argv):
     return proc.returncode, proc.stderr
 
 
-def subcommand_names():
+def subcommand_parsers():
     (subparsers,) = [a for a in build_parser()._actions
                      if isinstance(a, argparse._SubParsersAction)]
-    return sorted(subparsers.choices)
+    return subparsers.choices
+
+
+def subcommand_names():
+    return sorted(subcommand_parsers())
+
+
+def readme_command_lines():
+    """The ``wavescan ...`` lines of the README's "Command line" code block, split."""
+    readme = (SRC.parent / "README.md").read_text()
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    return [line.split() for line in block.splitlines() if line.startswith("wavescan ")]
 
 
 def oracle_cldice(pred: np.ndarray, gt: np.ndarray) -> float:
@@ -135,7 +150,7 @@ class TestConfigParsing:
             "channels = 8,16,32,64",
             "policy = GEEG",
             "# comment line",
-            "assign = ll=z,lh=v,hl=h,hh=snake",
+            "assign = ll=h,lh=v,hl=h,hh=v",
             "steps = 2",
             "probes = 16",
             "seed = 42",
@@ -143,22 +158,17 @@ class TestConfigParsing:
         ])
         assert cfg.channels == (8, 16, 32, 64)
         assert cfg.policy == "GEEG"
-        assert cfg.assign.ll is ScanKind.ZORDER
+        assert cfg.assign.ll is ScanKind.HORIZONTAL
+        assert cfg.assign.hh is ScanKind.VERTICAL
         assert cfg.steps == 2
         assert cfg.probes == 16
         assert cfg.seed == 42
         assert cfg.gate_mode == "unit"
 
-    def test_seed_override(self):
-        cfg = parse_config_text(["seed = 1"], seed_override=9)
-        assert cfg.seed == 9
-
-    @pytest.mark.parametrize("lines, seed, given", [
-        (["seed = 1"], None, "config key 'seed'"), ([], 9, "--seed"), (["seed = 1"], 9, "--seed"),
-    ])
-    def test_seed_with_weights_rejected_by_source(self, lines, seed, given):
-        with pytest.raises(ConfigError, match=f"^{given} cannot be combined with --weights"):
-            parse_config_text(lines, seed, with_weights=True)
+    def test_seed_with_weights_rejected(self):
+        with pytest.raises(ConfigError,
+                           match="^config key 'seed' cannot be combined with --weights"):
+            parse_config_text(["seed = 1"], with_weights=True)
 
     @pytest.mark.parametrize("lines", [["probes = 16", "probes = 32"],
                                        ["assign = lh=v", "seed = 1", "ASSIGN = hl=h"]])
@@ -189,10 +199,10 @@ class TestConfigParsing:
         "channels": "channels = 8,16,32,64",
         "stem_stride": "stem_stride = 2",
         "policy": "policy = GGEE",
-        "assign.ll": "assign = ll=z",
+        "assign.ll": "assign = ll=h",
         "assign.lh": "assign = lh=v",
         "assign.hl": "assign = hl=h",
-        "assign.hh": "assign = hh=snake",
+        "assign.hh": "assign = hh=v",
         "steps": "steps = 2",
         "probes": "probes = 16",
         "state_dim": "state_dim = 4",
@@ -218,7 +228,7 @@ class TestConfigParsing:
                   st.lists(st.integers(-4, 200), min_size=1, max_size=5)
                   .map(lambda cs: ",".join(map(str, cs))),
                   st.sampled_from(["EEGG", "GGGG", "EGX", "unit", "probe",
-                                   "ll=z,lh=v,hl=h,hh=snake", "ll=spiral"])),
+                                   "ll=h,lh=v,hl=h,hh=v", "ll=spiral", "hh=z"])),
     ), max_size=6))
     def test_fuzzed_config_parses_or_raises_value_error(self, items):
         lines = [f"{key} = {value}" for key, value in items]
@@ -320,35 +330,29 @@ class TestSubcommands:
         assert repr(block) in err
         assert not out.exists()
 
-    def test_forward_assign_flag_changes_output(self, tmp_path):
+    def test_forward_assign_key_changes_output(self, tmp_path):
         sample = generate_sample(SynthConfig(height=32, width=32, seed=5,
                                              orientation="horizontal"))
         img_path = tmp_path / "in.pgm"
         fileio.save_pgm(img_path, sample.image.data[0])
+        config = tmp_path / "swapped.cfg"
+        config.write_text("assign = lh=v,hl=h\n")
         out_a = tmp_path / "a.pgm"
         out_b = tmp_path / "b.pgm"
-        assert main(["forward", "--image", str(img_path), "--out", str(out_a),
-                     "--seed", "0"]) == 0
+        assert main(["forward", "--image", str(img_path), "--out", str(out_a)]) == 0
         assert main(["forward", "--image", str(img_path), "--out", str(out_b),
-                     "--seed", "0", "--assign", "lh=v,hl=h"]) == 0
+                     "--config", str(config)]) == 0
         assert out_a.read_bytes() != out_b.read_bytes()
 
-    def test_forward_assign_flag_replaces_the_config_assign(self, tmp_path):
-        sample = generate_sample(SynthConfig(height=32, width=32, seed=5,
-                                             orientation="horizontal"))
-        img_path = tmp_path / "in.pgm"
-        fileio.save_pgm(img_path, sample.image.data[0])
-        config = tmp_path / "assign.cfg"
-        config.write_text("assign = hl=h,hh=raster\n")
-        masks = {}
-        for name, extra in (("flag", ["--assign", "lh=v"]),
-                            ("both", ["--config", str(config), "--assign", "lh=v"]),
-                            ("config", ["--config", str(config)])):
-            out = tmp_path / f"{name}.pgm"
-            assert main(["forward", "--image", str(img_path), "--out", str(out), *extra]) == 0
-            masks[name] = out.read_bytes()
-        assert masks["both"] == masks["flag"]
-        assert masks["config"] != masks["flag"]
+    @pytest.mark.parametrize("flag, value", [("--seed", "3"), ("--assign", "lh=v")])
+    def test_forward_settings_come_from_the_config_alone(self, tmp_path, capsys, flag, value):
+        options = {s for a in subcommand_parsers()["forward"]._actions for s in a.option_strings}
+        assert options == {"-h", "--help", "--image", "--weights", "--out", "--config"}
+        with pytest.raises(SystemExit) as exc:
+            main(["forward", "--image", str(tmp_path / "in.pgm"), "--out",
+                  str(tmp_path / "m.pgm"), flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     # Each count at its cap + 1, and one far past it; the command stops before
     # it builds anything.
@@ -498,10 +502,10 @@ class TestSubcommands:
 
     # One malformed input per subcommand; {tmp} is the test's scratch directory.
     @pytest.mark.parametrize("argv, says", [
-        (["forward", "--image", "{inputs}/32x32.pgm", "--assign", "ll=bogus",
+        (["forward", "--image", "{inputs}/32x32.pgm", "--config", "{inputs}/assign_bogus.cfg",
           "--out", "{tmp}/m.pgm"],
          "unknown scan kind 'bogus'"),
-        (["forward", "--image", "{inputs}/32x32.pgm", "--assign", "lh",
+        (["forward", "--image", "{inputs}/32x32.pgm", "--config", "{inputs}/assign_band.cfg",
           "--out", "{tmp}/m.pgm"],
          "bad assignment entry 'lh', want band=kind"),
         (["eval", "--pred-dir", "{inputs}/pred_ab", "--gt-dir", "{inputs}/gt_ac",
@@ -512,13 +516,14 @@ class TestSubcommands:
         (["eval", "--pred-dir", "{tmp}", "--gt-dir", "{tmp}", "--out", "{tmp}/e.csv"],
          "no matching .pgm pairs"),
         (["synth-gen", "--count", "0", "--out-dir", "{tmp}/g"], "--count"),
-        (["forward", "--image", "{inputs}/32x32.pgm", "--assign", "", "--out", "{tmp}/m.pgm"],
+        (["forward", "--image", "{inputs}/32x32.pgm", "--config", "{inputs}/assign_blank.cfg",
+          "--out", "{tmp}/m.pgm"],
          "bad assignment entry '', want band=kind"),
         (["forward", "--image", "{inputs}/32x32.pgm", "--config", "{tmp}/missing.cfg",
           "--out", "{tmp}/m.pgm"], "cannot read config"),
         (["forward", "--image", "{inputs}/32x32.pgm", "--weights", "{tmp}/missing.fgw",
           "--out", "{tmp}/m.pgm"], "cannot read weights"),
-        (["forward", "--image", "{inputs}/32x32.pgm", "--assign", "xx=h",
+        (["forward", "--image", "{inputs}/32x32.pgm", "--config", "{inputs}/assign_xx.cfg",
           "--out", "{tmp}/m.pgm"],
          "bad assignment entry 'xx=h', want band=kind"),
         # Config files forward refuses ({inputs} holds them), named by key or value.
@@ -578,11 +583,11 @@ class TestSubcommands:
          "--seed must be at least 0, got -1"),
         (["eval", "--pred-dir", "{tmp}", "--gt-dir", "{tmp}", "--threshold", "0",
           "--out", "{tmp}/e.csv"], "--threshold must lie in (0, 1), got 0.0"),
-        (["forward", "--image", "{inputs}/32x32.pgm", "--seed", "5", "--weights",
-          "{tmp}/w.fgw", "--out", "{tmp}/m.pgm"],
-         "--seed cannot be combined with --weights"),
-        (["forward", "--image", "{inputs}/32x32.pgm", "--seed", "-1", "--out", "{tmp}/m.pgm"],
-         "--seed must be at least 0, got -1"),
+        # An eval directory that is missing, named before either side is listed.
+        (["eval", "--pred-dir", "{inputs}/nope", "--gt-dir", "{inputs}/nope2",
+          "--out", "{tmp}/e.csv"], "--pred-dir {inputs}/nope is not a directory"),
+        (["eval", "--pred-dir", "{inputs}/pred_ab", "--gt-dir", "{inputs}/nope",
+          "--out", "{tmp}/e.csv"], "--gt-dir {inputs}/nope is not a directory"),
         (["eval", "--pred-dir", "{tmp}", "--gt-dir", "{tmp}", "--threshold", "1.5",
           "--out", "{tmp}/e.csv"], "--threshold must lie in (0, 1), got 1.5"),
         (["eval", "--pred-dir", "{tmp}", "--gt-dir", "{tmp}", "--threshold", "nan",
@@ -595,7 +600,7 @@ class TestSubcommands:
         (["forward", "--image", "{inputs}/32x32.pgm", "--config", "{inputs}/twice.cfg",
           "--out", "{tmp}/m.pgm"],
          "config key 'probes' is set more than once"),
-        (["forward", "--image", "{inputs}/32x32.pgm", "--assign", "lh=v,lh=h",
+        (["forward", "--image", "{inputs}/32x32.pgm", "--config", "{inputs}/assign_twice.cfg",
           "--out", "{tmp}/m.pgm"],
          "band 'lh' is assigned more than once in 'lh=v,lh=h'"),
         # An empty assign entry and a seed beside a weight bundle are refused, not ignored.
@@ -608,6 +613,12 @@ class TestSubcommands:
         (["forward", "--image", "{inputs}/32x32.pgm", "--config", "{inputs}/seed.cfg",
           "--weights", "{tmp}/w.fgw", "--out", "{tmp}/m.pgm"],
          "config key 'seed' cannot be combined with --weights"),
+        # An eval path that is a file, and a retired scan kind.
+        (["eval", "--pred-dir", "{inputs}/pred_ab/a.pgm", "--gt-dir", "{inputs}/gt_ac",
+          "--out", "{tmp}/e.csv"], "--pred-dir {inputs}/pred_ab/a.pgm is not a directory"),
+        (["forward", "--image", "{inputs}/32x32.pgm", "--config", "{inputs}/assign_z.cfg",
+          "--out", "{tmp}/m.pgm"],
+         "unknown scan kind 'z'"),
     ])
     def test_malformed_input_is_one_error_line(self, tmp_path, inputs, argv, says):
         code, err = run_cli(*(a.format(tmp=tmp_path, inputs=inputs) for a in argv))
@@ -659,11 +670,15 @@ class TestSubcommands:
         assert {name.replace("-", "_") for name in names} == commands
 
     def test_readme_lists_exactly_the_subcommands(self):
-        readme = (SRC.parent / "README.md").read_text()
-        block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1]
-        block = block.split("```", 1)[0]
-        listed = [line.split()[1] for line in block.splitlines() if line.startswith("wavescan ")]
+        listed = [words[1] for words in readme_command_lines()]
         assert sorted(listed) == subcommand_names()
+
+    def test_readme_command_block_uses_only_real_flags(self):
+        parsers = subcommand_parsers()
+        for words in readme_command_lines():
+            options = {s for a in parsers[words[1]]._actions for s in a.option_strings}
+            flags = [w for w in words[2:] if w.startswith("--")]
+            assert set(flags) <= options, (words, sorted(options))
 
     def test_unknown_subcommand_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -42,7 +42,7 @@ class TestScanAssignment:
         with pytest.raises(ValueError):
             ScanAssignment.parse("xx=hilbert")
 
-    @pytest.mark.parametrize("text", ["", " ", "ll=h,,", ",lh=v", "hh=z, "])
+    @pytest.mark.parametrize("text", ["", " ", "ll=h,,", ",lh=v", "hh=v, "])
     def test_parse_rejects_an_empty_entry(self, text):
         with pytest.raises(ConfigError, match="^bad assignment entry '', want band=kind$"):
             ScanAssignment.parse(text)

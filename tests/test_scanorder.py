@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -60,15 +62,12 @@ class TestConstruction:
         order = build_scan_order(ScanKind.VERTICAL, 2, 2)
         assert [tuple(v) for v in order.visit_coords()] == [(0, 0), (1, 0), (0, 1), (1, 1)]
 
-    def test_snake_2x3_visits(self):
-        order = build_scan_order(ScanKind.SNAKE, 2, 3)
-        want = [(0, 0), (0, 1), (0, 2), (1, 2), (1, 1), (1, 0)]
-        assert [tuple(v) for v in order.visit_coords()] == want
-
-    def test_horizontal_equals_raster(self):
-        a = build_scan_order(ScanKind.HORIZONTAL, 5, 7)
-        b = build_scan_order(ScanKind.RASTER, 5, 7)
-        assert np.array_equal(a.forward, b.forward)
+    @pytest.mark.parametrize("h,w", [(4, 4), (3, 5)])
+    def test_distinct_kinds_build_distinct_orders(self, h, w):
+        # One member per traversal: no two kinds may name the same order.
+        for a, b in itertools.combinations(ALL_KINDS, 2):
+            assert not np.array_equal(build_scan_order(a, h, w).inverse,
+                                      build_scan_order(b, h, w).inverse), (a, b)
 
     def test_hilbert_4x4_adjacent_and_covering(self):
         order = build_scan_order(ScanKind.HILBERT, 4, 4)
@@ -90,13 +89,6 @@ class TestConstruction:
         order = build_scan_order(kind, h, w)
         assert np.array_equal(np.sort(order.forward), np.arange(h * w))
         assert np.array_equal(order.forward[order.inverse], np.arange(h * w))
-
-    def test_zorder_is_bit_interleaved_on_squares(self):
-        order = build_scan_order(ScanKind.ZORDER, 4, 4)
-        # Morton order on a 4x4 square: visits follow z-shaped quads
-        want = [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (0, 3), (1, 2), (1, 3),
-                (2, 0), (2, 1), (3, 0), (3, 1), (2, 2), (2, 3), (3, 2), (3, 3)]
-        assert [tuple(v) for v in order.visit_coords()] == want
 
     def test_rejects_zero_dimension(self):
         with pytest.raises(DimensionError):
@@ -132,11 +124,15 @@ class TestConstruction:
         assert np.array_equal(_hilbert_square(3)[0], want)
 
     def test_parse_kind_aliases(self):
+        assert ALL_KINDS == [ScanKind.HORIZONTAL, ScanKind.VERTICAL, ScanKind.HILBERT]
+        assert ScanKind.RASTER is ScanKind.HORIZONTAL
         assert parse_kind("h") is ScanKind.HORIZONTAL
+        assert parse_kind("raster") is ScanKind.HORIZONTAL
         assert parse_kind("V") is ScanKind.VERTICAL
-        assert parse_kind("z-order") is ScanKind.ZORDER
-        with pytest.raises(ValueError):
-            parse_kind("spiral")
+        assert parse_kind(" Hilbert ") is ScanKind.HILBERT
+        for token in ("spiral", "snake", "z", "horz"):
+            with pytest.raises(ValueError, match=f"^unknown scan kind '{token}'"):
+                parse_kind(token)
 
 
 class TestSerialize:
